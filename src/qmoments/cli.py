@@ -53,7 +53,6 @@ class ExperimentConfig:
     seed: int = 0
     dt: float = 0.01
     grid: np.ndarray | None = None
-    quad_order: int = 32
     caps: tuple[int, ...] | None = None
     workers: int = 1
 
@@ -134,7 +133,6 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
         seed=int(pick(args.seed, "seed", 0)),
         dt=float(pick(args.dt, "dt", 0.01)),
         grid=grid,
-        quad_order=int(pick(args.quad_order, "quad_order", 32)),
         caps=caps,
         workers=_default_workers(),
     )
@@ -179,9 +177,7 @@ def run_experiment(cfg: ExperimentConfig):
             elif method == "exact":
                 results[method] = exact_transient_moments(model, cfg.caps, grid)
             else:
-                solver_cfg = SolverConfig(
-                    dt=cfg.dt, method=method, grid=grid, quad_order=cfg.quad_order
-                )
+                solver_cfg = SolverConfig(dt=cfg.dt, method=method, grid=grid)
                 results[method] = solve(model, solver_cfg)
         except (DivergenceError, NumericalError) as exc:
             errors[method] = str(exc)
@@ -200,7 +196,6 @@ def run_experiment(cfg: ExperimentConfig):
         "reps": cfg.reps,
         "seed": cfg.seed,
         "dt": cfg.dt,
-        "quad_order": cfg.quad_order,
         "errors": errors,
     }
     with open(os.path.join(cfg.out_dir, MANIFEST), "w", encoding="utf-8") as fh:
@@ -228,11 +223,15 @@ class DiffReport:
                 )
 
 
-def _stat_value(result, stat: str, idx: int) -> float:
-    if stat.startswith("mean_"):
-        return float(result.means[idx, int(stat[5:])])
-    i, j = int(stat[4]), int(stat[5])
-    return float(result.covs[idx, i, j])
+def _stat_positions(dimension: int) -> dict[str, tuple[int, ...]]:
+    """CSV statistic name to its ``(i,)`` mean or ``(i, j)`` covariance entry."""
+    pairs = [(i, j) for i in range(dimension) for j in range(i, dimension)]
+    return dict(zip(stat_names(dimension), [(i,) for i in range(dimension)] + pairs))
+
+
+def _stat_value(result, position: tuple[int, ...], idx: int) -> float:
+    source = result.means if len(position) == 1 else result.covs
+    return float(source[(idx, *position)])
 
 
 def diff_report(results: dict, reference: str = "simulate", experiment: str = "") -> DiffReport:
@@ -256,13 +255,13 @@ def diff_report(results: dict, reference: str = "simulate", experiment: str = ""
             raise UsageError(
                 f"method {method!r} grid does not match the {reference!r} grid"
             )
-        stats = stat_names(ref.dimension)
+        positions = _stat_positions(ref.dimension)
         if not ref_has_cov or getattr(res, "covs", None) is None:
-            stats = [s for s in stats if s.startswith("mean_")]
+            positions = {s: pos for s, pos in positions.items() if len(pos) == 1}
         for idx, t in enumerate(ref.times):
-            for stat in stats:
-                value = _stat_value(res, stat, idx)
-                ref_value = _stat_value(ref, stat, idx)
+            for stat, pos in positions.items():
+                value = _stat_value(res, pos, idx)
+                ref_value = _stat_value(ref, pos, idx)
                 report.rows.append(
                     (experiment, method, stat, float(t), value, ref_value, value - ref_value)
                 )
@@ -315,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dt", type=float, help="solver step size")
     run.add_argument("--grid", help="sample times t0:t1:step")
     run.add_argument("--out", help="output directory")
-    run.add_argument("--quad-order", dest="quad_order", type=int,
-                     help="quadrature order for kernels without closed form")
     run.add_argument("--caps", help="per-dimension state caps for method 'exact'")
     run.set_defaults(handler=_cmd_run)
 

@@ -11,6 +11,7 @@ either a closed-form Gaussian expectation or a quadrature fallback.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -108,19 +109,6 @@ def kernel_value(kernel: Kernel, t: float, x) -> float:
     raise UsageError(f"unknown kernel type {type(kernel).__name__}")
 
 
-def kernel_indices(kernel: Kernel) -> tuple[int, ...]:
-    """State components the kernel actually reads."""
-    if isinstance(kernel, Constant):
-        return ()
-    if isinstance(kernel, Linear):
-        return tuple(i for i, w in enumerate(kernel.weights) if w != 0.0)
-    if isinstance(kernel, (MinThreshold, PositivePart)):
-        return (kernel.index,)
-    if isinstance(kernel, (MinPair, CappedResidual)):
-        return (kernel.index, kernel.other)
-    raise UsageError(f"unknown kernel type {type(kernel).__name__}")
-
-
 def kernel_lipschitz_bound(kernel: Kernel) -> float:
     """Lipschitz constant of the kernel (exact for every taxonomy member)."""
     if isinstance(kernel, Constant):
@@ -173,14 +161,12 @@ class NetworkModel:
         object.__setattr__(
             self, "initial_state", tuple(int(v) for v in self.initial_state)
         )
+        if not math.isfinite(self.horizon):
+            raise UsageError(f"model horizon must be finite, got {self.horizon}")
 
     @property
     def num_transitions(self) -> int:
         return len(self.transitions)
-
-    def jump_matrix(self) -> np.ndarray:
-        """d x k matrix whose columns are the transition jump vectors."""
-        return np.array([tr.jump for tr in self.transitions], dtype=float).T
 
 
 def eval_rate(model: NetworkModel, i: int, t: float, x) -> float:
@@ -399,7 +385,7 @@ def model_from_dict(data: dict) -> NetworkModel:
             initial_state=tuple(data["initial_state"]),
             horizon=float(data["horizon"]),
         )
-    except (KeyError, IndexError, TypeError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed model document: {exc}") from exc
 
 

@@ -46,12 +46,6 @@ class MomentTrajectory:
     def dimension(self) -> int:
         return self.means.shape[1]
 
-    def mean_series(self, component: int) -> np.ndarray:
-        return self.means[:, component]
-
-    def cov_series(self, i: int, j: int) -> np.ndarray:
-        return self.covs[:, i, j]
-
 
 @dataclass(eq=False)
 class EnsembleStats:

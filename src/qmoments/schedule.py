@@ -39,6 +39,7 @@ class TimeSchedule:
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "end", None if self.end is None else float(self.end))
         if not bp:
             raise UsageError("schedule needs at least one breakpoint")
         if bp[0] != 0.0:

@@ -23,11 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import (
+# closed_drift, closed_drift_jacobian and noise_matrix stay bound here because
+# perfbench/spans.py instruments the solver layer through these names.
+from .closure import (  # noqa: F401
     MomentPoint,
-    _hermite_rule,
     closed_drift,
     closed_drift_jacobian,
+    closed_terms,
     noise_matrix,
 )
 from .errors import DivergenceError, UsageError
@@ -56,14 +58,11 @@ class SolverConfig:
     """Step size, method tag and output grid for one solve.
 
     ``grid=None`` samples every whole time unit up to the horizon.
-    ``quad_order`` sets the Gauss-Hermite order (per axis) used for kernels
-    without a closed-form expectation.
     """
 
     dt: float = 0.01
     method: str = "adjusted"
     grid: np.ndarray | None = None
-    quad_order: int = 32
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -171,10 +170,9 @@ def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
 def solve_fluid(model: NetworkModel, cfg: SolverConfig | None = None) -> MomentTrajectory:
     """Deterministic large-population limit; covariance reported as zero."""
     cfg = cfg or SolverConfig(method="fluid")
-    zero = np.zeros((model.dimension, model.dimension))
 
-    def rhs(t, m, _c):
-        return drift(model, t, m), zero
+    def rhs(t, m, c):
+        return drift(model, t, m), c  # c is still the zero start, so it is its own rate
 
     return _solve_moments(model, cfg, rhs, "fluid")
 
@@ -185,18 +183,16 @@ def solve_adjusted(
     """Gaussian-closed mean and covariance, integrated simultaneously.
 
     The drift, its Jacobian and the noise matrix are re-closed on the running
-    (mean, covariance) pair at every Runge-Kutta stage; the covariance obeys
+    (mean, covariance) pair at every Runge-Kutta stage, from one closed-rate
+    evaluation per transition; the covariance obeys
     ``dC/dt = A C + C A' + B B'`` and is symmetrized after each step.
     """
     cfg = cfg or SolverConfig(method="adjusted")
-    rule = _hermite_rule(cfg.quad_order)
 
     def rhs(t, m, c):
-        p = MomentPoint(m, c)
-        a = closed_drift_jacobian(model, t, p, rule)
-        b = noise_matrix(model, t, p, rule)
+        drift_m, a, b = closed_terms(model, t, MomentPoint(m, c))
         dc = a @ c + c @ a.T + b @ b.T
-        return closed_drift(model, t, p, rule), dc
+        return drift_m, dc
 
     return _solve_moments(model, cfg, rhs, "adjusted")
 

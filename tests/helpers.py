@@ -74,3 +74,41 @@ def random_moment_point(
     cov = corr * np.outer(sig, sig)
     mean = rng.uniform(mean_lo, mean_hi, d)
     return MomentPoint(mean, cov)
+
+
+def capped_residual_expect(mean, cov, threshold: float) -> float:
+    """E[min(X, (threshold - Y)^+)] for (X, Y) ~ N(mean, cov), nested adaptive quadrature.
+
+    The outer integral runs over Y and breaks at the threshold; the inner one
+    runs over X given Y and breaks at the residual, so neither integrand has a
+    kink inside a piece.  Each spans 12 standard deviations either side of its
+    Gaussian's mean.  Needs Var(Y) > 0 and Var(X | Y) > 0.
+    """
+    mx, my = float(mean[0]), float(mean[1])
+    vy, cxy = float(cov[1][1]), float(cov[0][1])
+    sy = math.sqrt(vy)
+    slope = cxy / vy
+    sc = math.sqrt(float(cov[0][0]) - slope * cxy)
+    norm = 1.0 / math.sqrt(2 * math.pi)
+
+    def quad(f, lo, hi, kink):
+        points = [kink] if lo < kink < hi else None
+        return integrate.quad(
+            f, lo, hi, points=points, epsabs=1e-12, epsrel=1e-12, limit=200
+        )[0]
+
+    def inner(y):
+        residual = max(threshold - y, 0.0)
+        mc = mx + slope * (y - my)
+
+        def f(x):
+            z = (x - mc) / sc
+            return min(x, residual) * norm * math.exp(-0.5 * z * z) / sc
+
+        return quad(f, mc - 12 * sc, mc + 12 * sc, residual)
+
+    def outer(y):
+        z = (y - my) / sy
+        return inner(y) * norm * math.exp(-0.5 * z * z) / sy
+
+    return quad(outer, my - 12 * sy, my + 12 * sy, threshold)

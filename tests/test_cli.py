@@ -1,7 +1,11 @@
+import copy
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmoments as qm
 from qmoments import UsageError, read_long_csv
@@ -52,7 +56,7 @@ class TestParsing:
         assert cfg.preset == 7 and cfg.model_path is None
         assert cfg.methods == ["adjusted", "measure-zero", "simulate"]
         assert cfg.reps == 5000 and cfg.seed == 42
-        assert cfg.dt == 0.01 and cfg.quad_order == 32
+        assert cfg.dt == 0.01
 
     def test_dt_override(self):
         cfg = parse_run(
@@ -268,3 +272,119 @@ class TestDiffReport:
         report = diff_report(results)
         # 2 methods x 5 grid points x (2 means + 3 covariance entries)
         assert len(report.rows) == 2 * 5 * 5
+
+    def test_report_resolves_two_digit_covariance_names(self, tmp_path):
+        """With d = 11, cov_010 is entry (0, 10), not (0, 1)."""
+        d, times = 11, np.array([0.0, 1.0])
+        upper = np.add.outer(100.0 * np.arange(d), np.arange(d))
+        covs = np.triu(upper) + np.triu(upper, 1).T
+        adjusted = qm.MomentTrajectory(
+            "adjusted", times, np.ones((2, d)), np.stack([covs, 2 * covs])
+        )
+        simulated = qm.EnsembleStats(times, np.zeros((2, d)), np.zeros((2, d, d)), 10)
+        qm.write_long_csv([adjusted, simulated], tmp_path / "combined.csv")
+        back = {r.method: r for r in read_long_csv(tmp_path / "combined.csv")}
+        assert qm.results_equal(back["adjusted"], adjusted)
+        assert qm.results_equal(back["simulate"], simulated)
+
+        assert main(["report", "--in", str(tmp_path)]) == 0
+        with open(tmp_path / "diff_report.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        expected = []
+        for scale in (1.0, 2.0):
+            expected += [1.0] * d
+            expected += [scale * covs[i, j] for i in range(d) for j in range(i, d)]
+        assert [float(row["difference"]) for row in rows] == expected
+        first = {row["stat"]: float(row["difference"]) for row in rows if row["t"] == "0.0"}
+        assert first["cov_010"] == 10.0 and first["cov_110"] == 110.0
+
+
+def _fuzz_base_document() -> dict:
+    """Two-class model touching every kernel variant, short horizon."""
+    n = qm.TimeSchedule.constant(4.0)
+    rate = qm.TimeSchedule.alternating(1.0, 2.0, 1.0, 2.0)
+    kernels = [
+        qm.Constant(),
+        qm.Linear((0.5, 0.0)),
+        qm.MinThreshold(0, n),
+        qm.PositivePart(1, n),
+        qm.MinPair(0, 1),
+        qm.CappedResidual(1, 0, n),
+    ]
+    jumps = [(1, 1), (-1, 0), (-1, 0), (0, -1), (1, -1), (0, -1)]
+    model = qm.NetworkModel(
+        2,
+        tuple(qm.Transition(j, qm.RateTerm(rate, k)) for j, k in zip(jumps, kernels)),
+        (2, 1),
+        2.0,
+    )
+    return qm.model_to_dict(model)
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(-10.0, 10.0),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), "abc", "", [], {}, ["x"], [0.5]]),
+)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_mutated_model_documents_exit_cleanly(tmp_path_factory, data):
+    """Wrong types or values anywhere in a model document give exit 0, 2 or 3."""
+    doc = _fuzz_base_document()
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(data.draw(_JUNK))
+    base = tmp_path_factory.mktemp("fuzz")
+    model_path = base / "model.json"
+    model_path.write_text(json.dumps(doc))
+    code = main(
+        ["run", "--model", str(model_path), "--methods", "fluid", "--dt", "0.1",
+         "--out", str(base / "out")]
+    )
+    assert code in (0, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("transitions", 0, "coefficient", "values"), ["abc"]),
+        (("transitions", 0, "jump"), ["x"]),
+        (("horizon",), float("inf")),
+        (("dimension",), -1),
+    ],
+)
+def test_wrongly_typed_documents_exit_2(tmp_path, path, value):
+    doc = _fuzz_base_document()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    code = main(
+        ["run", "--model", str(model_path), "--methods", "fluid", "--out", str(tmp_path / "o")]
+    )
+    assert code == 2

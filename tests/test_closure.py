@@ -18,7 +18,12 @@ from qmoments import (
     UsageError,
 )
 
-from helpers import gauss_expect_1d, gauss_expect_2d, random_moment_point
+from helpers import (
+    capped_residual_expect,
+    gauss_expect_1d,
+    gauss_expect_2d,
+    random_moment_point,
+)
 
 UNIT = TimeSchedule.constant(1.0)
 
@@ -113,10 +118,8 @@ class TestExpectedKernel:
         value = qm.expected_kernel(
             term(CappedResidual(0, 1, TimeSchedule.constant(10.0))), 0.0, p
         )
-        oracle = gauss_expect_2d(
-            lambda x, y: min(x, max(10.0 - y, 0.0)), p.mean, p.cov
-        )
-        assert value == pytest.approx(oracle, abs=5e-3)
+        oracle = capped_residual_expect(p.mean, p.cov, 10.0)
+        assert value == pytest.approx(oracle, abs=1e-8)
 
     def test_decomposition_identity(self):
         """E[min(X, n)] + E[(X - n)^+] = E[X] for any moment point."""
@@ -148,6 +151,86 @@ class TestExpectedKernel:
         p = MomentPoint(np.zeros(2), np.array([[1.0, 3.0], [3.0, 1.0]]))
         with pytest.raises(NumericalError):
             qm.expected_kernel(term(MinPair(0, 1)), 0.0, p)
+
+
+class TestCappedResidual:
+    """The closed form against nested adaptive quadrature and its own limits."""
+
+    @staticmethod
+    def closed(p, n, coeff=1.0):
+        t = term(CappedResidual(0, 1, TimeSchedule.constant(n)), coeff)
+        return qm.expected_kernel(t, 0.0, p), qm.expected_kernel_grad_mean(t, 0.0, p)
+
+    def test_random_points_against_nested_quadrature(self):
+        rng = np.random.default_rng(47)
+        h = 1e-4
+        for _ in range(12):
+            p = random_moment_point(rng, 2, sigma_lo=0.1, sigma_hi=50.0)
+            n = rng.uniform(-20.0, 120.0)
+            value, grad = self.closed(p, n, coeff=1.7)
+            oracle = capped_residual_expect(p.mean, p.cov, n)
+            assert value == pytest.approx(1.7 * oracle, abs=1e-8)
+            for b in range(2):
+                up, down = p.mean.copy(), p.mean.copy()
+                up[b] += h
+                down[b] -= h
+                fd = (
+                    capped_residual_expect(up, p.cov, n)
+                    - capped_residual_expect(down, p.cov, n)
+                ) / (2 * h)
+                assert grad[b] == pytest.approx(1.7 * fd, abs=1e-6)
+
+    def test_zero_covariance_is_pointwise(self):
+        """The first Runge-Kutta stage starts from cov = 0."""
+        from qmoments.model import kernel_value
+
+        kernel = CappedResidual(0, 1, TimeSchedule.constant(10.0))
+        for mean in ([4.0, 3.0], [9.0, 3.0], [4.0, 12.0], [-2.0, 12.0], [0.0, 10.0]):
+            p = MomentPoint(np.array(mean), np.zeros((2, 2)))
+            value, grad = self.closed(p, 10.0)
+            assert value == kernel_value(kernel, 0.0, p.mean)
+            assert np.all(np.isfinite(grad))
+
+    @pytest.mark.parametrize("component", [0, 1])
+    def test_vanishing_variance_is_continuous(self, component):
+        """|E_eps - E_0| <= eps: the kernel is 1-Lipschitz in each argument."""
+        sig = np.array([3.0, 4.0])
+        mean = np.array([5.0, 6.0])
+        limit = None
+        for eps in (0.0, 1e-12, 1e-6, 1e-3, 1e-1):
+            sig[component] = eps
+            p = point2(*mean, *sig, rho=0.6)
+            value, grad = self.closed(p, 10.0)
+            assert np.isfinite(value) and np.all(np.isfinite(grad))
+            if limit is None:
+                limit = value
+            assert abs(value - limit) <= eps + 1e-12
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_perfect_correlation_limit(self, sign):
+        """|rho| -> 1 approaches the one-dimensional integral along the line."""
+        m1, m2, s1, s2, n = 5.0, 6.0, 3.0, 4.0, 10.0
+
+        def along_line(z):
+            return min(m1 + s1 * z, max(n - m2 - sign * s2 * z, 0.0))
+
+        kinks = [(n - m2) / (sign * s2), (n - m1 - m2) / (s1 + sign * s2)]
+        line = gauss_expect_1d(along_line, 0.0, 1.0, kinks=kinks)
+        exact, _ = self.closed(point2(m1, m2, s1, s2, rho=sign), n)
+        assert exact == pytest.approx(line, abs=1e-9)
+        for delta in (1e-4, 1e-8, 1e-12):
+            value, grad = self.closed(point2(m1, m2, s1, s2, rho=sign * (1 - delta)), n)
+            assert np.all(np.isfinite(grad))
+            assert abs(value - exact) <= 2 * s1 * math.sqrt(2 * delta) + 1e-12
+
+    def test_roundoff_indefinite_block(self):
+        """A block a few ulps past rho = 1 gives the rho = 1 value."""
+        s1, s2 = 3.0, 4.0
+        exact, _ = self.closed(point2(5.0, 6.0, s1, s2, rho=1.0), 10.0)
+        cov = np.array([[s1 * s1, s1 * s2 * (1 + 1e-14)], [s1 * s2 * (1 + 1e-14), s2 * s2]])
+        value, grad = self.closed(MomentPoint(np.array([5.0, 6.0]), cov), 10.0)
+        assert np.all(np.isfinite(grad))
+        assert value == pytest.approx(exact, abs=1e-12)
 
 
 class TestGradients:
