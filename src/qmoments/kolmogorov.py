@@ -4,15 +4,21 @@ For small models the forward equations ``p' = p Q(t)`` are solved directly on
 the box ``{0..cap_0} x ... x {0..cap_{d-1}}``.  Jumps that would leave the box
 are disabled (reflecting truncation), which conserves probability mass and
 keeps the moment oracle well defined; choose caps so the boundary occupancy
-is negligible.  Within one schedule segment the generator is constant, so the
-march is a sequence of matrix-exponential actions.
+is negligible.  Within one schedule segment the generator is constant, and an
+interval is advanced by uniformization: ``exp(dt Q') p = sum_k w_k P^k p`` with
+``P = I + Q'/rate``, ``rate`` the largest outflow and ``w`` the Poisson(rate dt)
+pmf, a sum of nonnegative terms.  ``w`` comes from the ratio recurrence outward
+from the mode (Fox & Glynn 1988), each tail cut where its geometric bound drops
+below ``_TAIL / 4`` of the kept sum, then normalised; per interval the L1 error
+is thus at most ``_TAIL`` (1e-16) plus about one machine epsilon per product
+with ``P``.  Nothing is estimated or random, so repeated solves in one
+environment are bitwise equal.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse import coo_matrix, identity
 
 from .errors import NumericalError, UsageError
 from .model import (
@@ -31,6 +37,7 @@ from .results import MomentTrajectory
 
 STATE_LIMIT = 2_000_000
 _MASS_TOL = 1e-8
+_TAIL = 1e-16
 
 
 def _kernel_values_lattice(kernel: Kernel, t: float, coords: np.ndarray) -> np.ndarray:
@@ -83,6 +90,26 @@ def _generator_transpose(model: NetworkModel, t: float, coords, strides, caps):
     return coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
 
 
+def expm_multiply(step, rate: float, dt: float, p: np.ndarray) -> np.ndarray:
+    """``exp(dt Q') p`` by uniformization, where ``step = I + Q'/rate``."""
+    mean = rate * dt
+    w, kept, lo = [1.0], 1.0, int(mean)
+    while lo > 0 and (lo >= mean or w[0] * lo > 0.25 * _TAIL * (mean - lo) * kept):
+        w.insert(0, w[0] * lo / mean)
+        kept += w[0]
+        lo -= 1
+    while w[-1] * mean > 0.25 * _TAIL * (lo + len(w) - mean) * kept:
+        w.append(w[-1] * mean / (lo + len(w)))
+        kept += w[-1]
+    for _ in range(lo):
+        p = step @ p
+    out = (w[0] / kept) * p
+    for wk in w[1:]:
+        p = step @ p
+        out += (wk / kept) * p
+    return out
+
+
 def state_distributions(model: NetworkModel, caps, grid):
     """State-probability vectors at the grid times.
 
@@ -120,11 +147,10 @@ def state_distributions(model: NetworkModel, caps, grid):
     probs = np.empty((len(times), size))
     out_i = 0
     t_now = 0.0
-    qt = _generator_transpose(model, 0.0, coords, strides, caps)
-    for t_event in events:
+    for t_event in events:  # events[0] is 0.0, which builds the first step
         dt = t_event - t_now
         if dt > 0:
-            p = expm_multiply(qt * dt, p)
+            p = expm_multiply(step, rate, dt, p)
         t_now = t_event
         while out_i < len(times) and times[out_i] <= t_now + 1e-12:
             mass = p.sum()
@@ -135,7 +161,9 @@ def state_distributions(model: NetworkModel, caps, grid):
             probs[out_i] = p
             out_i += 1
         if t_event in boundaries or t_event == 0.0:
-            qt = _generator_transpose(model, t_event, coords, strides, caps)
+            step = _generator_transpose(model, t_event, coords, strides, caps)
+            rate = float(-step.diagonal().min())
+            step = step / rate + identity(size, format="csr") if rate > 0.0 else None
     return times, coords, probs
 
 

@@ -28,31 +28,6 @@ def gauss_expect_1d(fn, mean: float, std: float, kinks=()) -> float:
     return value
 
 
-def gauss_expect_2d(fn, mean, cov) -> float:
-    """E[fn(x, y)] for a bivariate normal by adaptive double quadrature."""
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
-    inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[0, 1], cov[0, 0]]]) / det
-    norm = 1.0 / (2 * math.pi * math.sqrt(det))
-    sx, sy = math.sqrt(cov[0, 0]), math.sqrt(cov[1, 1])
-
-    def density(x, y):
-        dx, dy = x - mean[0], y - mean[1]
-        q = inv[0, 0] * dx * dx + 2 * inv[0, 1] * dx * dy + inv[1, 1] * dy * dy
-        return norm * math.exp(-0.5 * q)
-
-    value, _ = integrate.dblquad(
-        lambda y, x: fn(x, y) * density(x, y),
-        mean[0] - 9 * sx,
-        mean[0] + 9 * sx,
-        lambda x: mean[1] - 9 * sy,
-        lambda x: mean[1] + 9 * sy,
-        epsabs=1e-11,
-    )
-    return value
-
-
 def random_moment_point(
     rng: np.random.Generator,
     d: int,
@@ -76,13 +51,14 @@ def random_moment_point(
     return MomentPoint(mean, cov)
 
 
-def capped_residual_expect(mean, cov, threshold: float) -> float:
-    """E[min(X, (threshold - Y)^+)] for (X, Y) ~ N(mean, cov), nested adaptive quadrature.
+def nested_gauss_expect(fn, mean, cov, inner_kink, outer_kinks=()) -> float:
+    """E[fn(X, Y)] for (X, Y) ~ N(mean, cov), nested adaptive quadrature.
 
-    The outer integral runs over Y and breaks at the threshold; the inner one
-    runs over X given Y and breaks at the residual, so neither integrand has a
-    kink inside a piece.  Each spans 12 standard deviations either side of its
-    Gaussian's mean.  Needs Var(Y) > 0 and Var(X | Y) > 0.
+    The outer integral runs over Y and breaks at ``outer_kinks``; the inner one
+    runs over X given Y and breaks at ``inner_kink(y)``.  When these are the
+    kinks of ``fn``, neither integrand has a kink inside a piece.  Each spans 12
+    standard deviations either side of its Gaussian's mean.  Needs Var(Y) > 0
+    and Var(X | Y) > 0.
     """
     mx, my = float(mean[0]), float(mean[1])
     vy, cxy = float(cov[1][1]), float(cov[0][1])
@@ -91,24 +67,37 @@ def capped_residual_expect(mean, cov, threshold: float) -> float:
     sc = math.sqrt(float(cov[0][0]) - slope * cxy)
     norm = 1.0 / math.sqrt(2 * math.pi)
 
-    def quad(f, lo, hi, kink):
-        points = [kink] if lo < kink < hi else None
+    def quad(f, lo, hi, kinks):
+        points = [k for k in kinks if lo < k < hi] or None
         return integrate.quad(
             f, lo, hi, points=points, epsabs=1e-12, epsrel=1e-12, limit=200
         )[0]
 
     def inner(y):
-        residual = max(threshold - y, 0.0)
         mc = mx + slope * (y - my)
 
         def f(x):
             z = (x - mc) / sc
-            return min(x, residual) * norm * math.exp(-0.5 * z * z) / sc
+            return fn(x, y) * norm * math.exp(-0.5 * z * z) / sc
 
-        return quad(f, mc - 12 * sc, mc + 12 * sc, residual)
+        return quad(f, mc - 12 * sc, mc + 12 * sc, (inner_kink(y),))
 
     def outer(y):
         z = (y - my) / sy
         return inner(y) * norm * math.exp(-0.5 * z * z) / sy
 
-    return quad(outer, my - 12 * sy, my + 12 * sy, threshold)
+    return quad(outer, my - 12 * sy, my + 12 * sy, outer_kinks)
+
+
+def capped_residual_expect(mean, cov, threshold: float) -> float:
+    """E[min(X, (threshold - Y)^+)] for (X, Y) ~ N(mean, cov), nested quadrature.
+
+    The outer integral breaks at the threshold, the inner one at the residual.
+    """
+
+    def residual(y):
+        return max(threshold - y, 0.0)
+
+    return nested_gauss_expect(
+        lambda x, y: min(x, residual(y)), mean, cov, residual, (threshold,)
+    )

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.special import gammaln
 
 import qmoments as qm
+from qmoments import kolmogorov
 from qmoments import (
     Constant,
     Linear,
@@ -11,6 +14,7 @@ from qmoments import (
     Transition,
     UsageError,
 )
+from qmoments.model import model_breakpoints
 from qmoments.systems import RetrialParams
 
 
@@ -38,12 +42,72 @@ def tiny_retrial(horizon=10.0):
     return qm.build_retrial(params, horizon)
 
 
+def poisson_pmf(mean, size):
+    k = np.arange(size)
+    return np.exp(k * np.log(mean) - mean - gammaln(k + 1))
+
+
+def dense_reference(model, caps, grid):
+    """The forward march of ``state_distributions`` with dense ``expm`` per interval."""
+    caps = np.asarray(caps)
+    shape = caps + 1
+    coords = np.indices(shape).reshape(len(shape), -1).T
+    strides = np.cumprod(np.r_[1, shape[:0:-1]])[::-1]
+    p = np.zeros(len(coords))
+    p[int(np.asarray(model.initial_state) @ strides)] = 1.0
+    boundaries = [b for b in model_breakpoints(model) if b < grid[-1]]
+    out, t_now = [], 0.0
+    for t_event in sorted(set(grid) | set(boundaries) | {0.0}):
+        if t_event > t_now:
+            p = scipy.linalg.expm(qt.toarray() * (t_event - t_now)) @ p
+        t_now = t_event
+        if t_event in grid:
+            out.append(p)
+        qt = kolmogorov._generator_transpose(model, t_event, coords, strides, caps)
+    return np.array(out), qt
+
+
 def test_linear_birth_death_transient_mean():
-    """Truncated forward equations reproduce (lam/mu)(1 - exp(-t))."""
+    """Truncated forward equations reproduce the Poisson((lam/mu)(1 - exp(-t))) law."""
     out = qm.exact_transient_moments(birth_death(), (50,), [1.0])
     assert out.means[0, 0] == pytest.approx(0.6321205588285577, abs=1e-9)
     # transient law is Poisson: variance equals the mean
     assert out.covs[0, 0, 0] == pytest.approx(0.6321205588285577, abs=1e-9)
+    grid = [0.25, 0.5, 1.0, 2.0]
+    _, _, probs = qm.state_distributions(birth_death(), (50,), grid)
+    for t, p in zip(grid, probs):
+        assert np.abs(p - poisson_pmf(1.0 - np.exp(-t), 51)).sum() <= 1e-12
+
+
+def test_long_uniformization_interval():
+    """One interval with rate * dt near 6000 against dense expm and the Poisson law."""
+    model = birth_death(lam=50.0, horizon=30.0)
+    _, _, probs = qm.state_distributions(model, (150,), [30.0])
+    dense, qt = dense_reference(model, (150,), [30.0])
+    assert -qt.diagonal().min() * 30.0 >= 5000.0
+    assert abs(probs[0].sum() - 1.0) <= kolmogorov._MASS_TOL
+    assert np.abs(probs[0] - dense[0]).sum() <= 1e-12
+    law = poisson_pmf(50.0 * (1.0 - np.exp(-30.0)), 151)
+    assert np.abs(probs[0] - law).sum() <= 1e-12
+
+
+def test_tiny_retrial_segments_against_dense_expm():
+    """Every interval, across the arrival-rate switches, matches dense expm."""
+    model = tiny_retrial()
+    grid = [float(t) for t in np.arange(0.5, 10.5, 0.5)]
+    _, coords, probs = qm.state_distributions(model, (12, 12), grid)
+    assert len(coords) == 169
+    dense, _ = dense_reference(model, (12, 12), grid)
+    assert np.abs(probs - dense).sum(axis=1).max() <= 1e-12
+
+
+def test_repeated_solves_are_bitwise_identical():
+    """Preset 7's exact solve is reproducible in one process."""
+    params, horizon, grid = qm.retrial_preset(7)
+    model = qm.build_retrial(params, horizon)
+    first = qm.state_distributions(model, (130, 60), grid)[2]
+    second = qm.state_distributions(model, (130, 60), grid)[2]
+    assert np.array_equal(first, second)
 
 
 def test_zero_rate_model_is_point_mass():
@@ -63,7 +127,7 @@ def test_probability_mass_and_psd_covariance():
     grid = np.arange(1.0, 11.0)
     times, coords, probs = qm.state_distributions(model, (12, 12), grid)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
-    assert np.all(probs >= -1e-12)
+    assert np.all(probs >= 0)
     out = qm.exact_transient_moments(model, (12, 12), grid)
     for cov in out.covs:
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
