@@ -33,7 +33,6 @@ from .model import (
     RateTerm,
     Transition,
     ValidationReport,
-    drift,
     eval_rate,
     kernel_value,
     load_model,
@@ -54,6 +53,7 @@ from .schedule import TimeSchedule, merge_schedules
 from .simulate import RngStream, simulate_ensemble, simulate_path
 from .solvers import (
     SolverConfig,
+    drift,
     pointwise_drift_jacobian,
     pointwise_noise_matrix,
     solve,

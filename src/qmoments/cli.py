@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .results import (
     write_long_csv,
 )
 from .simulate import simulate_ensemble
-from .solvers import SolverConfig, solve
+from .solvers import METHODS as ODE_METHODS, SolverConfig, solve
 from .systems import build_retrial, retrial_preset
 
 METHOD_ORDER = ("fluid", "adjusted", "measure-zero", "simulate", "exact")
@@ -62,8 +63,8 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise UsageError(f"--grid expects t0:t1:step, got {text!r}") from exc
-    if step <= 0 or stop < start:
-        raise UsageError(f"--grid range is empty or inverted: {text!r}")
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        raise UsageError(f"--grid range is empty, inverted or not finite: {text!r}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(count)
 
@@ -78,6 +79,15 @@ def _default_workers() -> int:
 
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     """Build a validated config; command-line flags override file values."""
+    try:
+        return _parse_config(args)
+    except UsageError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError included
+        raise UsageError(f"invalid configuration: {exc}") from exc
+
+
+def _parse_config(args: argparse.Namespace) -> ExperimentConfig:
     file_values: dict = {}
     if getattr(args, "config", None):
         try:
@@ -85,6 +95,8 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
                 file_values = json.load(fh)
         except FileNotFoundError as exc:
             raise UsageError(f"config file not found: {args.config}") from exc
+        if not isinstance(file_values, dict):
+            raise UsageError(f"config file must hold a JSON object: {args.config}")
 
     def pick(flag, key, default=None):
         if flag is not None:
@@ -197,6 +209,7 @@ def run_experiment(cfg: ExperimentConfig):
         "seed": cfg.seed,
         "dt": cfg.dt,
         "errors": errors,
+        "warnings": {m: results[m].warnings for m in ordered if m in ODE_METHODS},
     }
     with open(os.path.join(cfg.out_dir, MANIFEST), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -116,9 +116,7 @@ def state_distributions(model: NetworkModel, caps, grid):
     Returns ``(times, coords, probs)`` where ``coords`` is the (S, d) integer
     lattice and ``probs`` is (len(grid), S).
     """
-    report = validate_model(model)
-    if not report.ok:
-        raise UsageError("invalid model: " + "; ".join(report.issues))
+    validate_model(model).raise_if_invalid()
     caps = np.asarray([int(c) for c in caps])
     if caps.shape != (model.dimension,) or np.any(caps < 0):
         raise UsageError("need one nonnegative cap per state dimension")

@@ -86,6 +86,10 @@ KERNEL_TAGS: dict[type, str] = {
 }
 _TAG_TO_KERNEL = {v: k for k, v in KERNEL_TAGS.items()}
 
+# compiled kernel codes, numbered in KERNEL_TAGS order
+CONST, LINEAR, MIN_THRESHOLD, POSITIVE_PART, MIN_PAIR, CAPPED = range(6)
+_KERNEL_CODES = {kind: code for code, kind in enumerate(KERNEL_TAGS)}
+
 
 def kernel_value(kernel: Kernel, t: float, x) -> float:
     """Pointwise kernel evaluation at a real-valued state.
@@ -179,15 +183,28 @@ def eval_rate(model: NetworkModel, i: int, t: float, x) -> float:
     return term.coefficient.value_at(t) * kernel_value(term.kernel, t, x)
 
 
-def drift(model: NetworkModel, t: float, x) -> np.ndarray:
-    """Net state change rate: sum of jump vectors weighted by their rates."""
-    out = np.zeros(model.dimension)
+def compile_terms(model: NetworkModel, t: float) -> list[tuple]:
+    """Every transition at time ``t`` frozen into plain values, one term
+    ``(code, coeff, index, other, threshold, weights, jump)`` each; fields a
+    kernel does not have read 0, 0.0 or None."""
+    terms = []
     for tr in model.transitions:
-        rate = tr.rate.coefficient.value_at(t) * kernel_value(tr.rate.kernel, t, x)
-        for a, jump_a in enumerate(tr.jump):
-            if jump_a:
-                out[a] += jump_a * rate
-    return out
+        kernel = tr.rate.kernel
+        code = _KERNEL_CODES.get(type(kernel))
+        if code is None:
+            raise UsageError(f"unknown kernel type {type(kernel).__name__}")
+        threshold = getattr(kernel, "threshold", None)
+        thr = 0.0 if threshold is None else threshold.value_at(t)
+        terms.append((code, tr.rate.coefficient.value_at(t), getattr(kernel, "index", 0),
+                      getattr(kernel, "other", 0), thr, getattr(kernel, "weights", None), tr.jump))
+    return terms
+
+
+def compile_segments(model: NetworkModel) -> list[tuple]:
+    """The model's plan: ``(start, end, terms)`` per schedule segment, with the
+    terms frozen at ``start``; no schedule changes inside a segment."""
+    bounds = [0.0] + model_breakpoints(model) + [float(model.horizon)]
+    return [(a, b, compile_terms(model, a)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def model_breakpoints(model: NetworkModel) -> list[float]:
@@ -207,7 +224,7 @@ def model_breakpoints(model: NetworkModel) -> list[float]:
 
 @dataclass
 class ValidationReport:
-    """Outcome of structural model checks.  Collects issues, never raises."""
+    """Outcome of structural model checks; only :meth:`raise_if_invalid` raises."""
 
     issues: list[str] = field(default_factory=list)
     lipschitz_bounds: tuple[float, ...] = ()
@@ -215,6 +232,11 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.issues
+
+    def raise_if_invalid(self) -> None:
+        """Raise one :class:`UsageError` naming every issue, if there are any."""
+        if self.issues:
+            raise UsageError("invalid model: " + "; ".join(self.issues))
 
 
 def validate_model(model: NetworkModel) -> ValidationReport:

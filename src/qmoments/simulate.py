@@ -22,23 +22,20 @@ import numpy as np
 
 from .errors import NumericalError, UsageError
 from .model import (
-    CappedResidual,
-    Constant,
-    Linear,
-    MinPair,
-    MinThreshold,
+    CONST,
+    LINEAR,
+    MIN_PAIR,
+    MIN_THRESHOLD,
+    POSITIVE_PART,
     NetworkModel,
-    PositivePart,
-    model_breakpoints,
     validate_model,
 )
+# bound under this name because perfbench/spans.py counts compiles through it
+from .model import compile_segments as _compile_segments
 from .results import EnsembleStats
 
 _CHUNK = 64  # paths per accumulator chunk; fixed so merges are worker-independent
 _BUFFER = 4096  # uniform draws fetched per generator call
-
-# compiled kernel codes for the event loop
-_CONST, _LINEAR, _MIN_THRESHOLD, _POSITIVE_PART, _MIN_PAIR, _CAPPED = range(6)
 
 
 @dataclass(frozen=True)
@@ -51,34 +48,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.Philox(seq))
-
-
-def _compile_segments(model: NetworkModel):
-    """Per schedule segment, freeze every transition into plain floats."""
-    bounds = [0.0] + model_breakpoints(model) + [float(model.horizon)]
-    segments = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        terms = []
-        for tr in model.transitions:
-            coeff = tr.rate.coefficient.value_at(a)
-            k = tr.rate.kernel
-            if isinstance(k, Constant):
-                compiled = (_CONST, coeff, 0, 0, 0.0, None)
-            elif isinstance(k, Linear):
-                compiled = (_LINEAR, coeff, 0, 0, 0.0, k.weights)
-            elif isinstance(k, MinThreshold):
-                compiled = (_MIN_THRESHOLD, coeff, k.index, 0, k.threshold.value_at(a), None)
-            elif isinstance(k, PositivePart):
-                compiled = (_POSITIVE_PART, coeff, k.index, 0, k.threshold.value_at(a), None)
-            elif isinstance(k, MinPair):
-                compiled = (_MIN_PAIR, coeff, k.index, k.other, 0.0, None)
-            elif isinstance(k, CappedResidual):
-                compiled = (_CAPPED, coeff, k.index, k.other, k.threshold.value_at(a), None)
-            else:
-                raise UsageError(f"unknown kernel type {type(k).__name__}")
-            terms.append(compiled + (tr.jump,))
-        segments.append((a, b, terms))
-    return segments
 
 
 def _run_path(segments, x0, sample_times, gen) -> np.ndarray:
@@ -106,22 +75,22 @@ def _run_path(segments, x0, sample_times, gen) -> np.ndarray:
             total = 0.0
             for i in range(k_total):
                 code, coeff, j, k, thr, weights, _jump = terms[i]
-                if code == _CONST:
+                if code == CONST:
                     r = coeff
-                elif code == _LINEAR:
+                elif code == LINEAR:
                     acc = 0.0
                     for w, xv in zip(weights, x):
                         if w:
                             acc += w * xv
                     r = coeff * acc
-                elif code == _MIN_THRESHOLD:
+                elif code == MIN_THRESHOLD:
                     xv = x[j]
                     r = coeff * (xv if xv < thr else thr)
-                elif code == _POSITIVE_PART:
+                elif code == POSITIVE_PART:
                     xv = x[j] - thr
                     r = coeff * xv if xv > 0.0 else 0.0
                 else:
-                    if code == _MIN_PAIR:
+                    if code == MIN_PAIR:
                         cap = x[k]
                     else:
                         cap = thr - x[k]
@@ -190,18 +159,12 @@ def _check_sample_times(model: NetworkModel, sample_times) -> np.ndarray:
     return times
 
 
-def _require_valid(model: NetworkModel) -> None:
-    report = validate_model(model)
-    if not report.ok:
-        raise UsageError("invalid model: " + "; ".join(report.issues))
-
-
 def simulate_path(model: NetworkModel, rng: RngStream, sample_times) -> np.ndarray:
     """Exact sample path of the model, recorded at ``sample_times``.
 
     Identical ``(seed, stream)`` pairs reproduce the identical path.
     """
-    _require_valid(model)
+    validate_model(model).raise_if_invalid()
     times = _check_sample_times(model, sample_times)
     segments = _compile_segments(model)
     return _run_path(segments, model.initial_state, times, rng.generator())
@@ -255,7 +218,7 @@ def simulate_ensemble(
     """
     if count < 1:
         raise UsageError(f"replication count must be >= 1, got {count}")
-    _require_valid(model)
+    validate_model(model).raise_if_invalid()
     times = _check_sample_times(model, sample_times)
     chunks = [
         (model, seed, lo, min(lo + _CHUNK, count), times)

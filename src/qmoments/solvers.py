@@ -10,6 +10,10 @@ Three methods share one fixed-step Runge-Kutta engine:
                          propagates the covariance with one-sided derivatives
                          of the kinked rates evaluated on the fluid path.
 
+The pointwise methods compile the model's plan once per solve (shared with the
+simulator, :func:`~qmoments.model.compile_segments`); each Runge-Kutta stage
+forms drift, one-sided Jacobian and noise in one pass (:func:`pointwise_terms`).
+
 Steps never straddle a schedule breakpoint.  Because time enters the rate
 functions only through piecewise-constant schedules, freezing the schedule
 lookup at the step midpoint makes each step an exact RK4 step of an
@@ -19,7 +23,10 @@ same as chaining its constant segments.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -34,15 +41,14 @@ from .closure import (  # noqa: F401
 )
 from .errors import DivergenceError, UsageError
 from .model import (
-    CappedResidual,
-    Constant,
-    Linear,
-    MinPair,
-    MinThreshold,
+    CONST,
+    LINEAR,
+    MIN_PAIR,
+    MIN_THRESHOLD,
+    POSITIVE_PART,
     NetworkModel,
-    PositivePart,
-    drift,
-    kernel_value,
+    compile_segments,
+    compile_terms,
     model_breakpoints,
     validate_model,
 )
@@ -65,18 +71,12 @@ class SolverConfig:
     grid: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise UsageError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise UsageError(f"dt must be positive and finite, got {self.dt}")
         if self.grid is not None:
             self.grid = np.asarray(self.grid, dtype=float)
-            if np.any(np.diff(self.grid) <= 0):
-                raise UsageError("sample grid must be strictly increasing")
-
-
-def _require_valid(model: NetworkModel) -> None:
-    report = validate_model(model)
-    if not report.ok:
-        raise UsageError("invalid model: " + "; ".join(report.issues))
+            if not np.all(np.isfinite(self.grid)) or np.any(np.diff(self.grid) <= 0):
+                raise UsageError("sample grid must be finite and strictly increasing")
 
 
 def _sample_grid(model: NetworkModel, cfg: SolverConfig) -> np.ndarray:
@@ -107,8 +107,11 @@ def _build_mesh(model: NetworkModel, cfg: SolverConfig, grid: np.ndarray):
             merged.append(a)
     nodes = [merged[0]]
     for a, b in zip(merged[:-1], merged[1:]):
-        steps = max(1, int(np.ceil((b - a) / cfg.dt - 1e-12)))
-        nodes.extend(np.linspace(a, b, steps + 1)[1:])
+        try:
+            steps = max(1, int(np.ceil((b - a) / cfg.dt - 1e-12)))
+            nodes.extend(np.linspace(a, b, steps + 1)[1:])
+        except (ValueError, OverflowError, MemoryError) as exc:
+            raise UsageError(f"dt={cfg.dt:g} needs too many steps from t={a:g} to {b:g}") from exc
     nodes = np.asarray(nodes)
     sample_of = np.full(len(nodes), -1, dtype=int)
     gi = 0
@@ -123,7 +126,7 @@ def _build_mesh(model: NetworkModel, cfg: SolverConfig, grid: np.ndarray):
 
 def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
     """RK4 on the (mean, covariance) pair over the aligned mesh."""
-    _require_valid(model)
+    validate_model(model).raise_if_invalid()
     grid = _sample_grid(model, cfg)
     nodes, sample_of = _build_mesh(model, cfg, grid)
     d = model.dimension
@@ -170,9 +173,10 @@ def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
 def solve_fluid(model: NetworkModel, cfg: SolverConfig | None = None) -> MomentTrajectory:
     """Deterministic large-population limit; covariance reported as zero."""
     cfg = cfg or SolverConfig(method="fluid")
+    at = _pointwise_at(model, moments=False)
 
     def rhs(t, m, c):
-        return drift(model, t, m), c  # c is still the zero start, so it is its own rate
+        return at(t, m)[0], c  # c is still the zero start, so it is its own rate
 
     return _solve_moments(model, cfg, rhs, "fluid")
 
@@ -204,16 +208,16 @@ def solve_measure_zero(
 
     The rate kinks are ignored on the grounds that the fluid path spends
     measure-zero time on them: the Jacobian uses fixed one-sided derivatives
-    (documented in :func:`pointwise_drift_jacobian`) evaluated at the fluid
+    (the convention is stated above :func:`pointwise_terms`) evaluated at the fluid
     state, and the noise matrix uses the pointwise rates there.
     """
     cfg = cfg or SolverConfig(method="measure-zero")
+    at = _pointwise_at(model, moments=True)
 
     def rhs(t, m, c):
-        a = pointwise_drift_jacobian(model, t, m)
-        b = pointwise_noise_matrix(model, t, m)
+        drift_m, a, b = at(t, m)
         dc = a @ c + c @ a.T + b @ b.T
-        return drift(model, t, m), dc
+        return drift_m, dc
 
     return _solve_moments(model, cfg, rhs, "measure-zero")
 
@@ -244,53 +248,77 @@ def solve(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
 # fixed convention is admissible; this one is deterministic and documented.
 
 
-def _kernel_pointwise_grad(kernel, t: float, x: np.ndarray, d: int) -> np.ndarray:
-    grad = np.zeros(d)
-    if isinstance(kernel, Constant):
-        return grad
-    if isinstance(kernel, Linear):
-        grad[: len(kernel.weights)] = kernel.weights
-        return grad
-    if isinstance(kernel, MinThreshold):
-        if x[kernel.index] <= kernel.threshold.value_at(t):
-            grad[kernel.index] = 1.0
-        return grad
-    if isinstance(kernel, PositivePart):
-        if x[kernel.index] > kernel.threshold.value_at(t):
-            grad[kernel.index] = 1.0
-        return grad
-    if isinstance(kernel, MinPair):
-        if x[kernel.index] <= x[kernel.other]:
-            grad[kernel.index] = 1.0
-        else:
-            grad[kernel.other] = 1.0
-        return grad
-    if isinstance(kernel, CappedResidual):
-        residual = kernel.threshold.value_at(t) - x[kernel.other]
-        if x[kernel.index] <= max(residual, 0.0):
-            grad[kernel.index] = 1.0
-        elif residual > 0.0:
-            grad[kernel.other] = -1.0
-        return grad
-    raise UsageError(f"unknown kernel type {type(kernel).__name__}")
+def _pointwise_at(model: NetworkModel, moments: bool):
+    """``at(t, x)``: :func:`pointwise_terms` on the plan segment holding ``t``.
+    Steps never straddle a breakpoint, so a step's midpoint finds its segment.
+    """
+    segments = compile_segments(model)
+    starts = [seg[0] for seg in segments]
+    d = model.dimension
+    return lambda t, x: pointwise_terms(segments[bisect_right(starts, t) - 1][2], x, d, moments)
+
+
+def pointwise_terms(terms, x, d: int, moments: bool = True):
+    """Drift, one-sided Jacobian and noise matrix of compiled ``terms`` at ``x``.
+
+    One pass over the transitions, in model order: drift entry ``a`` adds
+    ``jump_a * rate``, Jacobian entry ``(a, b)`` adds
+    ``coeff * (jump_a * grad_b)``, and noise column ``i`` is
+    ``jump * sqrt(rate_i)`` where that rate is positive, else zero.  With
+    ``moments=False`` only the drift is formed; the other two are None.
+    """
+    xs = np.asarray(x, dtype=float).tolist()
+    drift_x = [0.0] * d
+    jac = [[0.0] * d for _ in range(d)] if moments else None
+    noise = [[0.0] * len(terms) for _ in range(d)] if moments else None
+    for i, (code, coeff, j, k, thr, weights, jump) in enumerate(terms):
+        # min(u, v) is spelled `v if v < u else u` and max(u, v) `v if v > u
+        # else u`, which is how the builtins resolve ties and NaN
+        if code == CONST:
+            rate, grad = coeff, ()
+        elif code == LINEAR:
+            rate, grad = coeff * sum(map(mul, weights, xs)), tuple(enumerate(weights))
+        elif code == MIN_THRESHOLD:
+            xj = xs[j]
+            rate = coeff * (thr if thr < xj else xj)
+            grad = ((j, 1.0),) if xj <= thr else ()
+        elif code == POSITIVE_PART:
+            over = xs[j] - thr
+            rate = coeff * (0.0 if 0.0 > over else over)
+            grad = ((j, 1.0),) if xs[j] > thr else ()
+        elif code == MIN_PAIR:
+            xj, xk = xs[j], xs[k]
+            rate = coeff * (xk if xk < xj else xj)
+            grad = ((j, 1.0),) if xj <= xk else ((k, 1.0),)
+        else:  # capped residual
+            xj, residual = xs[j], thr - xs[k]
+            cap = 0.0 if 0.0 > residual else residual
+            rate = coeff * (cap if cap < xj else xj)
+            grad = ((j, 1.0),) if xj <= cap else ((k, -1.0),) if residual > 0.0 else ()
+        for a, jump_a in enumerate(jump):
+            if jump_a:
+                drift_x[a] += jump_a * rate
+                if moments:
+                    row = jac[a]
+                    for b, g in grad:
+                        row[b] += coeff * (jump_a * g)
+                    if rate > 0.0:
+                        noise[a][i] = jump_a * math.sqrt(rate)
+    if not moments:
+        return np.array(drift_x), None, None
+    return np.array(drift_x), np.array(jac), np.array(noise)
+
+
+def drift(model: NetworkModel, t: float, x) -> np.ndarray:
+    """Net state change rate: sum of jump vectors weighted by their rates."""
+    return pointwise_terms(compile_terms(model, t), x, model.dimension, moments=False)[0]
 
 
 def pointwise_drift_jacobian(model: NetworkModel, t: float, x) -> np.ndarray:
     """Gradient matrix of the pointwise drift with one-sided kink convention."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((model.dimension, model.dimension))
-    for tr in model.transitions:
-        coeff = tr.rate.coefficient.value_at(t)
-        grad = _kernel_pointwise_grad(tr.rate.kernel, t, x, model.dimension)
-        out += coeff * np.outer(tr.jump, grad)
-    return out
+    return pointwise_terms(compile_terms(model, t), x, model.dimension)[1]
 
 
 def pointwise_noise_matrix(model: NetworkModel, t: float, x) -> np.ndarray:
     """Columns ``jump_i * sqrt(max(rate_i, 0))`` at the given state."""
-    out = np.zeros((model.dimension, model.num_transitions))
-    for i, tr in enumerate(model.transitions):
-        rate = tr.rate.coefficient.value_at(t) * kernel_value(tr.rate.kernel, t, x)
-        if rate > 0.0:
-            out[:, i] = np.asarray(tr.jump, dtype=float) * np.sqrt(rate)
-    return out
+    return pointwise_terms(compile_terms(model, t), x, model.dimension)[2]

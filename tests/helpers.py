@@ -1,8 +1,9 @@
 """Shared numeric oracles for the test suite.
 
 These stay deliberately independent of the library's own evaluation paths:
-expectations come from adaptive quadrature over the Gaussian density, and
-derivatives come from central finite differences.
+expectations come from adaptive quadrature over the Gaussian density,
+derivatives come from central finite differences, and the pointwise drift,
+Jacobian and noise matrix come from plain per-quantity loops.
 """
 
 from __future__ import annotations
@@ -12,7 +13,16 @@ import math
 import numpy as np
 from scipy import integrate
 
-from qmoments import MomentPoint
+from qmoments import (
+    CappedResidual,
+    Constant,
+    Linear,
+    MinPair,
+    MinThreshold,
+    MomentPoint,
+    PositivePart,
+)
+from qmoments.model import kernel_value
 
 
 def gauss_expect_1d(fn, mean: float, std: float, kinks=()) -> float:
@@ -101,3 +111,74 @@ def capped_residual_expect(mean, cov, threshold: float) -> float:
     return nested_gauss_expect(
         lambda x, y: min(x, residual(y)), mean, cov, residual, (threshold,)
     )
+
+
+# --------------------------------------------------------------------------
+# Reference pointwise evaluators: one loop per quantity, the kernels
+# dispatched by type and every schedule looked up at ``t``.  The compiled
+# one-pass evaluator (``qmoments.solvers.pointwise_terms``) must agree with
+# these exactly.
+
+
+def reference_drift(model, t, x) -> np.ndarray:
+    """Net state change rate: sum of jump vectors weighted by their rates."""
+    out = np.zeros(model.dimension)
+    for tr in model.transitions:
+        rate = tr.rate.coefficient.value_at(t) * kernel_value(tr.rate.kernel, t, x)
+        for a, jump_a in enumerate(tr.jump):
+            if jump_a:
+                out[a] += jump_a * rate
+    return out
+
+
+def _reference_pointwise_grad(kernel, t, x, d) -> np.ndarray:
+    """One-sided kernel gradient; ties go to the branch tracking the state."""
+    grad = np.zeros(d)
+    if isinstance(kernel, Constant):
+        return grad
+    if isinstance(kernel, Linear):
+        grad[: len(kernel.weights)] = kernel.weights
+        return grad
+    if isinstance(kernel, MinThreshold):
+        if x[kernel.index] <= kernel.threshold.value_at(t):
+            grad[kernel.index] = 1.0
+        return grad
+    if isinstance(kernel, PositivePart):
+        if x[kernel.index] > kernel.threshold.value_at(t):
+            grad[kernel.index] = 1.0
+        return grad
+    if isinstance(kernel, MinPair):
+        if x[kernel.index] <= x[kernel.other]:
+            grad[kernel.index] = 1.0
+        else:
+            grad[kernel.other] = 1.0
+        return grad
+    if isinstance(kernel, CappedResidual):
+        residual = kernel.threshold.value_at(t) - x[kernel.other]
+        if x[kernel.index] <= max(residual, 0.0):
+            grad[kernel.index] = 1.0
+        elif residual > 0.0:
+            grad[kernel.other] = -1.0
+        return grad
+    raise TypeError(f"unknown kernel type {type(kernel).__name__}")
+
+
+def reference_drift_jacobian(model, t, x) -> np.ndarray:
+    """Gradient matrix of the pointwise drift, one outer product per transition."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((model.dimension, model.dimension))
+    for tr in model.transitions:
+        coeff = tr.rate.coefficient.value_at(t)
+        grad = _reference_pointwise_grad(tr.rate.kernel, t, x, model.dimension)
+        out += coeff * np.outer(tr.jump, grad)
+    return out
+
+
+def reference_noise_matrix(model, t, x) -> np.ndarray:
+    """Columns ``jump_i * sqrt(max(rate_i, 0))`` at the given state."""
+    out = np.zeros((model.dimension, model.num_transitions))
+    for i, tr in enumerate(model.transitions):
+        rate = tr.rate.coefficient.value_at(t) * kernel_value(tr.rate.kernel, t, x)
+        if rate > 0.0:
+            out[:, i] = np.asarray(tr.jump, dtype=float) * np.sqrt(rate)
+    return out

@@ -388,3 +388,51 @@ def test_wrongly_typed_documents_exit_2(tmp_path, path, value):
         ["run", "--model", str(model_path), "--methods", "fluid", "--out", str(tmp_path / "o")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--grid", "nan:10:1"], None),
+        (["--grid", "0:inf:1"], None),
+        (["--dt", "nan"], None),
+        (["--dt", "inf"], None),
+        (["--dt", "1e-300"], None),
+        (["--methods", "exact", "--caps", "a,b"], None),
+        ([], "{not json"),
+        ([], json.dumps({"reps": "abc"})),
+        ([], json.dumps({"dt": [0.1]})),
+        ([], json.dumps(["fluid"])),
+    ],
+    ids=[
+        "grid-nan", "grid-inf", "dt-nan", "dt-inf", "dt-tiny", "caps-text",
+        "config-not-json", "config-reps-text", "config-dt-list", "config-not-object",
+    ],
+)
+def test_bad_run_arguments_exit_2(tmp_path, argv, config):
+    base = ["run", "--preset", "1", "--methods", "fluid", "--out", str(tmp_path / "o")]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        base += ["--config", str(path)]
+    assert main([*base, *argv]) == 2
+
+
+def test_solver_warnings_reach_the_manifest(tmp_path, monkeypatch):
+    def warned_solve(model, cfg):
+        grid = cfg.grid
+        zeros = np.zeros((len(grid), model.dimension))
+        covs = np.zeros((len(grid), model.dimension, model.dimension))
+        return qm.MomentTrajectory(
+            cfg.method, grid, zeros, covs, ["covariance poorly conditioned at t=2"]
+        )
+
+    monkeypatch.setattr("qmoments.cli.solve", warned_solve)
+    out = tmp_path / "run"
+    code = main(
+        ["run", "--model", tiny_model_file(tmp_path), "--methods", "measure-zero,simulate",
+         "--reps", "2", "--grid", "0:4:1", "--out", str(out)]
+    )
+    assert code == 0
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["warnings"] == {"measure-zero": ["covariance poorly conditioned at t=2"]}

@@ -15,7 +15,13 @@ from qmoments import (
     Transition,
     UsageError,
 )
-from qmoments.model import kernel_lipschitz_bound, kernel_value
+from qmoments.model import (
+    CAPPED,
+    MIN_THRESHOLD,
+    compile_segments,
+    kernel_lipschitz_bound,
+    kernel_value,
+)
 
 
 def mminf_model(lam=2.0, mu=1.0, horizon=2.0):
@@ -118,6 +124,31 @@ class TestDrift:
             for i, tr in enumerate(model.transitions):
                 expected += np.asarray(tr.jump) * qm.eval_rate(model, i, t, x)
             np.testing.assert_allclose(qm.drift(model, t, x), expected, rtol=1e-12)
+
+
+class TestCompiledPlan:
+    def test_segments_freeze_schedules_at_their_midpoints(self):
+        horizon = 7.0
+        rate = TimeSchedule.alternating(45.0, 55.0, 2.0, horizon)
+        servers = TimeSchedule.alternating(3.0, 5.0, 1.5, horizon)
+        model = NetworkModel(
+            2,
+            (
+                Transition((-1, 0), RateTerm(rate, MinThreshold(0, servers))),
+                Transition((0, -1), RateTerm(servers, CappedResidual(1, 0, rate))),
+            ),
+            (0, 0),
+            horizon,
+        )
+        segments = compile_segments(model)
+        starts = [0.0, 1.5, 2.0, 3.0, 4.0, 4.5, 6.0]
+        assert [seg[0] for seg in segments] == starts
+        assert [seg[1] for seg in segments] == starts[1:] + [horizon]
+        for a, b, (first, second) in segments:
+            mid = 0.5 * (a + b)
+            n, r = servers.value_at(mid), rate.value_at(mid)
+            assert first == (MIN_THRESHOLD, r, 0, 0, n, None, (-1, 0))
+            assert second == (CAPPED, n, 1, 0, r, None, (0, -1))
 
 
 class TestKernelProperties:

@@ -2,18 +2,24 @@ import numpy as np
 import pytest
 
 import qmoments as qm
+from helpers import reference_drift, reference_drift_jacobian, reference_noise_matrix
 from qmoments import (
+    CappedResidual,
     Constant,
     DivergenceError,
     Linear,
+    MinPair,
     MinThreshold,
     NetworkModel,
+    PositivePart,
     RateTerm,
     SolverConfig,
     TimeSchedule,
     Transition,
     UsageError,
 )
+from qmoments.model import compile_terms
+from qmoments.solvers import pointwise_terms
 
 
 def mminf(lam=2.0, mu=1.0, horizon=2.0, arrival=None):
@@ -158,6 +164,129 @@ class TestMeasureZero:
         # above the kink: service saturates, abandonment takes over
         a_above = qm.pointwise_drift_jacobian(model, 0.0, (51.0, 0.0))
         assert a_above[0, 0] == pytest.approx(-2.0)
+
+
+def variant_models():
+    """One model per kernel variant (jump (-3, 2)), then all six in one model.
+
+    n(t) and the coefficient are scheduled; the weights and the jump of 3
+    make ``coeff * (jump * w)`` round differently from ``coeff * jump * w``.
+    """
+    horizon = 4.0
+    n = TimeSchedule.alternating(4.0, 2.5, 1.0, horizon)
+    rate = TimeSchedule.alternating(1.5, 0.7, 1.5, horizon)
+    kernels = [
+        Constant(),
+        Linear((0.7, 1.3)),
+        MinThreshold(0, n),
+        PositivePart(1, n),
+        MinPair(0, 1),
+        CappedResidual(1, 0, n),
+    ]
+    jumps = [(1, 1), (-3, 0), (-1, 2), (0, -1), (1, -1), (-3, -1)]
+    singles = [
+        NetworkModel(2, (Transition((-3, 2), RateTerm(rate, k)),), (2, 1), horizon)
+        for k in kernels
+    ]
+    every = tuple(Transition(j, RateTerm(rate, k)) for j, k in zip(jumps, kernels))
+    return singles + [NetworkModel(2, every, (2, 1), horizon)]
+
+
+def assert_matches_reference(model, t, x):
+    """The one-pass evaluator and the public wrappers equal the loop references."""
+    x = np.asarray(x, dtype=float)
+    d = model.dimension
+    drift_x, jac, noise = pointwise_terms(compile_terms(model, t), x, d)
+    expected = (
+        reference_drift(model, t, x),
+        reference_drift_jacobian(model, t, x),
+        reference_noise_matrix(model, t, x),
+    )
+    for got, want in zip((drift_x, jac, noise), expected):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True), (t, x, got, want)
+    drift_only = pointwise_terms(compile_terms(model, t), x, d, moments=False)
+    assert np.array_equal(drift_only[0], expected[0], equal_nan=True)
+    assert drift_only[1:] == (None, None)
+    assert np.array_equal(qm.pointwise_drift_jacobian(model, t, x), expected[1], equal_nan=True)
+    assert np.array_equal(qm.pointwise_noise_matrix(model, t, x), expected[2], equal_nan=True)
+
+
+class TestPointwisePass:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            qm.build_retrial(*qm.retrial_preset(7)[:2]),
+            qm.build_priority(*qm.reference_priority_params()),
+            qm.build_peer(*qm.reference_peer_params()),
+            NetworkModel(
+                3,
+                (
+                    Transition((1, 0, 0), RateTerm(TimeSchedule.constant(2.0), Constant())),
+                    Transition(
+                        (-1, 1, 0), RateTerm(TimeSchedule.constant(0.3), Linear((1.0, 0.0, 0.25)))
+                    ),
+                    Transition(
+                        (0, -1, 1), RateTerm(TimeSchedule.constant(1.1), Linear((0.7, 1.3, 0.0)))
+                    ),
+                    Transition(
+                        (0, 0, -1), RateTerm(TimeSchedule.constant(0.9), Linear((0.1, 0.2, 0.3)))
+                    ),
+                ),
+                (5, 0, 0),
+                3.0,
+            ),
+            variant_models()[-1],
+        ],
+        ids=["retrial", "priority", "peer", "linear", "all-variants"],
+    )
+    def test_random_states_match_reference_exactly(self, model):
+        rng = np.random.default_rng(20261018)
+        scale = 2.0 * max(max(model.initial_state), 60)
+        for _ in range(300):
+            t = rng.uniform(0.0, model.horizon)
+            x = rng.uniform(-0.1 * scale, scale, model.dimension)
+            assert_matches_reference(model, t, x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            (4.0, 1.0),  # x_0 == n; capped residual == 0
+            (1.0, 4.0),  # x_1 == n
+            (2.5, 2.5),  # x_0 == x_1
+            (1.5, 2.5),  # x_1 == residual n - x_0
+            (4.0, 0.0),  # residual == 0 == x_1
+            (5.0, 1.0),  # residual < 0
+            (6.0, -2.0),  # residual < 0 and x_1 < 0
+            (0.0, 0.0),
+            (float("nan"), 1.0),
+            (1.0, float("nan")),
+        ],
+    )
+    def test_every_variant_and_tie_matches_reference(self, x):
+        shifted = (x[0] - 1.5, x[1] - 1.5)  # the threshold and pair ties recur at n = 2.5
+        for model in variant_models():
+            assert_matches_reference(model, 0.5, x)  # n = 4
+            assert_matches_reference(model, 1.0, shifted)
+
+    @pytest.mark.parametrize(
+        "kernel, x, grad",
+        [
+            (MinThreshold(0, TimeSchedule.constant(4.0)), (4.0, 1.0), (1.0, 0.0)),
+            (PositivePart(1, TimeSchedule.constant(4.0)), (1.0, 4.0), (0.0, 0.0)),
+            (MinPair(0, 1), (2.5, 2.5), (1.0, 0.0)),
+            (CappedResidual(1, 0, TimeSchedule.constant(4.0)), (1.5, 2.5), (0.0, 1.0)),
+            (CappedResidual(1, 0, TimeSchedule.constant(4.0)), (1.0, 3.5), (-1.0, 0.0)),
+            (CappedResidual(1, 0, TimeSchedule.constant(4.0)), (4.0, 0.0), (0.0, 1.0)),
+            (CappedResidual(1, 0, TimeSchedule.constant(4.0)), (4.0, 1.0), (0.0, 0.0)),
+        ],
+    )
+    def test_tie_conventions(self, kernel, x, grad):
+        model = NetworkModel(
+            2, (Transition((1, 0), RateTerm(TimeSchedule.constant(2.0), kernel)),), (0, 0), 1.0
+        )
+        jac = qm.pointwise_drift_jacobian(model, 0.0, x)
+        np.testing.assert_array_equal(jac, [[2.0 * g for g in grad], [0.0, 0.0]])
 
 
 class TestStepping:
