@@ -10,7 +10,6 @@ systems, and a CSV-producing command-line interface.
 
 from .closure import (
     MomentPoint,
-    QuadratureRule,
     closed_drift,
     closed_drift_jacobian,
     expected_kernel,
@@ -90,7 +89,6 @@ __all__ = [
     "PeerParams",
     "PositivePart",
     "PriorityParams",
-    "QuadratureRule",
     "RateTerm",
     "RetrialParams",
     "RngStream",

@@ -122,6 +122,9 @@ def _parse_config(args: argparse.Namespace) -> ExperimentConfig:
         raise UsageError("missing required field: out")
     preset = pick(args.preset, "preset")
     model_path = pick(args.model, "model")
+    for key, path in (("out", out_dir), ("model", model_path)):
+        if path is not None and not isinstance(path, str):  # open(5) would read fd 5
+            raise UsageError(f"{key} must be a path string, got {path!r}")
     if (preset is None) == (model_path is None):
         raise UsageError("exactly one of preset / model must be given")
     grid = pick(args.grid, "grid")

@@ -5,17 +5,20 @@ expectation under a Gaussian surrogate ``X ~ N(mean, cov)`` smooths out the
 min/positive-part kinks, which is what lets the mean and covariance ODEs
 close on themselves.  This module provides
 
+* ``closed_rate(term, p)``      expected rate and mean-gradient of one
+                                compiled term (:func:`~qmoments.model.compile_term`)
+* ``closed_terms(terms, p, d)`` the next three from one pass over compiled terms
 * ``expected_kernel``           E[coefficient(t) * kernel(X)]
 * ``expected_kernel_grad_mean`` its gradient with respect to the mean
-* ``closed_terms``              the next three from one pass over the rates
 * ``closed_drift``              jump-weighted sum of expected rates
 * ``closed_drift_jacobian``     gradient matrix of the closed drift
 * ``noise_matrix``              d x k matrix with columns jump * sqrt(rate)
 * ``quad_expected_kernel``      an independent numerical-integration path
 
-Only the one- or two-dimensional marginal blocks of the covariance that a
-kernel actually reads enter the formulas, so full-covariance dependence stays
-localized per kernel.
+The closed path dispatches on the compiled kernel code; only the quadrature
+oracle dispatches on kernel types.  Only the one- or two-dimensional marginal
+blocks of the covariance that a kernel actually reads enter the formulas, so
+full-covariance dependence stays localized per kernel.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ from scipy.special import ndtr, owens_t
 
 from .errors import NumericalError, UsageError
 from .model import (
+    CAPPED,
+    CONST,
+    LINEAR,
+    MIN_PAIR,
+    MIN_THRESHOLD,
     CappedResidual,
     Constant,
     Linear,
@@ -37,6 +45,8 @@ from .model import (
     NetworkModel,
     PositivePart,
     RateTerm,
+    compile_term,
+    compile_terms,
     kernel_value,
 )
 
@@ -78,31 +88,6 @@ class MomentPoint:
 
     def marginal_std(self, j: int) -> float:
         return math.sqrt(max(float(self.cov[j, j]), 0.0))
-
-
-# --------------------------------------------------------------------------
-# Quadrature rule
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Hermite nodes/weights of a given order (weight exp(-u^2))."""
-
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def gauss_hermite(cls, order: int) -> "QuadratureRule":
-        if order < 1:
-            raise UsageError("quadrature order must be positive")
-        nodes, weights = np.polynomial.hermite.hermgauss(order)
-        return cls(order, nodes, weights)
-
-
-@lru_cache(maxsize=8)
-def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
 
 
 # --------------------------------------------------------------------------
@@ -221,94 +206,91 @@ def _capped_residual(p: MomentPoint, j: int, k: int, n: float) -> tuple[float, f
 # Public closed-path interface
 
 
-def closed_rate(term: RateTerm, t: float, p: MomentPoint) -> tuple[float, np.ndarray]:
-    """Expected rate ``E[coefficient(t) * kernel(X)]`` and its mean-gradient.
+def closed_rate(term: tuple, p: MomentPoint) -> tuple[float, tuple]:
+    """Expected rate ``E[coeff * kernel(X)]`` of one compiled term and its
+    mean-gradient, as ``(index, coeff * entry)`` pairs for the entries the
+    kernel reads.
 
     Threshold expectations can come out negative because the Gaussian
     surrogate has mass below zero; the raw value is returned on purpose (the
     drift must keep the exact-mean identity) and only the noise matrix clamps
     at zero inside the square root.
     """
-    coeff = term.coefficient.value_at(t)
-    kernel = term.kernel
-    grad = np.zeros(p.mean.shape[0])
-    if isinstance(kernel, Constant):
-        return coeff, grad
-    if isinstance(kernel, Linear):
-        grad[: len(kernel.weights)] = kernel.weights
-        return coeff * float(np.dot(kernel.weights, p.mean)), coeff * grad
-    if isinstance(kernel, (MinThreshold, PositivePart)):
-        m, s = float(p.mean[kernel.index]), p.marginal_std(kernel.index)
-        n = kernel.threshold.value_at(t)
-        below = (1.0 if m <= n else 0.0) if s < SIGMA_FLOOR else normal_cdf((n - m) / s)
-        if isinstance(kernel, MinThreshold):
-            grad[kernel.index] = coeff * below
-            return coeff * _min_threshold_expectation(m, s, n), grad
-        grad[kernel.index] = coeff * (1.0 - below)
-        return coeff * _positive_part_expectation(m, s, n), grad
-    if isinstance(kernel, MinPair):
-        j, k = kernel.index, kernel.other
+    code, coeff, j, k, n, weights, _ = term
+    if code == CONST:
+        return coeff, ()
+    if code == LINEAR:
+        grad = tuple((b, coeff * w) for b, w in enumerate(weights))
+        return coeff * float(np.dot(weights, p.mean)), grad
+    if code == MIN_PAIR:
         mj, mk = float(p.mean[j]), float(p.mean[k])
         theta = _pair_spread(p, j, k)
         if theta < SIGMA_FLOOR:
-            grad[j if mj <= mk else k] = coeff
-            return coeff * min(mj, mk), grad
+            return coeff * min(mj, mk), ((j if mj <= mk else k, coeff),)
         u = (mk - mj) / theta
-        grad[j] = coeff * normal_cdf(u)
-        grad[k] = coeff * normal_cdf(-u)
         value = mj * normal_cdf(u) + mk * normal_cdf(-u) - theta * normal_pdf(u)
-        return coeff * value, grad
-    if isinstance(kernel, CappedResidual):
-        value, d_own, d_other = _capped_residual(
-            p, kernel.index, kernel.other, kernel.threshold.value_at(t)
-        )
-        grad[kernel.index] = coeff * d_own
-        grad[kernel.other] = coeff * d_other
-        return coeff * value, grad
-    raise UsageError(f"unknown kernel type {type(kernel).__name__}")
+        return coeff * value, ((j, coeff * normal_cdf(u)), (k, coeff * normal_cdf(-u)))
+    if code == CAPPED:
+        value, d_own, d_other = _capped_residual(p, j, k, n)
+        return coeff * value, ((j, coeff * d_own), (k, coeff * d_other))
+    # min(x_j, n) or (x_j - n)^+
+    m, s = float(p.mean[j]), p.marginal_std(j)
+    below = (1.0 if m <= n else 0.0) if s < SIGMA_FLOOR else normal_cdf((n - m) / s)
+    if code == MIN_THRESHOLD:
+        return coeff * _min_threshold_expectation(m, s, n), ((j, coeff * below),)
+    return coeff * _positive_part_expectation(m, s, n), ((j, coeff * (1.0 - below)),)
+
+
+def closed_terms(terms, p: MomentPoint, d: int) -> tuple[np.ndarray, ...]:
+    """Closed drift, its Jacobian and the noise matrix of compiled ``terms``.
+
+    One :func:`closed_rate` per transition, in model order: drift entry ``a``
+    adds ``jump_a * rate``, Jacobian entry ``(a, b)`` adds
+    ``jump_a * (coeff * grad_b)``, and noise column ``i`` is
+    ``jump * sqrt(rate_i)`` where that rate is positive, else zero.
+    """
+    drift = [0.0] * d
+    jac = [[0.0] * d for _ in range(d)]
+    noise = [[0.0] * len(terms) for _ in range(d)]
+    for i, term in enumerate(terms):
+        rate, grad = closed_rate(term, p)
+        root = math.sqrt(rate) if rate > 0.0 else 0.0
+        for a, jump_a in enumerate(term[6]):
+            if jump_a:
+                drift[a] += jump_a * rate
+                row = jac[a]
+                for b, g in grad:
+                    row[b] += jump_a * g
+                noise[a][i] = jump_a * root
+    return np.array(drift), np.array(jac), np.array(noise)
 
 
 def expected_kernel(term: RateTerm, t: float, p: MomentPoint) -> float:
     """Expected rate ``E[coefficient(t) * kernel(X)]`` for Gaussian ``X``."""
-    return closed_rate(term, t, p)[0]
+    return closed_rate(compile_term(term, (), t), p)[0]
 
 
 def expected_kernel_grad_mean(term: RateTerm, t: float, p: MomentPoint) -> np.ndarray:
     """Gradient of ``expected_kernel`` with respect to the mean vector."""
-    return closed_rate(term, t, p)[1]
-
-
-def closed_terms(model: NetworkModel, t: float, p: MomentPoint) -> tuple[np.ndarray, ...]:
-    """Closed drift, its Jacobian and the noise matrix, sharing one closed
-    rate and gradient evaluation per transition."""
-    d = model.dimension
-    drift = np.zeros(d)
-    jac = np.zeros((d, d))
-    noise = np.zeros((d, model.num_transitions))
-    for i, tr in enumerate(model.transitions):
-        rate, grad = closed_rate(tr.rate, t, p)
-        root = math.sqrt(rate) if rate > 0.0 else 0.0
-        for a, jump_a in enumerate(tr.jump):
-            if jump_a:
-                drift[a] += jump_a * rate
-                jac[a] += jump_a * grad
-                noise[a, i] = jump_a * root
-    return drift, jac, noise
+    grad = np.zeros(p.mean.shape[0])
+    for b, g in closed_rate(compile_term(term, (), t), p)[1]:
+        grad[b] = g
+    return grad
 
 
 def closed_drift(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
     """Jump-weighted sum of Gaussian-closed rates."""
-    return closed_terms(model, t, p)[0]
+    return closed_terms(compile_terms(model, t), p, model.dimension)[0]
 
 
 def closed_drift_jacobian(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
     """Gradient matrix of the closed drift with respect to the mean."""
-    return closed_terms(model, t, p)[1]
+    return closed_terms(compile_terms(model, t), p, model.dimension)[1]
 
 
 def noise_matrix(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
     """d x k matrix whose i-th column is ``jump_i * sqrt(max(rate_i, 0))``."""
-    return closed_terms(model, t, p)[2]
+    return closed_terms(compile_terms(model, t), p, model.dimension)[2]
 
 
 # --------------------------------------------------------------------------
@@ -319,15 +301,20 @@ def noise_matrix(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
 # for the closed forms.  The kink location is always known, so the
 # one-dimensional kernels are integrated on Legendre panels split at the
 # kink inside the +/- 8 sigma support, where each piece is analytic and the
-# panel rule converges to near machine precision.  The pair minimum reduces
-# exactly to the one-dimensional problem through
-# min(x, y) = (x + y - |x - y|) / 2.  The capped residual is integrated over
+# panel rule converges to near machine precision.  A linear kernel is the
+# one-dimensional Gaussian w . X, and the pair minimum reduces exactly to the
+# one-dimensional problem through min(x, y) = (x + y - |x - y|) / 2.  The capped residual is integrated over
 # X_other on such panels, with the inner expectation over X_index given
 # X_other taken in closed form; besides the kink at the threshold, the
 # panels split where the conditional mean of X_index crosses the residual,
 # since the integrand bends within a conditional standard deviation of it.
 
 _PANEL_HALF_WIDTH = 8.5  # exp(-t^2) < 1e-31 beyond this in standardized units
+
+
+@lru_cache(maxsize=8)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _panel_integral(g, kinks: list[float], order: int) -> float:
@@ -341,11 +328,6 @@ def _panel_integral(g, kinks: list[float], order: int) -> float:
         t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         total += 0.5 * (b - a) * float(np.sum(weights * np.exp(-t * t) * g(t)))
     return total / math.sqrt(math.pi)
-
-
-def _quad_mean(m: float, s: float, rule: QuadratureRule) -> float:
-    x = m + _SQRT2 * s * rule.nodes
-    return float(rule.weights @ x) / math.sqrt(math.pi)
 
 
 def _quad_capped_residual(
@@ -381,31 +363,29 @@ def _quad_capped_residual(
     return _panel_integral(inner, kinks, order)
 
 
-def quad_expected_kernel(
-    term: RateTerm, t: float, p: MomentPoint, rule: QuadratureRule
-) -> float:
+def quad_expected_kernel(term: RateTerm, t: float, p: MomentPoint, order: int) -> float:
     """Numerical-integration estimate of ``expected_kernel``.
 
     Serves as the independent cross-check of the closed forms.  Uses the 1- or
-    2-D marginal the kernel touches, with ``rule.order`` Legendre nodes per
-    panel.  At order 64 it agrees with the closed forms to better than 1e-8
-    absolute whenever sigma >= 1e-3 (acceptance criterion 01).  For the capped
+    2-D marginal the kernel touches (for a linear kernel, the 1-D law of
+    ``w . X``), with ``order`` Legendre nodes per panel.  At order 64 it agrees
+    with the closed forms to better than 1e-8 absolute whenever sigma >= 1e-3
+    (acceptance criterion 01).  For the capped
     residual at order 64 the measured agreement with the closed form is 6e-12
     over standard deviations 1e-3 to 100 and |correlation| up to 0.99999; at
     order 32 it is only 2e-4.
     """
-    if rule.order < 16:
-        raise UsageError(f"quadrature order must be >= 16, got {rule.order}")
+    if order < 16:
+        raise UsageError(f"quadrature order must be >= 16, got {order}")
     coeff = term.coefficient.value_at(t)
     kernel = term.kernel
     if isinstance(kernel, Constant):
         return coeff
     if isinstance(kernel, Linear):
-        total = 0.0
-        for i, w in enumerate(kernel.weights):
-            if w != 0.0:
-                total += w * _quad_mean(float(p.mean[i]), p.marginal_std(i), rule)
-        value = total
+        w = np.asarray(kernel.weights)
+        m, s = float(w @ p.mean), math.sqrt(max(float(w @ p.cov @ w), 0.0))
+        # no kink; splitting at the mean resolves the weight to 4e-15 by order 32
+        value = _panel_integral(lambda u: m + _SQRT2 * s * u, [0.0], order)
     elif isinstance(kernel, (MinThreshold, PositivePart)):
         m, s = float(p.mean[kernel.index]), p.marginal_std(kernel.index)
         n = kernel.threshold.value_at(t)
@@ -417,7 +397,7 @@ def quad_expected_kernel(
                 g = lambda u: np.minimum(m + _SQRT2 * s * u, n)  # noqa: E731
             else:
                 g = lambda u: np.maximum(m + _SQRT2 * s * u - n, 0.0)  # noqa: E731
-            value = _panel_integral(g, [kink], rule.order)
+            value = _panel_integral(g, [kink], order)
     elif isinstance(kernel, MinPair):
         j, k = kernel.index, kernel.other
         mj, mk = float(p.mean[j]), float(p.mean[k])
@@ -428,11 +408,11 @@ def quad_expected_kernel(
             mu = mj - mk
             kink = -mu / (_SQRT2 * theta)
             eabs = _panel_integral(
-                lambda u: np.abs(mu + _SQRT2 * theta * u), [kink], rule.order
+                lambda u: np.abs(mu + _SQRT2 * theta * u), [kink], order
             )
             value = 0.5 * (mj + mk - eabs)
     elif isinstance(kernel, CappedResidual):
-        value = _quad_capped_residual(kernel, t, p, rule.order)
+        value = _quad_capped_residual(kernel, t, p, order)
     else:
         raise UsageError(f"unknown kernel type {type(kernel).__name__}")
     result = coeff * value

@@ -4,10 +4,13 @@ For small models the forward equations ``p' = p Q(t)`` are solved directly on
 the box ``{0..cap_0} x ... x {0..cap_{d-1}}``.  Jumps that would leave the box
 are disabled (reflecting truncation), which conserves probability mass and
 keeps the moment oracle well defined; choose caps so the boundary occupancy
-is negligible.  Within one schedule segment the generator is constant, and an
-interval is advanced by uniformization: ``exp(dt Q') p = sum_k w_k P^k p`` with
-``P = I + Q'/rate``, ``rate`` the largest outflow and ``w`` the Poisson(rate dt)
-pmf, a sum of nonnegative terms.  ``w`` comes from the ratio recurrence outward
+is negligible.  Within one schedule segment the generator is constant; it is
+built from the model's terms compiled at the segment start
+(:func:`~qmoments.model.compile_terms`), one rate vector per transition over
+the whole lattice.  An interval is advanced by uniformization:
+``exp(dt Q') p = sum_k w_k P^k p`` with ``P = I + Q'/rate``, ``rate`` the
+largest outflow and ``w`` the Poisson(rate dt) pmf, a sum of nonnegative
+terms.  ``w`` comes from the ratio recurrence outward
 from the mode (Fox & Glynn 1988), each tail cut where its geometric bound drops
 below ``_TAIL / 4`` of the kept sum, then normalised; per interval the L1 error
 is thus at most ``_TAIL`` (1e-16) plus about one machine epsilon per product
@@ -22,14 +25,13 @@ from scipy.sparse import coo_matrix, identity
 
 from .errors import NumericalError, UsageError
 from .model import (
-    CappedResidual,
-    Constant,
-    Kernel,
-    Linear,
-    MinPair,
-    MinThreshold,
+    CONST,
+    LINEAR,
+    MIN_PAIR,
+    MIN_THRESHOLD,
+    POSITIVE_PART,
     NetworkModel,
-    PositivePart,
+    compile_terms,
     model_breakpoints,
     validate_model,
 )
@@ -40,24 +42,22 @@ _MASS_TOL = 1e-8
 _TAIL = 1e-16
 
 
-def _kernel_values_lattice(kernel: Kernel, t: float, coords: np.ndarray) -> np.ndarray:
-    """Vectorized kernel evaluation over the (S, d) lattice coordinates."""
-    if isinstance(kernel, Constant):
-        return np.ones(coords.shape[0])
-    if isinstance(kernel, Linear):
-        return coords @ np.asarray(kernel.weights)
-    if isinstance(kernel, MinThreshold):
-        return np.minimum(coords[:, kernel.index], kernel.threshold.value_at(t))
-    if isinstance(kernel, PositivePart):
-        return np.maximum(coords[:, kernel.index] - kernel.threshold.value_at(t), 0.0)
-    if isinstance(kernel, MinPair):
-        return np.minimum(coords[:, kernel.index], coords[:, kernel.other])
-    if isinstance(kernel, CappedResidual):
-        residual = np.maximum(
-            kernel.threshold.value_at(t) - coords[:, kernel.other], 0.0
-        )
-        return np.minimum(coords[:, kernel.index], residual)
-    raise UsageError(f"unknown kernel type {type(kernel).__name__}")
+def _lattice_rates(term: tuple, coords: np.ndarray) -> np.ndarray:
+    """Rate of one compiled term at every (S, d) lattice coordinate."""
+    code, coeff, j, k, n, weights, _ = term
+    if code == CONST:
+        kernel = np.ones(coords.shape[0])
+    elif code == LINEAR:
+        kernel = coords @ np.asarray(weights)
+    elif code == MIN_THRESHOLD:
+        kernel = np.minimum(coords[:, j], n)
+    elif code == POSITIVE_PART:
+        kernel = np.maximum(coords[:, j] - n, 0.0)
+    elif code == MIN_PAIR:
+        kernel = np.minimum(coords[:, j], coords[:, k])
+    else:  # capped residual
+        kernel = np.minimum(coords[:, j], np.maximum(n - coords[:, k], 0.0))
+    return coeff * kernel
 
 
 def _generator_transpose(model: NetworkModel, t: float, coords, strides, caps):
@@ -65,11 +65,9 @@ def _generator_transpose(model: NetworkModel, t: float, coords, strides, caps):
     size = coords.shape[0]
     src_idx = coords @ strides
     rows, cols, vals = [], [], []
-    for tr in model.transitions:
-        rate = tr.rate.coefficient.value_at(t) * _kernel_values_lattice(
-            tr.rate.kernel, t, coords
-        )
-        target = coords + np.asarray(tr.jump)
+    for term in compile_terms(model, t):
+        rate = _lattice_rates(term, coords)
+        target = coords + np.asarray(term[6])
         inside = np.all((target >= 0) & (target <= caps), axis=1)
         active = inside & (rate > 0.0)
         if not np.any(active):
@@ -127,6 +125,8 @@ def state_distributions(model: NetworkModel, caps, grid):
             f"truncated state space has {size} states, limit is {STATE_LIMIT}"
         )
     times = np.asarray(grid, dtype=float)
+    if times.ndim != 1 or not times.size:
+        raise UsageError("grid must be a non-empty 1-D sequence")
     if np.any(np.diff(times) < 0) or times[0] < 0 or times[-1] > model.horizon + 1e-9:
         raise UsageError("grid must be ascending within [0, horizon]")
     x0 = np.asarray(model.initial_state)

@@ -113,19 +113,6 @@ def kernel_value(kernel: Kernel, t: float, x) -> float:
     raise UsageError(f"unknown kernel type {type(kernel).__name__}")
 
 
-def kernel_lipschitz_bound(kernel: Kernel) -> float:
-    """Lipschitz constant of the kernel (exact for every taxonomy member)."""
-    if isinstance(kernel, Constant):
-        return 0.0
-    if isinstance(kernel, Linear):
-        return float(np.linalg.norm(kernel.weights))
-    # min/max compositions of coordinate projections are 1-Lipschitz; the
-    # capped residual reads two coordinates.
-    if isinstance(kernel, CappedResidual):
-        return float(np.sqrt(2.0))
-    return 1.0
-
-
 # --------------------------------------------------------------------------
 # Transitions and the network model
 
@@ -183,21 +170,24 @@ def eval_rate(model: NetworkModel, i: int, t: float, x) -> float:
     return term.coefficient.value_at(t) * kernel_value(term.kernel, t, x)
 
 
+def compile_term(rate: RateTerm, jump: tuple[int, ...], t: float) -> tuple:
+    """One rate frozen at time ``t`` into plain values,
+    ``(code, coeff, index, other, threshold, weights, jump)``; fields a kernel
+    does not have read 0, 0.0 or None.  Every evaluator but the type-dispatched
+    references looks its schedules up here."""
+    kernel = rate.kernel
+    code = _KERNEL_CODES.get(type(kernel))
+    if code is None:
+        raise UsageError(f"unknown kernel type {type(kernel).__name__}")
+    threshold = getattr(kernel, "threshold", None)
+    thr = 0.0 if threshold is None else threshold.value_at(t)
+    return (code, rate.coefficient.value_at(t), getattr(kernel, "index", 0),
+            getattr(kernel, "other", 0), thr, getattr(kernel, "weights", None), jump)
+
+
 def compile_terms(model: NetworkModel, t: float) -> list[tuple]:
-    """Every transition at time ``t`` frozen into plain values, one term
-    ``(code, coeff, index, other, threshold, weights, jump)`` each; fields a
-    kernel does not have read 0, 0.0 or None."""
-    terms = []
-    for tr in model.transitions:
-        kernel = tr.rate.kernel
-        code = _KERNEL_CODES.get(type(kernel))
-        if code is None:
-            raise UsageError(f"unknown kernel type {type(kernel).__name__}")
-        threshold = getattr(kernel, "threshold", None)
-        thr = 0.0 if threshold is None else threshold.value_at(t)
-        terms.append((code, tr.rate.coefficient.value_at(t), getattr(kernel, "index", 0),
-                      getattr(kernel, "other", 0), thr, getattr(kernel, "weights", None), tr.jump))
-    return terms
+    """Every transition of the model compiled at time ``t``, in model order."""
+    return [compile_term(tr.rate, tr.jump, t) for tr in model.transitions]
 
 
 def compile_segments(model: NetworkModel) -> list[tuple]:
@@ -227,7 +217,6 @@ class ValidationReport:
     """Outcome of structural model checks; only :meth:`raise_if_invalid` raises."""
 
     issues: list[str] = field(default_factory=list)
-    lipschitz_bounds: tuple[float, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -240,12 +229,7 @@ class ValidationReport:
 
 
 def validate_model(model: NetworkModel) -> ValidationReport:
-    """Structural checks: schedule coverage, sign constraints, index ranges.
-
-    Every kernel variant is Lipschitz by construction (compositions of
-    min/max/affine maps), so the report carries a per-transition Lipschitz
-    bound for the rate instead of attempting a numerical growth check.
-    """
+    """Structural checks: schedule coverage, sign constraints, index ranges."""
     report = ValidationReport()
     d = model.dimension
     if d < 1:
@@ -261,7 +245,6 @@ def validate_model(model: NetworkModel) -> ValidationReport:
     if any(v < 0 for v in model.initial_state):
         report.issues.append("initial state must be nonnegative")
 
-    bounds = []
     for i, tr in enumerate(model.transitions):
         where = f"transition {i}"
         if len(tr.jump) != d:
@@ -278,10 +261,11 @@ def validate_model(model: NetworkModel) -> ValidationReport:
                 f"model horizon is {model.horizon}"
             )
         kernel = tr.rate.kernel
-        for idx in _declared_indices(kernel):
+        indices = [getattr(kernel, name) for name in ("index", "other") if hasattr(kernel, name)]
+        for idx in indices:
             if not 0 <= idx < d:
                 report.issues.append(f"{where}: kernel index {idx} out of range [0, {d})")
-        if isinstance(kernel, (MinPair, CappedResidual)) and kernel.index == kernel.other:
+        if len(indices) == 2 and indices[0] == indices[1]:
             report.issues.append(f"{where}: kernel must reference two distinct components")
         if isinstance(kernel, Linear):
             if len(kernel.weights) != d:
@@ -303,17 +287,7 @@ def validate_model(model: NetworkModel) -> ValidationReport:
                     f"{where}: threshold schedule declared up to t={threshold.end}, "
                     f"model horizon is {model.horizon}"
                 )
-        bounds.append(coeff.max_abs() * kernel_lipschitz_bound(kernel))
-    report.lipschitz_bounds = tuple(bounds)
     return report
-
-
-def _declared_indices(kernel: Kernel) -> tuple[int, ...]:
-    if isinstance(kernel, (MinThreshold, PositivePart)):
-        return (kernel.index,)
-    if isinstance(kernel, (MinPair, CappedResidual)):
-        return (kernel.index, kernel.other)
-    return ()
 
 
 # --------------------------------------------------------------------------

@@ -82,9 +82,6 @@ class TimeSchedule:
     def covers(self, horizon: float) -> bool:
         return self.end is None or self.end >= horizon
 
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.values)
-
     def min_value(self) -> float:
         return min(self.values)
 

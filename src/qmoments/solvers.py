@@ -10,9 +10,11 @@ Three methods share one fixed-step Runge-Kutta engine:
                          propagates the covariance with one-sided derivatives
                          of the kinked rates evaluated on the fluid path.
 
-The pointwise methods compile the model's plan once per solve (shared with the
-simulator, :func:`~qmoments.model.compile_segments`); each Runge-Kutta stage
-forms drift, one-sided Jacobian and noise in one pass (:func:`pointwise_terms`).
+Every method compiles the model's plan once per solve (shared with the
+simulator, :func:`~qmoments.model.compile_segments`) and finds each
+Runge-Kutta stage's segment by bisection; the stage forms drift, Jacobian and
+noise in one pass over the segment's terms (:func:`pointwise_terms`, or
+:func:`~qmoments.closure.closed_terms` for the adjusted method).
 
 Steps never straddle a schedule breakpoint.  Because time enters the rate
 functions only through piecewise-constant schedules, freezing the schedule
@@ -74,8 +76,10 @@ class SolverConfig:
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise UsageError(f"dt must be positive and finite, got {self.dt}")
         if self.grid is not None:
-            self.grid = np.asarray(self.grid, dtype=float)
-            if not np.all(np.isfinite(self.grid)) or np.any(np.diff(self.grid) <= 0):
+            grid = self.grid = np.asarray(self.grid, dtype=float)
+            if grid.ndim != 1 or not grid.size:
+                raise UsageError("sample grid must be a non-empty 1-D sequence")
+            if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
                 raise UsageError("sample grid must be finite and strictly increasing")
 
 
@@ -192,9 +196,10 @@ def solve_adjusted(
     ``dC/dt = A C + C A' + B B'`` and is symmetrized after each step.
     """
     cfg = cfg or SolverConfig(method="adjusted")
+    plan, d = _plan_at(model), model.dimension
 
     def rhs(t, m, c):
-        drift_m, a, b = closed_terms(model, t, MomentPoint(m, c))
+        drift_m, a, b = closed_terms(plan(t), MomentPoint(m, c), d)
         dc = a @ c + c @ a.T + b @ b.T
         return drift_m, dc
 
@@ -248,14 +253,19 @@ def solve(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
 # fixed convention is admissible; this one is deterministic and documented.
 
 
-def _pointwise_at(model: NetworkModel, moments: bool):
-    """``at(t, x)``: :func:`pointwise_terms` on the plan segment holding ``t``.
+def _plan_at(model: NetworkModel):
+    """``plan(t)``: the compiled terms of the plan segment holding ``t``.
     Steps never straddle a breakpoint, so a step's midpoint finds its segment.
     """
     segments = compile_segments(model)
     starts = [seg[0] for seg in segments]
-    d = model.dimension
-    return lambda t, x: pointwise_terms(segments[bisect_right(starts, t) - 1][2], x, d, moments)
+    return lambda t: segments[bisect_right(starts, t) - 1][2]
+
+
+def _pointwise_at(model: NetworkModel, moments: bool):
+    """``at(t, x)``: :func:`pointwise_terms` on the plan segment holding ``t``."""
+    plan, d = _plan_at(model), model.dimension
+    return lambda t, x: pointwise_terms(plan(t), x, d, moments)
 
 
 def pointwise_terms(terms, x, d: int, moments: bool = True):

@@ -1,9 +1,11 @@
-"""Shared numeric oracles for the test suite.
+"""Shared numeric oracles and models for the test suite.
 
 These stay deliberately independent of the library's own evaluation paths:
 expectations come from adaptive quadrature over the Gaussian density,
-derivatives come from central finite differences, and the pointwise drift,
-Jacobian and noise matrix come from plain per-quantity loops.
+derivatives come from central finite differences, the pointwise drift,
+Jacobian and noise matrix come from plain per-quantity loops, and the closed
+pass comes from a loop that dispatches on kernel types and looks every
+schedule up at ``t``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,20 @@ from qmoments import (
     MinPair,
     MinThreshold,
     MomentPoint,
+    NetworkModel,
     PositivePart,
+    RateTerm,
+    TimeSchedule,
+    Transition,
+)
+from qmoments.closure import (
+    SIGMA_FLOOR,
+    _capped_residual,
+    _min_threshold_expectation,
+    _pair_spread,
+    _positive_part_expectation,
+    normal_cdf,
+    normal_pdf,
 )
 from qmoments.model import kernel_value
 
@@ -182,3 +197,92 @@ def reference_noise_matrix(model, t, x) -> np.ndarray:
         if rate > 0.0:
             out[:, i] = np.asarray(tr.jump, dtype=float) * np.sqrt(rate)
     return out
+
+
+def variant_models():
+    """One model per kernel variant (jump (-3, 2)), then all six in one model.
+
+    n(t) and the coefficient are scheduled; the weights and the jump of 3
+    make ``coeff * (jump * w)`` round differently from ``coeff * jump * w``.
+    """
+    horizon = 4.0
+    n = TimeSchedule.alternating(4.0, 2.5, 1.0, horizon)
+    rate = TimeSchedule.alternating(1.5, 0.7, 1.5, horizon)
+    kernels = [
+        Constant(),
+        Linear((0.7, 1.3)),
+        MinThreshold(0, n),
+        PositivePart(1, n),
+        MinPair(0, 1),
+        CappedResidual(1, 0, n),
+    ]
+    jumps = [(1, 1), (-3, 0), (-1, 2), (0, -1), (1, -1), (-3, -1)]
+    singles = [
+        NetworkModel(2, (Transition((-3, 2), RateTerm(rate, k)),), (2, 1), horizon)
+        for k in kernels
+    ]
+    every = tuple(Transition(j, RateTerm(rate, k)) for j, k in zip(jumps, kernels))
+    return singles + [NetworkModel(2, every, (2, 1), horizon)]
+
+
+# --------------------------------------------------------------------------
+# Reference closed pass: the kernels dispatched by type, every schedule looked
+# up at ``t``, a dense gradient per transition.  The compiled closed pass
+# (``qmoments.closure.closed_terms``) must agree with it exactly.
+
+
+def _reference_closed_rate(term, t, p: MomentPoint):
+    coeff = term.coefficient.value_at(t)
+    kernel = term.kernel
+    grad = np.zeros(p.mean.shape[0])
+    if isinstance(kernel, Constant):
+        return coeff, grad
+    if isinstance(kernel, Linear):
+        grad[: len(kernel.weights)] = kernel.weights
+        return coeff * float(np.dot(kernel.weights, p.mean)), coeff * grad
+    if isinstance(kernel, (MinThreshold, PositivePart)):
+        m, s = float(p.mean[kernel.index]), p.marginal_std(kernel.index)
+        n = kernel.threshold.value_at(t)
+        below = (1.0 if m <= n else 0.0) if s < SIGMA_FLOOR else normal_cdf((n - m) / s)
+        if isinstance(kernel, MinThreshold):
+            grad[kernel.index] = coeff * below
+            return coeff * _min_threshold_expectation(m, s, n), grad
+        grad[kernel.index] = coeff * (1.0 - below)
+        return coeff * _positive_part_expectation(m, s, n), grad
+    if isinstance(kernel, MinPair):
+        j, k = kernel.index, kernel.other
+        mj, mk = float(p.mean[j]), float(p.mean[k])
+        theta = _pair_spread(p, j, k)
+        if theta < SIGMA_FLOOR:
+            grad[j if mj <= mk else k] = coeff
+            return coeff * min(mj, mk), grad
+        u = (mk - mj) / theta
+        grad[j] = coeff * normal_cdf(u)
+        grad[k] = coeff * normal_cdf(-u)
+        value = mj * normal_cdf(u) + mk * normal_cdf(-u) - theta * normal_pdf(u)
+        return coeff * value, grad
+    if isinstance(kernel, CappedResidual):
+        value, d_own, d_other = _capped_residual(
+            p, kernel.index, kernel.other, kernel.threshold.value_at(t)
+        )
+        grad[kernel.index] = coeff * d_own
+        grad[kernel.other] = coeff * d_other
+        return coeff * value, grad
+    raise TypeError(f"unknown kernel type {type(kernel).__name__}")
+
+
+def reference_closed_terms(model, t, p: MomentPoint):
+    """Closed drift, Jacobian and noise matrix, one dense row update per jump."""
+    d = model.dimension
+    drift = np.zeros(d)
+    jac = np.zeros((d, d))
+    noise = np.zeros((d, model.num_transitions))
+    for i, tr in enumerate(model.transitions):
+        rate, grad = _reference_closed_rate(tr.rate, t, p)
+        root = math.sqrt(rate) if rate > 0.0 else 0.0
+        for a, jump_a in enumerate(tr.jump):
+            if jump_a:
+                drift[a] += jump_a * rate
+                jac[a] += jump_a * grad
+                noise[a, i] = jump_a * root
+    return drift, jac, noise

@@ -403,10 +403,12 @@ def test_wrongly_typed_documents_exit_2(tmp_path, path, value):
         ([], json.dumps({"reps": "abc"})),
         ([], json.dumps({"dt": [0.1]})),
         ([], json.dumps(["fluid"])),
+        ([], json.dumps({"grid": []})),
     ],
     ids=[
         "grid-nan", "grid-inf", "dt-nan", "dt-inf", "dt-tiny", "caps-text",
         "config-not-json", "config-reps-text", "config-dt-list", "config-not-object",
+        "config-grid-empty",
     ],
 )
 def test_bad_run_arguments_exit_2(tmp_path, argv, config):
@@ -416,6 +418,19 @@ def test_bad_run_arguments_exit_2(tmp_path, argv, config):
         path.write_text(config)
         base += ["--config", str(path)]
     assert main([*base, *argv]) == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"model": 5}, {"preset": 1, "out": 5}],
+    ids=["model-number", "out-number"],
+)
+def test_config_paths_must_be_strings(tmp_path, monkeypatch, config):
+    """Rejected before any method runs: ``open(5)`` would read file descriptor 5."""
+    monkeypatch.setattr("qmoments.cli.solve", None)  # a method run would raise TypeError
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"methods": "fluid", "out": str(tmp_path / "o"), **config}))
+    assert main(["run", "--config", str(path)]) == 2
 
 
 def test_solver_warnings_reach_the_manifest(tmp_path, monkeypatch):

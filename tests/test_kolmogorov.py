@@ -15,6 +15,7 @@ from qmoments import (
     UsageError,
 )
 from qmoments.model import model_breakpoints
+from helpers import variant_models
 from qmoments.systems import RetrialParams
 
 
@@ -141,6 +142,37 @@ def test_ensemble_agrees_within_sampling_bands():
     stats = qm.simulate_ensemble(model, 4000, 2024, grid)
     se = np.sqrt(np.array([np.diag(c) for c in oracle.covs]) / 4000.0)
     assert np.all(np.abs(stats.means - oracle.means) < 3.0 * se)
+
+
+def test_generator_entries_equal_pointwise_rates():
+    """Each transition's off-diagonal entry of Q' is its ``eval_rate`` at every
+    lattice point whose jump stays in the box, inside every schedule segment.
+
+    A linear rate is a matrix product on the lattice and a Python sum in
+    ``eval_rate``, so those two may differ in the last bit; the rest are equal.
+    """
+    model = variant_models()[-1]  # six variants, alternating threshold and rate
+    caps = np.array([6, 5])
+    coords = np.indices(caps + 1).reshape(2, -1).T
+    strides = np.array([caps[1] + 1, 1])
+    bounds = [0.0] + model_breakpoints(model) + [model.horizon]
+    assert len(bounds) > 3
+    for t in (0.5 * (a + b) for a, b in zip(bounds[:-1], bounds[1:])):
+        qt = kolmogorov._generator_transpose(model, t, coords, strides, caps).toarray()
+        for i, tr in enumerate(model.transitions):
+            target = coords + np.asarray(tr.jump)
+            inside = np.all((target >= 0) & (target <= caps), axis=1)
+            assert inside.any()
+            ulps = 1e-15 if isinstance(tr.rate.kernel, Linear) else 0.0
+            for x, y in zip(coords[inside], target[inside]):
+                rate = qm.eval_rate(model, i, t, x)
+                assert abs(qt[y @ strides, x @ strides] - rate) <= ulps * rate, (t, i, x)
+
+
+def test_empty_grid_rejected():
+    for grid in ([], [[1.0, 2.0]]):
+        with pytest.raises(UsageError):
+            qm.exact_transient_moments(tiny_retrial(), (12, 12), grid)
 
 
 def test_state_cap_guard():

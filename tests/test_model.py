@@ -19,8 +19,6 @@ from qmoments.model import (
     CAPPED,
     MIN_THRESHOLD,
     compile_segments,
-    kernel_lipschitz_bound,
-    kernel_value,
 )
 
 
@@ -152,27 +150,6 @@ class TestCompiledPlan:
 
 
 class TestKernelProperties:
-    def _kernels(self):
-        n = TimeSchedule.constant(5.0)
-        return [
-            Constant(),
-            Linear((0.3, 1.7)),
-            MinThreshold(0, n),
-            PositivePart(1, n),
-            MinPair(0, 1),
-            CappedResidual(0, 1, n),
-        ]
-
-    def test_lipschitz_bound_holds(self):
-        rng = np.random.default_rng(11)
-        for kernel in self._kernels():
-            lip = max(1.0, kernel_lipschitz_bound(kernel))
-            for _ in range(200):
-                x = rng.uniform(-10, 30, 2)
-                y = rng.uniform(-10, 30, 2)
-                gap = abs(kernel_value(kernel, 0.0, x) - kernel_value(kernel, 0.0, y))
-                assert gap <= lip * np.linalg.norm(x - y) + 1e-12
-
     def test_nonnegative_on_orthant(self):
         rng = np.random.default_rng(13)
         for builder, args in [
@@ -193,7 +170,6 @@ class TestValidation:
         params, horizon, _ = qm.retrial_preset(7)
         report = qm.validate_model(qm.build_retrial(params, horizon))
         assert report.ok and report.issues == []
-        assert len(report.lipschitz_bounds) == 5
 
     def test_schedule_coverage_gap_is_reported(self):
         short = TimeSchedule((0.0, 2.0), (1.0, 2.0), end=10.0)

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import qmoments as qm
-from helpers import reference_drift, reference_drift_jacobian, reference_noise_matrix
+from helpers import (
+    random_moment_point,
+    reference_closed_terms,
+    reference_drift,
+    reference_drift_jacobian,
+    reference_noise_matrix,
+    variant_models,
+)
 from qmoments import (
     CappedResidual,
     Constant,
@@ -18,6 +25,7 @@ from qmoments import (
     Transition,
     UsageError,
 )
+from qmoments.closure import MomentPoint, closed_terms
 from qmoments.model import compile_terms
 from qmoments.solvers import pointwise_terms
 
@@ -166,30 +174,34 @@ class TestMeasureZero:
         assert a_above[0, 0] == pytest.approx(-2.0)
 
 
-def variant_models():
-    """One model per kernel variant (jump (-3, 2)), then all six in one model.
-
-    n(t) and the coefficient are scheduled; the weights and the jump of 3
-    make ``coeff * (jump * w)`` round differently from ``coeff * jump * w``.
-    """
-    horizon = 4.0
-    n = TimeSchedule.alternating(4.0, 2.5, 1.0, horizon)
-    rate = TimeSchedule.alternating(1.5, 0.7, 1.5, horizon)
-    kernels = [
-        Constant(),
-        Linear((0.7, 1.3)),
-        MinThreshold(0, n),
-        PositivePart(1, n),
-        MinPair(0, 1),
-        CappedResidual(1, 0, n),
-    ]
-    jumps = [(1, 1), (-3, 0), (-1, 2), (0, -1), (1, -1), (-3, -1)]
-    singles = [
-        NetworkModel(2, (Transition((-3, 2), RateTerm(rate, k)),), (2, 1), horizon)
-        for k in kernels
-    ]
-    every = tuple(Transition(j, RateTerm(rate, k)) for j, k in zip(jumps, kernels))
-    return singles + [NetworkModel(2, every, (2, 1), horizon)]
+# the models both one-pass evaluators are checked on against their references
+REFERENCE_MODELS = pytest.mark.parametrize(
+    "model",
+    [
+        qm.build_retrial(*qm.retrial_preset(7)[:2]),
+        qm.build_priority(*qm.reference_priority_params()),
+        qm.build_peer(*qm.reference_peer_params()),
+        NetworkModel(
+            3,
+            (
+                Transition((1, 0, 0), RateTerm(TimeSchedule.constant(2.0), Constant())),
+                Transition(
+                    (-1, 1, 0), RateTerm(TimeSchedule.constant(0.3), Linear((1.0, 0.0, 0.25)))
+                ),
+                Transition(
+                    (0, -1, 1), RateTerm(TimeSchedule.constant(1.1), Linear((0.7, 1.3, 0.0)))
+                ),
+                Transition(
+                    (0, 0, -1), RateTerm(TimeSchedule.constant(0.9), Linear((0.1, 0.2, 0.3)))
+                ),
+            ),
+            (5, 0, 0),
+            3.0,
+        ),
+        variant_models()[-1],
+    ],
+    ids=["retrial", "priority", "peer", "linear", "all-variants"],
+)
 
 
 def assert_matches_reference(model, t, x):
@@ -213,33 +225,7 @@ def assert_matches_reference(model, t, x):
 
 
 class TestPointwisePass:
-    @pytest.mark.parametrize(
-        "model",
-        [
-            qm.build_retrial(*qm.retrial_preset(7)[:2]),
-            qm.build_priority(*qm.reference_priority_params()),
-            qm.build_peer(*qm.reference_peer_params()),
-            NetworkModel(
-                3,
-                (
-                    Transition((1, 0, 0), RateTerm(TimeSchedule.constant(2.0), Constant())),
-                    Transition(
-                        (-1, 1, 0), RateTerm(TimeSchedule.constant(0.3), Linear((1.0, 0.0, 0.25)))
-                    ),
-                    Transition(
-                        (0, -1, 1), RateTerm(TimeSchedule.constant(1.1), Linear((0.7, 1.3, 0.0)))
-                    ),
-                    Transition(
-                        (0, 0, -1), RateTerm(TimeSchedule.constant(0.9), Linear((0.1, 0.2, 0.3)))
-                    ),
-                ),
-                (5, 0, 0),
-                3.0,
-            ),
-            variant_models()[-1],
-        ],
-        ids=["retrial", "priority", "peer", "linear", "all-variants"],
-    )
+    @REFERENCE_MODELS
     def test_random_states_match_reference_exactly(self, model):
         rng = np.random.default_rng(20261018)
         scale = 2.0 * max(max(model.initial_state), 60)
@@ -287,6 +273,38 @@ class TestPointwisePass:
         )
         jac = qm.pointwise_drift_jacobian(model, 0.0, x)
         np.testing.assert_array_equal(jac, [[2.0 * g for g in grad], [0.0, 0.0]])
+
+
+def assert_closed_matches_reference(model, t, p):
+    """The compiled closed pass equals the type-dispatched loop bit for bit."""
+    got = closed_terms(compile_terms(model, t), p, model.dimension)
+    for g, want in zip(got, reference_closed_terms(model, t, p)):
+        assert g.shape == want.shape
+        assert np.array_equal(g, want), (t, p.mean, p.cov, g, want)
+
+
+class TestClosedPass:
+    @REFERENCE_MODELS
+    def test_random_points_match_reference_exactly(self, model):
+        rng = np.random.default_rng(20261019)
+        for _ in range(300):
+            t = rng.uniform(0.0, model.horizon)
+            assert_closed_matches_reference(model, t, random_moment_point(rng, model.dimension))
+
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [
+            ((4.0, 1.0), [[0.0, 0.0], [0.0, 0.0]]),  # zero covariance, m_0 == n
+            ((3.0, 3.0), [[2.0, 2.0], [2.0, 2.0]]),  # theta == 0 with m_0 == m_1
+            ((4.0, 4.0), [[1e-20, 0.0], [0.0, 1e-20]]),  # s < SIGMA_FLOOR at m == n
+        ],
+        ids=["zero-cov", "pair-tie", "threshold-tie"],
+    )
+    def test_degenerate_points_match_reference(self, mean, cov):
+        shifted = tuple(m - 1.5 for m in mean)  # the ties recur at n = 2.5
+        for model in variant_models():
+            assert_closed_matches_reference(model, 0.5, MomentPoint(mean, cov))  # n = 4
+            assert_closed_matches_reference(model, 1.0, MomentPoint(shifted, cov))
 
 
 class TestStepping:
@@ -359,3 +377,8 @@ class TestStepping:
     def test_grid_outside_horizon_rejected(self):
         with pytest.raises(UsageError):
             qm.solve_fluid(mminf(horizon=2.0), SolverConfig(grid=np.array([3.0])))
+
+    @pytest.mark.parametrize("grid", [[], [[1.0, 2.0]]], ids=["empty", "2-d"])
+    def test_empty_or_2d_grid_rejected(self, grid):
+        with pytest.raises(UsageError):
+            qm.solve_fluid(mminf(), SolverConfig(grid=grid))
