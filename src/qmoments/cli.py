@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergenceError, NumericalError, UsageError
 from .kolmogorov import exact_transient_moments
-from .model import NetworkModel, load_model
+from .model import NetworkModel, checked_grid, load_model
 from .results import (
     EnsembleStats,
     MomentTrajectory,
@@ -157,21 +157,17 @@ def _parse_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _resolve_model(cfg: ExperimentConfig) -> tuple[NetworkModel, np.ndarray]:
+    grid = cfg.grid
     if cfg.preset is not None:
         params, horizon, preset_grid = retrial_preset(cfg.preset)
         model = build_retrial(params, horizon)
-        grid = cfg.grid if cfg.grid is not None else preset_grid
+        grid = preset_grid if grid is None else grid
     else:
         try:
             model = load_model(cfg.model_path)
         except FileNotFoundError as exc:
             raise UsageError(f"model file not found: {cfg.model_path}") from exc
-        grid = (
-            cfg.grid
-            if cfg.grid is not None
-            else np.arange(0.0, model.horizon + 1e-9, 1.0)
-        )
-    return model, np.asarray(grid, dtype=float)
+    return model, checked_grid(model, grid)
 
 
 def run_experiment(cfg: ExperimentConfig):

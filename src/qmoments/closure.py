@@ -310,16 +310,17 @@ def noise_matrix(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
 # since the integrand bends within a conditional standard deviation of it.
 
 _PANEL_HALF_WIDTH = 8.5  # exp(-t^2) < 1e-31 beyond this in standardized units
+_QUAD_ORDER = 64  # Legendre nodes per panel; 32 is off by 2e-6 on one unsplit panel
 
 
-@lru_cache(maxsize=8)
-def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+@lru_cache(maxsize=1)
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_QUAD_ORDER)
 
 
-def _panel_integral(g, kinks: list[float], order: int) -> float:
+def _panel_integral(g, kinks: list[float]) -> float:
     """Integrate exp(-t^2) * g(t) / sqrt(pi) with panels split at the kinks."""
-    nodes, weights = _legendre_rule(order)
+    nodes, weights = _legendre_rule()
     points = [-_PANEL_HALF_WIDTH, _PANEL_HALF_WIDTH]
     points.extend(k for k in kinks if -_PANEL_HALF_WIDTH < k < _PANEL_HALF_WIDTH)
     points.sort()
@@ -330,9 +331,7 @@ def _panel_integral(g, kinks: list[float], order: int) -> float:
     return total / math.sqrt(math.pi)
 
 
-def _quad_capped_residual(
-    kernel: CappedResidual, t: float, p: MomentPoint, order: int
-) -> float:
+def _quad_capped_residual(kernel: CappedResidual, t: float, p: MomentPoint) -> float:
     j, k = kernel.index, kernel.other
     n = kernel.threshold.value_at(t)
     mj, mk = float(p.mean[j]), float(p.mean[k])
@@ -360,23 +359,21 @@ def _quad_capped_residual(
             centre = (level + slope * mk) / gain
             width = sc / abs(gain)
             kinks += [(centre + w * width - mk) / (_SQRT2 * sk) for w in (-8, -2, 0, 2, 8)]
-    return _panel_integral(inner, kinks, order)
+    return _panel_integral(inner, kinks)
 
 
-def quad_expected_kernel(term: RateTerm, t: float, p: MomentPoint, order: int) -> float:
+def quad_expected_kernel(term: RateTerm, t: float, p: MomentPoint) -> float:
     """Numerical-integration estimate of ``expected_kernel``.
 
     Serves as the independent cross-check of the closed forms.  Uses the 1- or
     2-D marginal the kernel touches (for a linear kernel, the 1-D law of
-    ``w . X``), with ``order`` Legendre nodes per panel.  At order 64 it agrees
-    with the closed forms to better than 1e-8 absolute whenever sigma >= 1e-3
-    (acceptance criterion 01).  For the capped
-    residual at order 64 the measured agreement with the closed form is 6e-12
-    over standard deviations 1e-3 to 100 and |correlation| up to 0.99999; at
-    order 32 it is only 2e-4.
+    ``w . X``), with a fixed 64 Legendre nodes per panel.  It agrees with the
+    closed forms to better than 1e-8 absolute whenever sigma >= 1e-3
+    (acceptance criterion 01), also in the far tail, where no kink splits the
+    panel.  For the capped residual the measured agreement with the closed
+    form is 6e-12 over standard deviations 1e-3 to 100 and |correlation| up to
+    0.99999; with 32 nodes it is only 2e-4.
     """
-    if order < 16:
-        raise UsageError(f"quadrature order must be >= 16, got {order}")
     coeff = term.coefficient.value_at(t)
     kernel = term.kernel
     if isinstance(kernel, Constant):
@@ -384,8 +381,8 @@ def quad_expected_kernel(term: RateTerm, t: float, p: MomentPoint, order: int) -
     if isinstance(kernel, Linear):
         w = np.asarray(kernel.weights)
         m, s = float(w @ p.mean), math.sqrt(max(float(w @ p.cov @ w), 0.0))
-        # no kink; splitting at the mean resolves the weight to 4e-15 by order 32
-        value = _panel_integral(lambda u: m + _SQRT2 * s * u, [0.0], order)
+        # no kink; splitting at the mean resolves the weight to 4e-15 by 32 nodes
+        value = _panel_integral(lambda u: m + _SQRT2 * s * u, [0.0])
     elif isinstance(kernel, (MinThreshold, PositivePart)):
         m, s = float(p.mean[kernel.index]), p.marginal_std(kernel.index)
         n = kernel.threshold.value_at(t)
@@ -397,7 +394,7 @@ def quad_expected_kernel(term: RateTerm, t: float, p: MomentPoint, order: int) -
                 g = lambda u: np.minimum(m + _SQRT2 * s * u, n)  # noqa: E731
             else:
                 g = lambda u: np.maximum(m + _SQRT2 * s * u - n, 0.0)  # noqa: E731
-            value = _panel_integral(g, [kink], order)
+            value = _panel_integral(g, [kink])
     elif isinstance(kernel, MinPair):
         j, k = kernel.index, kernel.other
         mj, mk = float(p.mean[j]), float(p.mean[k])
@@ -407,12 +404,10 @@ def quad_expected_kernel(term: RateTerm, t: float, p: MomentPoint, order: int) -
         else:
             mu = mj - mk
             kink = -mu / (_SQRT2 * theta)
-            eabs = _panel_integral(
-                lambda u: np.abs(mu + _SQRT2 * theta * u), [kink], order
-            )
+            eabs = _panel_integral(lambda u: np.abs(mu + _SQRT2 * theta * u), [kink])
             value = 0.5 * (mj + mk - eabs)
     elif isinstance(kernel, CappedResidual):
-        value = _quad_capped_residual(kernel, t, p, order)
+        value = _quad_capped_residual(kernel, t, p)
     else:
         raise UsageError(f"unknown kernel type {type(kernel).__name__}")
     result = coeff * value

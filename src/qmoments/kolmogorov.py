@@ -31,6 +31,7 @@ from .model import (
     MIN_THRESHOLD,
     POSITIVE_PART,
     NetworkModel,
+    checked_grid,
     compile_terms,
     model_breakpoints,
     validate_model,
@@ -124,11 +125,7 @@ def state_distributions(model: NetworkModel, caps, grid):
         raise UsageError(
             f"truncated state space has {size} states, limit is {STATE_LIMIT}"
         )
-    times = np.asarray(grid, dtype=float)
-    if times.ndim != 1 or not times.size:
-        raise UsageError("grid must be a non-empty 1-D sequence")
-    if np.any(np.diff(times) < 0) or times[0] < 0 or times[-1] > model.horizon + 1e-9:
-        raise UsageError("grid must be ascending within [0, horizon]")
+    times = checked_grid(model, grid)
     x0 = np.asarray(model.initial_state)
     if np.any(x0 > caps):
         raise UsageError(f"initial state {tuple(x0)} outside caps {tuple(caps)}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -85,6 +85,7 @@ KERNEL_TAGS: dict[type, str] = {
     CappedResidual: "capped_residual",
 }
 _TAG_TO_KERNEL = {v: k for k, v in KERNEL_TAGS.items()}
+_INDEX_FIELDS = ("index", "other")  # state components a kernel reads; saved as "indices"
 
 # compiled kernel codes, numbered in KERNEL_TAGS order
 CONST, LINEAR, MIN_THRESHOLD, POSITIVE_PART, MIN_PAIR, CAPPED = range(6)
@@ -197,6 +198,28 @@ def compile_segments(model: NetworkModel) -> list[tuple]:
     return [(a, b, compile_terms(model, a)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+GRID_TOL = 1e-9  # times this close to the horizon or a solver mesh node count as on it
+
+
+def checked_grid(model: NetworkModel, grid=None) -> np.ndarray:
+    """The sample times every method reports at: ``grid`` as a non-empty 1-D
+    float array, finite, each time more than ``GRID_TOL`` after the one before
+    (closer ones would share a mesh node) and inside
+    ``[0, horizon + GRID_TOL]``.  ``None`` means every whole time unit."""
+    if grid is None:
+        return np.arange(0.0, model.horizon + GRID_TOL, 1.0)
+    times = np.asarray(grid, dtype=float)
+    if times.ndim != 1 or not times.size:
+        raise UsageError("sample grid must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= GRID_TOL):
+        raise UsageError(f"sample grid must be finite and increase by more than {GRID_TOL:g}")
+    if times[0] < 0 or times[-1] > model.horizon + GRID_TOL:
+        raise UsageError(
+            f"sample grid [{times[0]}, {times[-1]}] outside model horizon [0, {model.horizon}]"
+        )
+    return times
+
+
 def model_breakpoints(model: NetworkModel) -> list[float]:
     """Sorted union of all schedule breakpoints within [0, horizon)."""
     points: set[float] = set()
@@ -261,20 +284,21 @@ def validate_model(model: NetworkModel) -> ValidationReport:
                 f"model horizon is {model.horizon}"
             )
         kernel = tr.rate.kernel
-        indices = [getattr(kernel, name) for name in ("index", "other") if hasattr(kernel, name)]
+        indices = [getattr(kernel, name) for name in _INDEX_FIELDS if hasattr(kernel, name)]
         for idx in indices:
             if not 0 <= idx < d:
                 report.issues.append(f"{where}: kernel index {idx} out of range [0, {d})")
         if len(indices) == 2 and indices[0] == indices[1]:
             report.issues.append(f"{where}: kernel must reference two distinct components")
-        if isinstance(kernel, Linear):
-            if len(kernel.weights) != d:
+        weights = getattr(kernel, "weights", None)
+        if weights is not None:
+            if len(weights) != d:
                 report.issues.append(
-                    f"{where}: linear kernel has {len(kernel.weights)} weights, expected {d}"
+                    f"{where}: linear kernel has {len(weights)} weights, expected {d}"
                 )
-            elif any(not np.isfinite(w) for w in kernel.weights):
+            elif any(not np.isfinite(w) for w in weights):
                 report.issues.append(f"{where}: linear kernel weights must be finite")
-            elif any(w < 0 for w in kernel.weights):
+            elif any(w < 0 for w in weights):
                 report.issues.append(
                     f"{where}: negative linear weight breaks rate nonnegativity"
                 )
@@ -311,17 +335,17 @@ def _schedule_from_dict(d: dict) -> TimeSchedule:
 
 
 def _kernel_to_dict(kernel: Kernel) -> dict:
+    """Index fields go to ``indices`` in declaration order; ``threshold`` and
+    ``weights`` keep their own keys."""
     out: dict = {"variant": KERNEL_TAGS[type(kernel)]}
-    if isinstance(kernel, Linear):
-        out["weights"] = list(kernel.weights)
-    elif isinstance(kernel, (MinThreshold, PositivePart)):
-        out["indices"] = [kernel.index]
-        out["threshold"] = _schedule_to_dict(kernel.threshold)
-    elif isinstance(kernel, MinPair):
-        out["indices"] = [kernel.index, kernel.other]
-    elif isinstance(kernel, CappedResidual):
-        out["indices"] = [kernel.index, kernel.other]
-        out["threshold"] = _schedule_to_dict(kernel.threshold)
+    for f in fields(kernel):
+        value = getattr(kernel, f.name)
+        if f.name in _INDEX_FIELDS:
+            out.setdefault("indices", []).append(value)
+        elif f.name == "threshold":
+            out["threshold"] = _schedule_to_dict(value)
+        else:
+            out["weights"] = list(value)
     return out
 
 
@@ -329,22 +353,15 @@ def _kernel_from_dict(d: dict) -> Kernel:
     variant = d.get("variant")
     if variant not in _TAG_TO_KERNEL:
         raise UsageError(f"unknown kernel variant {variant!r}")
-    indices = d.get("indices", [])
-    if variant == "constant":
-        return Constant()
-    if variant == "linear":
-        if "weights" not in d:
-            raise UsageError("linear kernel requires a 'weights' list")
-        return Linear(tuple(d["weights"]))
-    if variant == "min_threshold":
-        return MinThreshold(int(indices[0]), _schedule_from_dict(d["threshold"]))
-    if variant == "positive_part":
-        return PositivePart(int(indices[0]), _schedule_from_dict(d["threshold"]))
-    if variant == "min_pair":
-        return MinPair(int(indices[0]), int(indices[1]))
-    return CappedResidual(
-        int(indices[0]), int(indices[1]), _schedule_from_dict(d["threshold"])
-    )
+    kind, args = _TAG_TO_KERNEL[variant], []
+    for f in fields(kind):
+        if f.name in _INDEX_FIELDS:
+            args.append(int(d.get("indices", [])[_INDEX_FIELDS.index(f.name)]))
+        elif f.name == "threshold":
+            args.append(_schedule_from_dict(d["threshold"]))
+        else:
+            args.append(tuple(d["weights"]))
+    return kind(*args)
 
 
 def model_to_dict(model: NetworkModel) -> dict:

@@ -28,6 +28,7 @@ from .model import (
     MIN_THRESHOLD,
     POSITIVE_PART,
     NetworkModel,
+    checked_grid,
     validate_model,
 )
 # bound under this name because perfbench/spans.py counts compiles through it
@@ -35,7 +36,7 @@ from .model import compile_segments as _compile_segments
 from .results import EnsembleStats
 
 _CHUNK = 64  # paths per accumulator chunk; fixed so merges are worker-independent
-_BUFFER = 4096  # uniform draws fetched per generator call
+_BUFFER = 512  # uniform draws per generator call; short paths convert them all
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,12 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.Philox(seq))
+
+
+def _uniforms(gen):
+    """Uniform draws from ``gen`` as Python floats, fetched ``_BUFFER`` at a time."""
+    while True:
+        yield from gen.random(_BUFFER).tolist()
 
 
 def _run_path(segments, x0, sample_times, gen) -> np.ndarray:
@@ -63,8 +70,7 @@ def _run_path(segments, x0, sample_times, gen) -> np.ndarray:
     n = len(sample_times)
     out = np.empty((n, d), dtype=np.int64)
     si = 0
-    buf = gen.random(_BUFFER)
-    bi = 0
+    draw = _uniforms(gen).__next__
     k_total = len(segments[0][2])
     rates = [0.0] * k_total
     for seg_start, seg_end, terms in segments:
@@ -107,11 +113,7 @@ def _run_path(segments, x0, sample_times, gen) -> np.ndarray:
             if total <= 0.0:
                 t_next = seg_end
             else:
-                if bi == _BUFFER:
-                    buf = gen.random(_BUFFER)
-                    bi = 0
-                t_next = t - math.log1p(-buf[bi]) / total
-                bi += 1
+                t_next = t - math.log1p(-draw()) / total
             if t_next >= seg_end:
                 while si < n and sample_times[si] < seg_end:
                     out[si] = x
@@ -122,11 +124,7 @@ def _run_path(segments, x0, sample_times, gen) -> np.ndarray:
                 si += 1
             if si == n:
                 return out
-            if bi == _BUFFER:
-                buf = gen.random(_BUFFER)
-                bi = 0
-            v = buf[bi] * total
-            bi += 1
+            v = draw() * total
             acc = 0.0
             jump = None
             for i in range(k_total):
@@ -146,26 +144,13 @@ def _run_path(segments, x0, sample_times, gen) -> np.ndarray:
     return out
 
 
-def _check_sample_times(model: NetworkModel, sample_times) -> np.ndarray:
-    times = np.asarray(sample_times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise UsageError("sample times must be a non-empty 1-D sequence")
-    if np.any(np.diff(times) < 0):
-        raise UsageError("sample times must be ascending")
-    if times[0] < 0 or times[-1] > model.horizon + 1e-9:
-        raise UsageError(
-            f"sample times must lie within [0, {model.horizon}]"
-        )
-    return times
-
-
 def simulate_path(model: NetworkModel, rng: RngStream, sample_times) -> np.ndarray:
     """Exact sample path of the model, recorded at ``sample_times``.
 
     Identical ``(seed, stream)`` pairs reproduce the identical path.
     """
     validate_model(model).raise_if_invalid()
-    times = _check_sample_times(model, sample_times)
+    times = checked_grid(model, sample_times)
     segments = _compile_segments(model)
     return _run_path(segments, model.initial_state, times, rng.generator())
 
@@ -219,7 +204,7 @@ def simulate_ensemble(
     if count < 1:
         raise UsageError(f"replication count must be >= 1, got {count}")
     validate_model(model).raise_if_invalid()
-    times = _check_sample_times(model, sample_times)
+    times = checked_grid(model, sample_times)
     chunks = [
         (model, seed, lo, min(lo + _CHUNK, count), times)
         for lo in range(0, count, _CHUNK)

@@ -44,11 +44,13 @@ from .closure import (  # noqa: F401
 from .errors import DivergenceError, UsageError
 from .model import (
     CONST,
+    GRID_TOL,
     LINEAR,
     MIN_PAIR,
     MIN_THRESHOLD,
     POSITIVE_PART,
     NetworkModel,
+    checked_grid,
     compile_segments,
     compile_terms,
     model_breakpoints,
@@ -58,14 +60,12 @@ from .results import MomentTrajectory
 
 METHODS = ("fluid", "adjusted", "measure-zero")
 
-_GRID_TOL = 1e-9
-
 
 @dataclass
 class SolverConfig:
     """Step size, method tag and output grid for one solve.
 
-    ``grid=None`` samples every whole time unit up to the horizon.
+    ``grid`` follows :func:`~qmoments.model.checked_grid`; ``None`` is every whole time unit.
     """
 
     dt: float = 0.01
@@ -75,24 +75,6 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise UsageError(f"dt must be positive and finite, got {self.dt}")
-        if self.grid is not None:
-            grid = self.grid = np.asarray(self.grid, dtype=float)
-            if grid.ndim != 1 or not grid.size:
-                raise UsageError("sample grid must be a non-empty 1-D sequence")
-            if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
-                raise UsageError("sample grid must be finite and strictly increasing")
-
-
-def _sample_grid(model: NetworkModel, cfg: SolverConfig) -> np.ndarray:
-    if cfg.grid is None:
-        return np.arange(0.0, model.horizon + _GRID_TOL, 1.0)
-    grid = cfg.grid
-    if grid[0] < -_GRID_TOL or grid[-1] > model.horizon + _GRID_TOL:
-        raise UsageError(
-            f"sample grid [{grid[0]}, {grid[-1]}] outside model horizon "
-            f"[0, {model.horizon}]"
-        )
-    return grid
 
 
 def _build_mesh(model: NetworkModel, cfg: SolverConfig, grid: np.ndarray):
@@ -107,7 +89,7 @@ def _build_mesh(model: NetworkModel, cfg: SolverConfig, grid: np.ndarray):
     anchors.sort()
     merged = [anchors[0]]
     for a in anchors[1:]:
-        if a - merged[-1] > _GRID_TOL:
+        if a - merged[-1] > GRID_TOL:
             merged.append(a)
     nodes = [merged[0]]
     for a, b in zip(merged[:-1], merged[1:]):
@@ -120,7 +102,7 @@ def _build_mesh(model: NetworkModel, cfg: SolverConfig, grid: np.ndarray):
     sample_of = np.full(len(nodes), -1, dtype=int)
     gi = 0
     for ni, t in enumerate(nodes):
-        if gi < len(grid) and abs(t - grid[gi]) <= _GRID_TOL:
+        if gi < len(grid) and abs(t - grid[gi]) <= GRID_TOL:
             sample_of[ni] = gi
             gi += 1
     if gi != len(grid):
@@ -131,7 +113,7 @@ def _build_mesh(model: NetworkModel, cfg: SolverConfig, grid: np.ndarray):
 def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
     """RK4 on the (mean, covariance) pair over the aligned mesh."""
     validate_model(model).raise_if_invalid()
-    grid = _sample_grid(model, cfg)
+    grid = checked_grid(model, cfg.grid)
     nodes, sample_of = _build_mesh(model, cfg, grid)
     d = model.dimension
     m = np.asarray(model.initial_state, dtype=float)

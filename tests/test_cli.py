@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import qmoments as qm
 from qmoments import UsageError, read_long_csv
 from qmoments.cli import (
+    METHOD_ORDER,
     ExperimentConfig,
     build_parser,
     diff_report,
@@ -390,6 +391,15 @@ def test_wrongly_typed_documents_exit_2(tmp_path, path, value):
     assert code == 2
 
 
+# sample grids that every method must reject with exit 2
+BAD_GRIDS = {
+    "nan": [6, float("nan")],
+    "repeat": [6, 6, 7],
+    "negative": [-1e-10, 1],
+    "near-repeat": [1, 1 + 1e-12],
+}
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -404,11 +414,17 @@ def test_wrongly_typed_documents_exit_2(tmp_path, path, value):
         ([], json.dumps({"dt": [0.1]})),
         ([], json.dumps(["fluid"])),
         ([], json.dumps({"grid": []})),
+        *[
+            (["--methods", m, "--reps", "2", "--caps", "130,60"], json.dumps({"grid": g}))
+            for g in BAD_GRIDS.values()
+            for m in METHOD_ORDER
+        ],
     ],
     ids=[
         "grid-nan", "grid-inf", "dt-nan", "dt-inf", "dt-tiny", "caps-text",
         "config-not-json", "config-reps-text", "config-dt-list", "config-not-object",
         "config-grid-empty",
+        *[f"config-grid-{name}-{m}" for name in BAD_GRIDS for m in METHOD_ORDER],
     ],
 )
 def test_bad_run_arguments_exit_2(tmp_path, argv, config):

@@ -14,7 +14,6 @@ from qmoments import (
     PositivePart,
     RateTerm,
     TimeSchedule,
-    UsageError,
 )
 
 from helpers import (
@@ -326,12 +325,9 @@ class TestDriftAssembly:
         params, horizon, _ = qm.retrial_preset(7)
         model = qm.build_retrial(params, horizon)
         p = point2(50.0, 10.0, 3.0, 3.0)
-        rule = 64
         expected = np.zeros(2)
         for tr in model.transitions:
-            expected += np.asarray(tr.jump) * qm.quad_expected_kernel(
-                tr.rate, 0.0, p, rule
-            )
+            expected += np.asarray(tr.jump) * qm.quad_expected_kernel(tr.rate, 0.0, p)
         np.testing.assert_allclose(
             qm.closed_drift(model, 0.0, p), expected, atol=1e-8
         )
@@ -388,35 +384,33 @@ class TestNoiseMatrix:
 
 
 class TestQuadrature:
-    def test_order_floor_enforced(self):
-        p = point2(0.0, 0.0, 1.0, 1.0)
-        with pytest.raises(UsageError):
-            qm.quad_expected_kernel(
-                term(MinPair(0, 1)), 0.0, p, 8
-            )
-
     def test_constant_kernel_exact(self):
         p = point2(1.0, 1.0, 5.0, 5.0)
-        rule = 32
-        value = qm.quad_expected_kernel(term(qm.Constant(), coeff=7.5), 0.0, p, rule)
+        value = qm.quad_expected_kernel(term(qm.Constant(), coeff=7.5), 0.0, p)
         assert value == 7.5
 
     def test_min_threshold_oracle_value(self):
         p = point2(0.0, 0.0, 1.0, 1.0)
-        rule = 64
         value = qm.quad_expected_kernel(
-            term(MinThreshold(0, TimeSchedule.constant(0.0))), 0.0, p, rule
+            term(MinThreshold(0, TimeSchedule.constant(0.0))), 0.0, p
         )
         assert value == pytest.approx(-0.3989422804014327, abs=1e-8)
 
     def test_closed_forms_match_quadrature_across_scales(self):
         rng = np.random.default_rng(43)
-        rule = 64
+        cases = []
         for _ in range(200):
             p = random_moment_point(rng, 2, sigma_lo=1e-3, sigma_hi=100.0)
             n = TimeSchedule.constant(rng.uniform(-20, 120))
-            for kernel in (MinThreshold(0, n), PositivePart(0, n), MinPair(0, 1)):
-                t = term(kernel)
-                closed = qm.expected_kernel(t, 0.0, p)
-                quad = qm.quad_expected_kernel(t, 0.0, p, rule)
-                assert abs(closed - quad) < 1e-8
+            cases += [(p, MinThreshold(0, n)), (p, PositivePart(0, n)), (p, MinPair(0, 1))]
+        # far tails: no kink falls inside the panels, so one panel spans the weight
+        far = point2(5.0, 0.0, 1.0, 1.0)
+        cases += [
+            (far, MinThreshold(0, TimeSchedule.constant(100.0))),
+            (far, PositivePart(0, TimeSchedule.constant(-100.0))),
+        ]
+        for p, kernel in cases:
+            t = term(kernel)
+            closed = qm.expected_kernel(t, 0.0, p)
+            quad = qm.quad_expected_kernel(t, 0.0, p)
+            assert abs(closed - quad) < 1e-8

@@ -170,7 +170,8 @@ def test_generator_entries_equal_pointwise_rates():
 
 
 def test_empty_grid_rejected():
-    for grid in ([], [[1.0, 2.0]]):
+    for grid in ([], [[1.0, 2.0]], [6.0, float("nan")], [6.0, 6.0, 7.0], [-1e-10, 1.0],
+                 [1.0, 1.0 + 1e-12]):
         with pytest.raises(UsageError):
             qm.exact_transient_moments(tiny_retrial(), (12, 12), grid)
 

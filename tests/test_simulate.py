@@ -100,3 +100,8 @@ def test_sample_times_validated():
         qm.simulate_path(mminf(), RngStream(1, 0), [2.0, 1.0])
     with pytest.raises(UsageError):
         qm.simulate_path(mminf(horizon=2.0), RngStream(1, 0), [3.0])
+    for grid in ([6.0, float("nan")], [6.0, 6.0, 7.0], [-1e-10, 1.0], [1.0, 1.0 + 1e-12]):
+        with pytest.raises(UsageError):
+            qm.simulate_path(mminf(horizon=10.0), RngStream(1, 0), grid)
+        with pytest.raises(UsageError):
+            qm.simulate_ensemble(mminf(horizon=10.0), 2, 1, grid)

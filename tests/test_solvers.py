@@ -378,7 +378,14 @@ class TestStepping:
         with pytest.raises(UsageError):
             qm.solve_fluid(mminf(horizon=2.0), SolverConfig(grid=np.array([3.0])))
 
-    @pytest.mark.parametrize("grid", [[], [[1.0, 2.0]]], ids=["empty", "2-d"])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [], [[1.0, 2.0]], [6.0, float("nan")], [6.0, 6.0, 7.0], [-1e-10, 1.0],
+            [1.0, 1.0 + 1e-12],
+        ],
+        ids=["empty", "2-d", "nan", "repeat", "negative", "near-repeat"],
+    )
     def test_empty_or_2d_grid_rejected(self, grid):
         with pytest.raises(UsageError):
-            qm.solve_fluid(mminf(), SolverConfig(grid=grid))
+            qm.solve_fluid(mminf(horizon=10.0), SolverConfig(grid=grid))
