@@ -10,14 +10,10 @@ systems, and a CSV-producing command-line interface.
 
 from .closure import (
     MomentPoint,
-    closed_drift,
-    closed_drift_jacobian,
     expected_kernel,
     expected_kernel_grad_mean,
-    noise_matrix,
     normal_cdf,
     normal_pdf,
-    quad_expected_kernel,
 )
 from .errors import DivergenceError, NumericalError, UsageError
 from .kolmogorov import exact_transient_moments, state_distributions
@@ -32,8 +28,6 @@ from .model import (
     RateTerm,
     Transition,
     ValidationReport,
-    eval_rate,
-    kernel_value,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -52,7 +46,10 @@ from .schedule import TimeSchedule, merge_schedules
 from .simulate import RngStream, simulate_ensemble, simulate_path
 from .solvers import (
     SolverConfig,
+    closed_drift,
+    closed_drift_jacobian,
     drift,
+    noise_matrix,
     pointwise_drift_jacobian,
     pointwise_noise_matrix,
     solve,
@@ -103,11 +100,9 @@ __all__ = [
     "closed_drift",
     "closed_drift_jacobian",
     "drift",
-    "eval_rate",
     "exact_transient_moments",
     "expected_kernel",
     "expected_kernel_grad_mean",
-    "kernel_value",
     "load_model",
     "merge_schedules",
     "model_from_dict",
@@ -117,7 +112,6 @@ __all__ = [
     "normal_pdf",
     "pointwise_drift_jacobian",
     "pointwise_noise_matrix",
-    "quad_expected_kernel",
     "read_long_csv",
     "reference_peer_params",
     "reference_priority_params",

@@ -36,6 +36,7 @@ from .systems import build_retrial, retrial_preset
 
 METHOD_ORDER = ("fluid", "adjusted", "measure-zero", "simulate", "exact")
 WORKERS_ENV = "QMOMENTS_WORKERS"
+GRID_LIMIT = 1_000_000  # sample times from --grid; each writes rows to every method's CSV
 
 COMBINED_CSV = "combined.csv"
 MANIFEST = "run.json"
@@ -65,8 +66,13 @@ def _parse_grid(text: str) -> np.ndarray:
         raise UsageError(f"--grid expects t0:t1:step, got {text!r}") from exc
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise UsageError(f"--grid range is empty, inverted or not finite: {text!r}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    count = math.floor((stop - start) / step + 1e-9) + 1
+    if count > GRID_LIMIT:
+        raise UsageError(f"--grid {text!r} has {count} sample times, limit is {GRID_LIMIT}")
+    try:
+        return start + step * np.arange(count)
+    except MemoryError as exc:
+        raise UsageError(f"--grid {text!r} does not fit in memory") from exc
 
 
 def _default_workers() -> int:
@@ -297,7 +303,12 @@ def _cmd_report(args) -> int:
     manifest_path = os.path.join(run_dir, MANIFEST)
     if os.path.exists(manifest_path):
         with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            try:
+                manifest = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+                raise UsageError(f"{manifest_path} is not valid JSON: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise UsageError(f"{manifest_path} must hold a JSON object")
         experiment = str(manifest.get("preset") or manifest.get("model") or "")
     results = {r.method: r for r in read_long_csv(combined)}
     report = diff_report(results, experiment=experiment)

@@ -5,50 +5,27 @@ expectation under a Gaussian surrogate ``X ~ N(mean, cov)`` smooths out the
 min/positive-part kinks, which is what lets the mean and covariance ODEs
 close on themselves.  This module provides
 
-* ``closed_rate(term, p)``      expected rate and mean-gradient of one
-                                compiled term (:func:`~qmoments.model.compile_term`)
-* ``closed_terms(terms, p, d)`` the next three from one pass over compiled terms
+* ``closed_rate(term, p)``      expected rate and mean-gradient of one compiled
+                                term, the adjusted method's rate rule
+                                (:func:`qmoments.solvers.moment_terms`)
 * ``expected_kernel``           E[coefficient(t) * kernel(X)]
 * ``expected_kernel_grad_mean`` its gradient with respect to the mean
-* ``closed_drift``              jump-weighted sum of expected rates
-* ``closed_drift_jacobian``     gradient matrix of the closed drift
-* ``noise_matrix``              d x k matrix with columns jump * sqrt(rate)
-* ``quad_expected_kernel``      an independent numerical-integration path
 
-The closed path dispatches on the compiled kernel code; only the quadrature
-oracle dispatches on kernel types.  Only the one- or two-dimensional marginal
-blocks of the covariance that a kernel actually reads enter the formulas, so
-full-covariance dependence stays localized per kernel.
+The closed path dispatches on the compiled kernel code.  Only the one- or
+two-dimensional marginal blocks of the covariance that a kernel actually reads
+enter the formulas, so full-covariance dependence stays localized per kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr, owens_t
+from scipy.special import owens_t
 
 from .errors import NumericalError, UsageError
-from .model import (
-    CAPPED,
-    CONST,
-    LINEAR,
-    MIN_PAIR,
-    MIN_THRESHOLD,
-    CappedResidual,
-    Constant,
-    Linear,
-    MinPair,
-    MinThreshold,
-    NetworkModel,
-    PositivePart,
-    RateTerm,
-    compile_term,
-    compile_terms,
-    kernel_value,
-)
+from .model import CAPPED, CONST, LINEAR, MIN_PAIR, MIN_THRESHOLD, RateTerm, compile_term
 
 # Below this marginal standard deviation the closed forms degenerate to the
 # pointwise kernel at the mean (the expressions divide by sigma inside the
@@ -207,62 +184,37 @@ def _capped_residual(p: MomentPoint, j: int, k: int, n: float) -> tuple[float, f
 
 
 def closed_rate(term: tuple, p: MomentPoint) -> tuple[float, tuple]:
-    """Expected rate ``E[coeff * kernel(X)]`` of one compiled term and its
-    mean-gradient, as ``(index, coeff * entry)`` pairs for the entries the
-    kernel reads.
+    """Expected rate ``E[coeff * kernel(X)]`` of one compiled term and the
+    mean-gradient of the expected kernel, as ``(index, entry)`` pairs without
+    the coefficient, for the entries the kernel reads.
 
     Threshold expectations can come out negative because the Gaussian
     surrogate has mass below zero; the raw value is returned on purpose (the
-    drift must keep the exact-mean identity) and only the noise matrix clamps
-    at zero inside the square root.
+    drift must keep the exact-mean identity) and only the diffusion term
+    clamps it at zero.
     """
     code, coeff, j, k, n, weights, _ = term
     if code == CONST:
         return coeff, ()
     if code == LINEAR:
-        grad = tuple((b, coeff * w) for b, w in enumerate(weights))
-        return coeff * float(np.dot(weights, p.mean)), grad
+        return coeff * float(np.dot(weights, p.mean)), tuple(enumerate(weights))
     if code == MIN_PAIR:
         mj, mk = float(p.mean[j]), float(p.mean[k])
         theta = _pair_spread(p, j, k)
         if theta < SIGMA_FLOOR:
-            return coeff * min(mj, mk), ((j if mj <= mk else k, coeff),)
+            return coeff * min(mj, mk), ((j if mj <= mk else k, 1.0),)
         u = (mk - mj) / theta
         value = mj * normal_cdf(u) + mk * normal_cdf(-u) - theta * normal_pdf(u)
-        return coeff * value, ((j, coeff * normal_cdf(u)), (k, coeff * normal_cdf(-u)))
+        return coeff * value, ((j, normal_cdf(u)), (k, normal_cdf(-u)))
     if code == CAPPED:
         value, d_own, d_other = _capped_residual(p, j, k, n)
-        return coeff * value, ((j, coeff * d_own), (k, coeff * d_other))
+        return coeff * value, ((j, d_own), (k, d_other))
     # min(x_j, n) or (x_j - n)^+
     m, s = float(p.mean[j]), p.marginal_std(j)
     below = (1.0 if m <= n else 0.0) if s < SIGMA_FLOOR else normal_cdf((n - m) / s)
     if code == MIN_THRESHOLD:
-        return coeff * _min_threshold_expectation(m, s, n), ((j, coeff * below),)
-    return coeff * _positive_part_expectation(m, s, n), ((j, coeff * (1.0 - below)),)
-
-
-def closed_terms(terms, p: MomentPoint, d: int) -> tuple[np.ndarray, ...]:
-    """Closed drift, its Jacobian and the noise matrix of compiled ``terms``.
-
-    One :func:`closed_rate` per transition, in model order: drift entry ``a``
-    adds ``jump_a * rate``, Jacobian entry ``(a, b)`` adds
-    ``jump_a * (coeff * grad_b)``, and noise column ``i`` is
-    ``jump * sqrt(rate_i)`` where that rate is positive, else zero.
-    """
-    drift = [0.0] * d
-    jac = [[0.0] * d for _ in range(d)]
-    noise = [[0.0] * len(terms) for _ in range(d)]
-    for i, term in enumerate(terms):
-        rate, grad = closed_rate(term, p)
-        root = math.sqrt(rate) if rate > 0.0 else 0.0
-        for a, jump_a in enumerate(term[6]):
-            if jump_a:
-                drift[a] += jump_a * rate
-                row = jac[a]
-                for b, g in grad:
-                    row[b] += jump_a * g
-                noise[a][i] = jump_a * root
-    return np.array(drift), np.array(jac), np.array(noise)
+        return coeff * _min_threshold_expectation(m, s, n), ((j, below),)
+    return coeff * _positive_part_expectation(m, s, n), ((j, 1.0 - below),)
 
 
 def expected_kernel(term: RateTerm, t: float, p: MomentPoint) -> float:
@@ -272,145 +224,8 @@ def expected_kernel(term: RateTerm, t: float, p: MomentPoint) -> float:
 
 def expected_kernel_grad_mean(term: RateTerm, t: float, p: MomentPoint) -> np.ndarray:
     """Gradient of ``expected_kernel`` with respect to the mean vector."""
+    compiled = compile_term(term, (), t)
     grad = np.zeros(p.mean.shape[0])
-    for b, g in closed_rate(compile_term(term, (), t), p)[1]:
-        grad[b] = g
+    for b, g in closed_rate(compiled, p)[1]:
+        grad[b] = compiled[1] * g
     return grad
-
-
-def closed_drift(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
-    """Jump-weighted sum of Gaussian-closed rates."""
-    return closed_terms(compile_terms(model, t), p, model.dimension)[0]
-
-
-def closed_drift_jacobian(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
-    """Gradient matrix of the closed drift with respect to the mean."""
-    return closed_terms(compile_terms(model, t), p, model.dimension)[1]
-
-
-def noise_matrix(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
-    """d x k matrix whose i-th column is ``jump_i * sqrt(max(rate_i, 0))``."""
-    return closed_terms(compile_terms(model, t), p, model.dimension)[2]
-
-
-# --------------------------------------------------------------------------
-# Quadrature path.
-#
-# A plain fixed Gauss-Hermite rule converges only algebraically on the kinked
-# kernels (the integrand is C^0), which is far too slow to serve as an oracle
-# for the closed forms.  The kink location is always known, so the
-# one-dimensional kernels are integrated on Legendre panels split at the
-# kink inside the +/- 8 sigma support, where each piece is analytic and the
-# panel rule converges to near machine precision.  A linear kernel is the
-# one-dimensional Gaussian w . X, and the pair minimum reduces exactly to the
-# one-dimensional problem through min(x, y) = (x + y - |x - y|) / 2.  The capped residual is integrated over
-# X_other on such panels, with the inner expectation over X_index given
-# X_other taken in closed form; besides the kink at the threshold, the
-# panels split where the conditional mean of X_index crosses the residual,
-# since the integrand bends within a conditional standard deviation of it.
-
-_PANEL_HALF_WIDTH = 8.5  # exp(-t^2) < 1e-31 beyond this in standardized units
-_QUAD_ORDER = 64  # Legendre nodes per panel; 32 is off by 2e-6 on one unsplit panel
-
-
-@lru_cache(maxsize=1)
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(_QUAD_ORDER)
-
-
-def _panel_integral(g, kinks: list[float]) -> float:
-    """Integrate exp(-t^2) * g(t) / sqrt(pi) with panels split at the kinks."""
-    nodes, weights = _legendre_rule()
-    points = [-_PANEL_HALF_WIDTH, _PANEL_HALF_WIDTH]
-    points.extend(k for k in kinks if -_PANEL_HALF_WIDTH < k < _PANEL_HALF_WIDTH)
-    points.sort()
-    total = 0.0
-    for a, b in zip(points[:-1], points[1:]):
-        t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        total += 0.5 * (b - a) * float(np.sum(weights * np.exp(-t * t) * g(t)))
-    return total / math.sqrt(math.pi)
-
-
-def _quad_capped_residual(kernel: CappedResidual, t: float, p: MomentPoint) -> float:
-    j, k = kernel.index, kernel.other
-    n = kernel.threshold.value_at(t)
-    mj, mk = float(p.mean[j]), float(p.mean[k])
-    sk = p.marginal_std(k)
-    slope = float(p.cov[j, k]) / (sk * sk) if sk >= 1e-12 else 0.0
-    sc = math.sqrt(max(float(p.cov[j, j]) - slope * float(p.cov[j, k]), 0.0))
-
-    def inner(u):
-        y = mk + _SQRT2 * sk * u
-        residual = np.maximum(n - y, 0.0)
-        mc = mj + slope * (y - mk)
-        if sc < 1e-12:
-            return np.minimum(mc, residual)
-        z = (residual - mc) / sc
-        pdf = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
-        return (mc - residual) * ndtr(z) + residual - sc * pdf
-
-    if sk < 1e-12:  # X_other is deterministic
-        return float(inner(np.zeros(1))[0])
-    # standardized outer points: the threshold, and where the conditional
-    # mean mj + slope (y - mk) meets n - y (below it) or 0 (above it)
-    kinks = [(n - mk) / (_SQRT2 * sk)]
-    for level, gain in ((n - mj, 1.0 + slope), (-mj, slope)):
-        if gain != 0.0:
-            centre = (level + slope * mk) / gain
-            width = sc / abs(gain)
-            kinks += [(centre + w * width - mk) / (_SQRT2 * sk) for w in (-8, -2, 0, 2, 8)]
-    return _panel_integral(inner, kinks)
-
-
-def quad_expected_kernel(term: RateTerm, t: float, p: MomentPoint) -> float:
-    """Numerical-integration estimate of ``expected_kernel``.
-
-    Serves as the independent cross-check of the closed forms.  Uses the 1- or
-    2-D marginal the kernel touches (for a linear kernel, the 1-D law of
-    ``w . X``), with a fixed 64 Legendre nodes per panel.  It agrees with the
-    closed forms to better than 1e-8 absolute whenever sigma >= 1e-3
-    (acceptance criterion 01), also in the far tail, where no kink splits the
-    panel.  For the capped residual the measured agreement with the closed
-    form is 6e-12 over standard deviations 1e-3 to 100 and |correlation| up to
-    0.99999; with 32 nodes it is only 2e-4.
-    """
-    coeff = term.coefficient.value_at(t)
-    kernel = term.kernel
-    if isinstance(kernel, Constant):
-        return coeff
-    if isinstance(kernel, Linear):
-        w = np.asarray(kernel.weights)
-        m, s = float(w @ p.mean), math.sqrt(max(float(w @ p.cov @ w), 0.0))
-        # no kink; splitting at the mean resolves the weight to 4e-15 by 32 nodes
-        value = _panel_integral(lambda u: m + _SQRT2 * s * u, [0.0])
-    elif isinstance(kernel, (MinThreshold, PositivePart)):
-        m, s = float(p.mean[kernel.index]), p.marginal_std(kernel.index)
-        n = kernel.threshold.value_at(t)
-        if s < 1e-12:
-            value = kernel_value(kernel, t, p.mean)
-        else:
-            kink = (n - m) / (_SQRT2 * s)
-            if isinstance(kernel, MinThreshold):
-                g = lambda u: np.minimum(m + _SQRT2 * s * u, n)  # noqa: E731
-            else:
-                g = lambda u: np.maximum(m + _SQRT2 * s * u - n, 0.0)  # noqa: E731
-            value = _panel_integral(g, [kink])
-    elif isinstance(kernel, MinPair):
-        j, k = kernel.index, kernel.other
-        mj, mk = float(p.mean[j]), float(p.mean[k])
-        theta = _pair_spread(p, j, k)
-        if theta < 1e-12:
-            value = min(mj, mk)
-        else:
-            mu = mj - mk
-            kink = -mu / (_SQRT2 * theta)
-            eabs = _panel_integral(lambda u: np.abs(mu + _SQRT2 * theta * u), [kink])
-            value = 0.5 * (mj + mk - eabs)
-    elif isinstance(kernel, CappedResidual):
-        value = _quad_capped_residual(kernel, t, p)
-    else:
-        raise UsageError(f"unknown kernel type {type(kernel).__name__}")
-    result = coeff * value
-    if not math.isfinite(result):
-        raise NumericalError(f"quadrature produced non-finite value {result}")
-    return result

@@ -120,7 +120,7 @@ def state_distributions(model: NetworkModel, caps, grid):
     if caps.shape != (model.dimension,) or np.any(caps < 0):
         raise UsageError("need one nonnegative cap per state dimension")
     shape = caps + 1
-    size = int(np.prod(shape))
+    size = int(np.prod(caps.astype(object) + 1))  # in Python ints, which cannot wrap
     if size > STATE_LIMIT:
         raise UsageError(
             f"truncated state space has {size} states, limit is {STATE_LIMIT}"

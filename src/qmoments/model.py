@@ -4,8 +4,8 @@ A :class:`NetworkModel` is a d-dimensional counting process: the state jumps
 by an integer vector whenever one of k competing transitions fires, and each
 transition fires at rate ``coefficient(t) * kernel(x)``.  The kernel taxonomy
 is closed on purpose: every member is built from min/max/affine pieces, so
-rates are Lipschitz in the state by construction and each kernel admits
-either a closed-form Gaussian expectation or a quadrature fallback.
+rates are Lipschitz in the state by construction and each kernel admits a
+closed-form Gaussian expectation.
 """
 
 from __future__ import annotations
@@ -92,28 +92,6 @@ CONST, LINEAR, MIN_THRESHOLD, POSITIVE_PART, MIN_PAIR, CAPPED = range(6)
 _KERNEL_CODES = {kind: code for code, kind in enumerate(KERNEL_TAGS)}
 
 
-def kernel_value(kernel: Kernel, t: float, x) -> float:
-    """Pointwise kernel evaluation at a real-valued state.
-
-    States are allowed to be real (not just integer) so that the same
-    evaluator serves the stochastic simulator and the deterministic solvers.
-    """
-    if isinstance(kernel, Constant):
-        return 1.0
-    if isinstance(kernel, Linear):
-        return float(sum(w * float(x[i]) for i, w in enumerate(kernel.weights)))
-    if isinstance(kernel, MinThreshold):
-        return min(float(x[kernel.index]), kernel.threshold.value_at(t))
-    if isinstance(kernel, PositivePart):
-        return max(float(x[kernel.index]) - kernel.threshold.value_at(t), 0.0)
-    if isinstance(kernel, MinPair):
-        return min(float(x[kernel.index]), float(x[kernel.other]))
-    if isinstance(kernel, CappedResidual):
-        residual = max(kernel.threshold.value_at(t) - float(x[kernel.other]), 0.0)
-        return min(float(x[kernel.index]), residual)
-    raise UsageError(f"unknown kernel type {type(kernel).__name__}")
-
-
 # --------------------------------------------------------------------------
 # Transitions and the network model
 
@@ -161,21 +139,11 @@ class NetworkModel:
         return len(self.transitions)
 
 
-def eval_rate(model: NetworkModel, i: int, t: float, x) -> float:
-    """Rate of transition ``i`` at time ``t`` and state ``x``."""
-    if not 0 <= i < model.num_transitions:
-        raise UsageError(
-            f"transition index {i} out of range [0, {model.num_transitions})"
-        )
-    term = model.transitions[i].rate
-    return term.coefficient.value_at(t) * kernel_value(term.kernel, t, x)
-
-
 def compile_term(rate: RateTerm, jump: tuple[int, ...], t: float) -> tuple:
     """One rate frozen at time ``t`` into plain values,
     ``(code, coeff, index, other, threshold, weights, jump)``; fields a kernel
-    does not have read 0, 0.0 or None.  Every evaluator but the type-dispatched
-    references looks its schedules up here."""
+    does not have read 0, 0.0 or None.  Every evaluator in the package looks
+    its schedules up here."""
     kernel = rate.kernel
     code = _KERNEL_CODES.get(type(kernel))
     if code is None:

@@ -115,49 +115,53 @@ def write_long_csv(results: list[Result], path) -> None:
 
 
 def read_long_csv(path) -> list[Result]:
-    """Inverse of :func:`write_long_csv` (up to trajectory warnings)."""
-    per_method: dict[str, dict] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise UsageError(f"unexpected CSV header {header}")
-        for t_str, method, stat, value, count in reader:
-            entry = per_method.setdefault(
-                method, {"cells": {}, "count": None, "order": []}
-            )
-            t = float(t_str)
-            if not entry["order"] or entry["order"][-1] != t:
-                entry["order"].append(t)
-            entry["cells"][(t, stat)] = float(value)
-            if count:
-                entry["count"] = int(count)
+    """Inverse of :func:`write_long_csv` (up to trajectory warnings); a file
+    not in that format raises :class:`UsageError`."""
+    try:
+        per_method: dict[str, dict] = {}
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise UsageError(f"unexpected CSV header {header}")
+            for t_str, method, stat, value, count in reader:
+                entry = per_method.setdefault(
+                    method, {"cells": {}, "count": None, "order": []}
+                )
+                t = float(t_str)
+                if not entry["order"] or entry["order"][-1] != t:
+                    entry["order"].append(t)
+                entry["cells"][(t, stat)] = float(value)
+                if count:
+                    entry["count"] = int(count)
 
-    results: list[Result] = []
-    for method, entry in per_method.items():
-        times = np.array(entry["order"])
-        stats = {stat for (_, stat) in entry["cells"]}
-        d = sum(1 for s in stats if s.startswith("mean_"))
-        means = np.array(
-            [[entry["cells"][(t, f"mean_{i}")] for i in range(d)] for t in times]
-        )
-        has_cov = any(s.startswith("cov_") for s in stats)
-        covs = None
-        if has_cov:
-            covs = np.zeros((len(times), d, d))
-            for idx, t in enumerate(times):
-                for i in range(d):
-                    for j in range(i, d):
-                        v = entry["cells"][(t, f"cov_{i}{j}")]
-                        covs[idx, i, j] = v
-                        covs[idx, j, i] = v
-        if entry["count"] is not None:
-            results.append(EnsembleStats(times, means, covs, entry["count"], method))
-        else:
-            if covs is None:
+        results: list[Result] = []
+        for method, entry in per_method.items():
+            times = np.array(entry["order"])
+            stats = {stat for (_, stat) in entry["cells"]}
+            d = sum(1 for s in stats if s.startswith("mean_"))
+            means = np.array(
+                [[entry["cells"][(t, f"mean_{i}")] for i in range(d)] for t in times]
+            )
+            has_cov = any(s.startswith("cov_") for s in stats)
+            covs = None
+            if has_cov:
                 covs = np.zeros((len(times), d, d))
-            results.append(MomentTrajectory(method, times, means, covs))
-    return results
+                for idx, t in enumerate(times):
+                    for i in range(d):
+                        for j in range(i, d):
+                            v = entry["cells"][(t, f"cov_{i}{j}")]
+                            covs[idx, i, j] = v
+                            covs[idx, j, i] = v
+            if entry["count"] is not None:
+                results.append(EnsembleStats(times, means, covs, entry["count"], method))
+            else:
+                if covs is None:
+                    covs = np.zeros((len(times), d, d))
+                results.append(MomentTrajectory(method, times, means, covs))
+        return results
+    except (ValueError, KeyError, csv.Error) as exc:  # a short row, a bad number, a missing cell
+        raise UsageError(f"malformed results CSV {path}: {exc!r}") from exc
 
 
 def results_equal(a: Result, b: Result) -> bool:

@@ -3,18 +3,19 @@
 Three methods share one fixed-step Runge-Kutta engine:
 
 * ``solve_fluid``        integrates the pointwise drift; covariance is zero.
-* ``solve_adjusted``     closes drift, Jacobian and noise on the running
+* ``solve_adjusted``     closes drift, Jacobian and diffusion on the running
                          Gaussian surrogate and integrates mean and
                          covariance simultaneously.
 * ``solve_measure_zero`` keeps the pointwise drift for the mean and
                          propagates the covariance with one-sided derivatives
                          of the kinked rates evaluated on the fluid path.
 
+Both covariance methods integrate ``dC/dt = A C + C A' + sum_i rate_i^+ J_i J_i'``
+(the diffusion term of Mandelbaum, Massey & Reiman 1998) with drift, ``A`` and
+the diffusion from one pass, :func:`moment_terms`; only the rate rule differs.
 Every method compiles the model's plan once per solve (shared with the
 simulator, :func:`~qmoments.model.compile_segments`) and finds each
-Runge-Kutta stage's segment by bisection; the stage forms drift, Jacobian and
-noise in one pass over the segment's terms (:func:`pointwise_terms`, or
-:func:`~qmoments.closure.closed_terms` for the adjusted method).
+Runge-Kutta stage's segment by bisection.
 
 Steps never straddle a schedule breakpoint.  Because time enters the rate
 functions only through piecewise-constant schedules, freezing the schedule
@@ -32,15 +33,7 @@ from operator import mul
 
 import numpy as np
 
-# closed_drift, closed_drift_jacobian and noise_matrix stay bound here because
-# perfbench/spans.py instruments the solver layer through these names.
-from .closure import (  # noqa: F401
-    MomentPoint,
-    closed_drift,
-    closed_drift_jacobian,
-    closed_terms,
-    noise_matrix,
-)
+from .closure import MomentPoint, closed_rate
 from .errors import DivergenceError, UsageError
 from .model import (
     CONST,
@@ -156,15 +149,35 @@ def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
     return MomentTrajectory(method, grid.copy(), means, covs, warnings)
 
 
+def _plan_at(model: NetworkModel):
+    """``plan(t)``: the compiled terms of the plan segment holding ``t``.
+    Steps never straddle a breakpoint, so a step's midpoint finds its segment.
+    """
+    segments = compile_segments(model)
+    starts = [seg[0] for seg in segments]
+    return lambda t: segments[bisect_right(starts, t) - 1][2]
+
+
 def solve_fluid(model: NetworkModel, cfg: SolverConfig | None = None) -> MomentTrajectory:
     """Deterministic large-population limit; covariance reported as zero."""
     cfg = cfg or SolverConfig(method="fluid")
-    at = _pointwise_at(model, moments=False)
+    plan, d = _plan_at(model), model.dimension
 
     def rhs(t, m, c):
-        return at(t, m)[0], c  # c is still the zero start, so it is its own rate
+        return _drift_terms(plan(t), m.tolist(), d), c  # c is the zero start, its own rate
 
     return _solve_moments(model, cfg, rhs, "fluid")
+
+
+def _solve_covariance(model: NetworkModel, cfg: SolverConfig, rate, state, method: str):
+    """``dC/dt = A C + C A' + Q``, all from :func:`moment_terms` at ``state(m, c)``."""
+    plan, d = _plan_at(model), model.dimension
+
+    def rhs(t, m, c):
+        drift_m, a, q = moment_terms(rate, plan(t), state(m, c), d)
+        return drift_m, a @ c + c @ a.T + q
+
+    return _solve_moments(model, cfg, rhs, method)
 
 
 def solve_adjusted(
@@ -172,20 +185,13 @@ def solve_adjusted(
 ) -> MomentTrajectory:
     """Gaussian-closed mean and covariance, integrated simultaneously.
 
-    The drift, its Jacobian and the noise matrix are re-closed on the running
-    (mean, covariance) pair at every Runge-Kutta stage, from one closed-rate
-    evaluation per transition; the covariance obeys
-    ``dC/dt = A C + C A' + B B'`` and is symmetrized after each step.
+    The drift, its Jacobian and the diffusion term are re-closed on the
+    running (mean, covariance) pair at every Runge-Kutta stage, from one
+    :func:`~qmoments.closure.closed_rate` per transition; the covariance obeys
+    ``dC/dt = A C + C A' + Q`` and is symmetrized after each step.
     """
     cfg = cfg or SolverConfig(method="adjusted")
-    plan, d = _plan_at(model), model.dimension
-
-    def rhs(t, m, c):
-        drift_m, a, b = closed_terms(plan(t), MomentPoint(m, c), d)
-        dc = a @ c + c @ a.T + b @ b.T
-        return drift_m, dc
-
-    return _solve_moments(model, cfg, rhs, "adjusted")
+    return _solve_covariance(model, cfg, closed_rate, MomentPoint, "adjusted")
 
 
 def solve_measure_zero(
@@ -195,18 +201,11 @@ def solve_measure_zero(
 
     The rate kinks are ignored on the grounds that the fluid path spends
     measure-zero time on them: the Jacobian uses fixed one-sided derivatives
-    (the convention is stated above :func:`pointwise_terms`) evaluated at the fluid
-    state, and the noise matrix uses the pointwise rates there.
+    (the convention is stated above :func:`pointwise_rate`) evaluated at the
+    fluid state, and the diffusion term uses the pointwise rates there.
     """
     cfg = cfg or SolverConfig(method="measure-zero")
-    at = _pointwise_at(model, moments=True)
-
-    def rhs(t, m, c):
-        drift_m, a, b = at(t, m)
-        dc = a @ c + c @ a.T + b @ b.T
-        return drift_m, dc
-
-    return _solve_moments(model, cfg, rhs, "measure-zero")
+    return _solve_covariance(model, cfg, pointwise_rate, lambda m, c: m.tolist(), "measure-zero")
 
 
 def solve(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
@@ -235,82 +234,111 @@ def solve(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
 # fixed convention is admissible; this one is deterministic and documented.
 
 
-def _plan_at(model: NetworkModel):
-    """``plan(t)``: the compiled terms of the plan segment holding ``t``.
-    Steps never straddle a breakpoint, so a step's midpoint finds its segment.
+def pointwise_rate(term: tuple, xs: list) -> tuple[float, tuple]:
+    """Rate of one compiled term at the state ``xs`` (a list of floats) and
+    its one-sided kernel gradient, as ``(index, entry)`` pairs without the
+    coefficient, for the entries the kernel reads."""
+    code, coeff, j, k, thr, weights, _ = term
+    # min(u, v) is spelled `v if v < u else u` and max(u, v) `v if v > u
+    # else u`, which is how the builtins resolve ties and NaN
+    if code == CONST:
+        return coeff, ()
+    if code == LINEAR:
+        return coeff * sum(map(mul, weights, xs)), tuple(enumerate(weights))
+    if code == MIN_THRESHOLD:
+        xj = xs[j]
+        return coeff * (thr if thr < xj else xj), ((j, 1.0),) if xj <= thr else ()
+    if code == POSITIVE_PART:
+        over = xs[j] - thr
+        return coeff * (0.0 if 0.0 > over else over), ((j, 1.0),) if xs[j] > thr else ()
+    if code == MIN_PAIR:
+        xj, xk = xs[j], xs[k]
+        return coeff * (xk if xk < xj else xj), ((j, 1.0),) if xj <= xk else ((k, 1.0),)
+    xj, residual = xs[j], thr - xs[k]  # capped residual
+    cap = 0.0 if 0.0 > residual else residual
+    grad = ((j, 1.0),) if xj <= cap else ((k, -1.0),) if residual > 0.0 else ()
+    return coeff * (cap if cap < xj else xj), grad
+
+
+def moment_terms(rate, terms, state, d: int) -> tuple[np.ndarray, ...]:
+    """Drift, Jacobian and diffusion of compiled ``terms`` at ``state``.
+
+    ``rate(term, state)`` is :func:`pointwise_rate` or
+    :func:`~qmoments.closure.closed_rate`.  One pass over the transitions, in
+    model order: drift entry ``a`` adds ``jump_a * rate``, Jacobian entry
+    ``(a, b)`` adds ``coeff * (jump_a * grad_b)`` and diffusion entry ``(a, b)``
+    adds ``(jump_a * jump_b) * rate`` where the rate is positive.
     """
-    segments = compile_segments(model)
-    starts = [seg[0] for seg in segments]
-    return lambda t: segments[bisect_right(starts, t) - 1][2]
-
-
-def _pointwise_at(model: NetworkModel, moments: bool):
-    """``at(t, x)``: :func:`pointwise_terms` on the plan segment holding ``t``."""
-    plan, d = _plan_at(model), model.dimension
-    return lambda t, x: pointwise_terms(plan(t), x, d, moments)
-
-
-def pointwise_terms(terms, x, d: int, moments: bool = True):
-    """Drift, one-sided Jacobian and noise matrix of compiled ``terms`` at ``x``.
-
-    One pass over the transitions, in model order: drift entry ``a`` adds
-    ``jump_a * rate``, Jacobian entry ``(a, b)`` adds
-    ``coeff * (jump_a * grad_b)``, and noise column ``i`` is
-    ``jump * sqrt(rate_i)`` where that rate is positive, else zero.  With
-    ``moments=False`` only the drift is formed; the other two are None.
-    """
-    xs = np.asarray(x, dtype=float).tolist()
     drift_x = [0.0] * d
-    jac = [[0.0] * d for _ in range(d)] if moments else None
-    noise = [[0.0] * len(terms) for _ in range(d)] if moments else None
-    for i, (code, coeff, j, k, thr, weights, jump) in enumerate(terms):
-        # min(u, v) is spelled `v if v < u else u` and max(u, v) `v if v > u
-        # else u`, which is how the builtins resolve ties and NaN
-        if code == CONST:
-            rate, grad = coeff, ()
-        elif code == LINEAR:
-            rate, grad = coeff * sum(map(mul, weights, xs)), tuple(enumerate(weights))
-        elif code == MIN_THRESHOLD:
-            xj = xs[j]
-            rate = coeff * (thr if thr < xj else xj)
-            grad = ((j, 1.0),) if xj <= thr else ()
-        elif code == POSITIVE_PART:
-            over = xs[j] - thr
-            rate = coeff * (0.0 if 0.0 > over else over)
-            grad = ((j, 1.0),) if xs[j] > thr else ()
-        elif code == MIN_PAIR:
-            xj, xk = xs[j], xs[k]
-            rate = coeff * (xk if xk < xj else xj)
-            grad = ((j, 1.0),) if xj <= xk else ((k, 1.0),)
-        else:  # capped residual
-            xj, residual = xs[j], thr - xs[k]
-            cap = 0.0 if 0.0 > residual else residual
-            rate = coeff * (cap if cap < xj else xj)
-            grad = ((j, 1.0),) if xj <= cap else ((k, -1.0),) if residual > 0.0 else ()
+    jac = [[0.0] * d for _ in range(d)]
+    diffusion = [[0.0] * d for _ in range(d)]
+    for term in terms:
+        r, grad = rate(term, state)
+        coeff, jump = term[1], term[6]
         for a, jump_a in enumerate(jump):
             if jump_a:
-                drift_x[a] += jump_a * rate
-                if moments:
-                    row = jac[a]
-                    for b, g in grad:
-                        row[b] += coeff * (jump_a * g)
-                    if rate > 0.0:
-                        noise[a][i] = jump_a * math.sqrt(rate)
-    if not moments:
-        return np.array(drift_x), None, None
-    return np.array(drift_x), np.array(jac), np.array(noise)
+                drift_x[a] += jump_a * r
+                row = jac[a]
+                for b, g in grad:
+                    row[b] += coeff * (jump_a * g)
+                if r > 0.0:
+                    row = diffusion[a]
+                    for b, jump_b in enumerate(jump):
+                        if jump_b:
+                            row[b] += (jump_a * jump_b) * r
+    return np.array(drift_x), np.array(jac), np.array(diffusion)
+
+
+def _drift_terms(terms, xs: list, d: int) -> np.ndarray:
+    """The drift alone of :func:`moment_terms` under :func:`pointwise_rate`."""
+    drift_x = [0.0] * d
+    for term in terms:
+        r = pointwise_rate(term, xs)[0]
+        for a, jump_a in enumerate(term[6]):
+            if jump_a:
+                drift_x[a] += jump_a * r
+    return np.array(drift_x)
+
+
+def _noise_columns(rate, terms, state, d: int) -> np.ndarray:
+    """d x k matrix with columns ``jump_i * sqrt(max(rate_i, 0))``; its Gram
+    matrix is the diffusion term up to rounding."""
+    noise = np.zeros((d, len(terms)))
+    for i, term in enumerate(terms):
+        r = rate(term, state)[0]
+        if r > 0.0:
+            noise[:, i] = np.multiply(term[6], math.sqrt(r))
+    return noise
 
 
 def drift(model: NetworkModel, t: float, x) -> np.ndarray:
     """Net state change rate: sum of jump vectors weighted by their rates."""
-    return pointwise_terms(compile_terms(model, t), x, model.dimension, moments=False)[0]
+    return _drift_terms(compile_terms(model, t), list(map(float, x)), model.dimension)
 
 
 def pointwise_drift_jacobian(model: NetworkModel, t: float, x) -> np.ndarray:
     """Gradient matrix of the pointwise drift with one-sided kink convention."""
-    return pointwise_terms(compile_terms(model, t), x, model.dimension)[1]
+    xs = list(map(float, x))
+    return moment_terms(pointwise_rate, compile_terms(model, t), xs, model.dimension)[1]
 
 
 def pointwise_noise_matrix(model: NetworkModel, t: float, x) -> np.ndarray:
     """Columns ``jump_i * sqrt(max(rate_i, 0))`` at the given state."""
-    return pointwise_terms(compile_terms(model, t), x, model.dimension)[2]
+    terms = compile_terms(model, t)
+    return _noise_columns(pointwise_rate, terms, list(map(float, x)), model.dimension)
+
+
+def closed_drift(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
+    """Jump-weighted sum of Gaussian-closed rates."""
+    return moment_terms(closed_rate, compile_terms(model, t), p, model.dimension)[0]
+
+
+def closed_drift_jacobian(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
+    """Gradient matrix of the closed drift with respect to the mean."""
+    return moment_terms(closed_rate, compile_terms(model, t), p, model.dimension)[1]
+
+
+def noise_matrix(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
+    """d x k matrix whose i-th column is ``jump_i * sqrt(max(rate_i, 0))``
+    under the Gaussian-closed rates."""
+    return _noise_columns(closed_rate, compile_terms(model, t), p, model.dimension)

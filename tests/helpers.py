@@ -3,9 +3,10 @@
 These stay deliberately independent of the library's own evaluation paths:
 expectations come from adaptive quadrature over the Gaussian density,
 derivatives come from central finite differences, the pointwise drift,
-Jacobian and noise matrix come from plain per-quantity loops, and the closed
-pass comes from a loop that dispatches on kernel types and looks every
-schedule up at ``t``.
+Jacobian, diffusion and noise matrix come from plain per-quantity loops, and
+the closed pass comes from a loop that dispatches on kernel types and looks
+every schedule up at ``t``.  The type-dispatched kernel and the quadrature
+oracle live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from qmoments.closure import (
     normal_cdf,
     normal_pdf,
 )
-from qmoments.model import kernel_value
+from oracles import kernel_value
 
 
 def gauss_expect_1d(fn, mean: float, std: float, kinks=()) -> float:
@@ -131,15 +132,22 @@ def capped_residual_expect(mean, cov, threshold: float) -> float:
 # --------------------------------------------------------------------------
 # Reference pointwise evaluators: one loop per quantity, the kernels
 # dispatched by type and every schedule looked up at ``t``.  The compiled
-# one-pass evaluator (``qmoments.solvers.pointwise_terms``) must agree with
-# these exactly.
+# moment pass (``qmoments.solvers.moment_terms`` under ``pointwise_rate``)
+# and the public wrappers must agree with these exactly.
+
+
+def reference_rates(model, t, x) -> list[float]:
+    """Pointwise rate of every transition, in model order."""
+    return [
+        tr.rate.coefficient.value_at(t) * kernel_value(tr.rate.kernel, t, x)
+        for tr in model.transitions
+    ]
 
 
 def reference_drift(model, t, x) -> np.ndarray:
     """Net state change rate: sum of jump vectors weighted by their rates."""
     out = np.zeros(model.dimension)
-    for tr in model.transitions:
-        rate = tr.rate.coefficient.value_at(t) * kernel_value(tr.rate.kernel, t, x)
+    for tr, rate in zip(model.transitions, reference_rates(model, t, x)):
         for a, jump_a in enumerate(tr.jump):
             if jump_a:
                 out[a] += jump_a * rate
@@ -189,13 +197,21 @@ def reference_drift_jacobian(model, t, x) -> np.ndarray:
     return out
 
 
-def reference_noise_matrix(model, t, x) -> np.ndarray:
-    """Columns ``jump_i * sqrt(max(rate_i, 0))`` at the given state."""
+def reference_noise_matrix(model, rates) -> np.ndarray:
+    """Columns ``jump_i * sqrt(max(rate_i, 0))`` for the given rates."""
     out = np.zeros((model.dimension, model.num_transitions))
-    for i, tr in enumerate(model.transitions):
-        rate = tr.rate.coefficient.value_at(t) * kernel_value(tr.rate.kernel, t, x)
+    for i, (tr, rate) in enumerate(zip(model.transitions, rates)):
         if rate > 0.0:
             out[:, i] = np.asarray(tr.jump, dtype=float) * np.sqrt(rate)
+    return out
+
+
+def reference_diffusion(model, rates) -> np.ndarray:
+    """``sum_i max(rate_i, 0) J_i J_i'``, accumulated in model order; a NaN
+    rate counts as zero."""
+    out = np.zeros((model.dimension, model.dimension))
+    for tr, rate in zip(model.transitions, rates):
+        out += np.outer(tr.jump, tr.jump) * (rate if rate > 0.0 else 0.0)
     return out
 
 
@@ -227,11 +243,13 @@ def variant_models():
 
 # --------------------------------------------------------------------------
 # Reference closed pass: the kernels dispatched by type, every schedule looked
-# up at ``t``, a dense gradient per transition.  The compiled closed pass
-# (``qmoments.closure.closed_terms``) must agree with it exactly.
+# up at ``t``, a dense kernel gradient per transition.  The compiled moment
+# pass (``qmoments.solvers.moment_terms`` under ``closure.closed_rate``) must
+# agree with it exactly.
 
 
 def _reference_closed_rate(term, t, p: MomentPoint):
+    """Expected rate and the dense mean-gradient of the expected kernel."""
     coeff = term.coefficient.value_at(t)
     kernel = term.kernel
     grad = np.zeros(p.mean.shape[0])
@@ -239,50 +257,51 @@ def _reference_closed_rate(term, t, p: MomentPoint):
         return coeff, grad
     if isinstance(kernel, Linear):
         grad[: len(kernel.weights)] = kernel.weights
-        return coeff * float(np.dot(kernel.weights, p.mean)), coeff * grad
+        return coeff * float(np.dot(kernel.weights, p.mean)), grad
     if isinstance(kernel, (MinThreshold, PositivePart)):
         m, s = float(p.mean[kernel.index]), p.marginal_std(kernel.index)
         n = kernel.threshold.value_at(t)
         below = (1.0 if m <= n else 0.0) if s < SIGMA_FLOOR else normal_cdf((n - m) / s)
         if isinstance(kernel, MinThreshold):
-            grad[kernel.index] = coeff * below
+            grad[kernel.index] = below
             return coeff * _min_threshold_expectation(m, s, n), grad
-        grad[kernel.index] = coeff * (1.0 - below)
+        grad[kernel.index] = 1.0 - below
         return coeff * _positive_part_expectation(m, s, n), grad
     if isinstance(kernel, MinPair):
         j, k = kernel.index, kernel.other
         mj, mk = float(p.mean[j]), float(p.mean[k])
         theta = _pair_spread(p, j, k)
         if theta < SIGMA_FLOOR:
-            grad[j if mj <= mk else k] = coeff
+            grad[j if mj <= mk else k] = 1.0
             return coeff * min(mj, mk), grad
         u = (mk - mj) / theta
-        grad[j] = coeff * normal_cdf(u)
-        grad[k] = coeff * normal_cdf(-u)
+        grad[j] = normal_cdf(u)
+        grad[k] = normal_cdf(-u)
         value = mj * normal_cdf(u) + mk * normal_cdf(-u) - theta * normal_pdf(u)
         return coeff * value, grad
     if isinstance(kernel, CappedResidual):
         value, d_own, d_other = _capped_residual(
             p, kernel.index, kernel.other, kernel.threshold.value_at(t)
         )
-        grad[kernel.index] = coeff * d_own
-        grad[kernel.other] = coeff * d_other
+        grad[kernel.index] = d_own
+        grad[kernel.other] = d_other
         return coeff * value, grad
     raise TypeError(f"unknown kernel type {type(kernel).__name__}")
 
 
 def reference_closed_terms(model, t, p: MomentPoint):
-    """Closed drift, Jacobian and noise matrix, one dense row update per jump."""
+    """Closed drift, Jacobian, diffusion and noise matrix; the Jacobian takes
+    ``coeff * (jump_a * grad)`` per transition, one dense row update per jump."""
     d = model.dimension
     drift = np.zeros(d)
     jac = np.zeros((d, d))
-    noise = np.zeros((d, model.num_transitions))
-    for i, tr in enumerate(model.transitions):
+    rates = []
+    for tr in model.transitions:
         rate, grad = _reference_closed_rate(tr.rate, t, p)
-        root = math.sqrt(rate) if rate > 0.0 else 0.0
+        coeff = tr.rate.coefficient.value_at(t)
+        rates.append(rate)
         for a, jump_a in enumerate(tr.jump):
             if jump_a:
                 drift[a] += jump_a * rate
-                jac[a] += jump_a * grad
-                noise[a, i] = jump_a * root
-    return drift, jac, noise
+                jac[a] += coeff * (jump_a * grad)
+    return drift, jac, reference_diffusion(model, rates), reference_noise_matrix(model, rates)

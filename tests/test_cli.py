@@ -405,10 +405,13 @@ BAD_GRIDS = {
     [
         (["--grid", "nan:10:1"], None),
         (["--grid", "0:inf:1"], None),
+        (["--grid", "0:1e12:1"], None),
         (["--dt", "nan"], None),
         (["--dt", "inf"], None),
         (["--dt", "1e-300"], None),
         (["--methods", "exact", "--caps", "a,b"], None),
+        (["--methods", "exact", "--caps", "4294967295,4294967295"], None),
+        (["--methods", "exact", "--caps", "9223372036854775807,1"], None),
         ([], "{not json"),
         ([], json.dumps({"reps": "abc"})),
         ([], json.dumps({"dt": [0.1]})),
@@ -421,7 +424,8 @@ BAD_GRIDS = {
         ],
     ],
     ids=[
-        "grid-nan", "grid-inf", "dt-nan", "dt-inf", "dt-tiny", "caps-text",
+        "grid-nan", "grid-inf", "grid-huge", "dt-nan", "dt-inf", "dt-tiny", "caps-text",
+        "caps-product-wraps", "caps-int64-max",
         "config-not-json", "config-reps-text", "config-dt-list", "config-not-object",
         "config-grid-empty",
         *[f"config-grid-{name}-{m}" for name in BAD_GRIDS for m in METHOD_ORDER],
@@ -434,6 +438,41 @@ def test_bad_run_arguments_exit_2(tmp_path, argv, config):
         path.write_text(config)
         base += ["--config", str(path)]
     assert main([*base, *argv]) == 2
+
+
+def _truncate(run_dir):
+    combined = run_dir / "combined.csv"
+    combined.write_text(combined.read_text()[:-10])
+
+
+def _bad_value(run_dir):
+    combined = run_dir / "combined.csv"
+    lines = combined.read_text().splitlines(keepends=True)
+    t, method, stat, _, count = lines[3].rstrip("\n").split(",")
+    lines[3] = ",".join([t, method, stat, "abc", count]) + "\n"
+    combined.write_text("".join(lines))
+
+
+def _manifest_not_json(run_dir):
+    (run_dir / "run.json").write_text("{not json")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_truncate, _bad_value, _manifest_not_json],
+    ids=["csv-truncated", "csv-value-not-numeric", "manifest-not-json"],
+)
+def test_malformed_run_directory_exits_2(tmp_path, capsys, corrupt):
+    times = np.arange(3.0)
+    adjusted = qm.MomentTrajectory("adjusted", times, np.ones((3, 2)), np.ones((3, 2, 2)))
+    simulated = qm.EnsembleStats(times, np.zeros((3, 2)), np.zeros((3, 2, 2)), 10)
+    qm.write_long_csv([adjusted, simulated], tmp_path / "combined.csv")
+    (tmp_path / "run.json").write_text(json.dumps({"preset": 1}))
+    assert main(["report", "--in", str(tmp_path)]) == 0
+    corrupt(tmp_path)
+    capsys.readouterr()
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from helpers import (
     nested_gauss_expect,
     random_moment_point,
 )
+from oracles import kernel_value, quad_expected_kernel
 
 UNIT = TimeSchedule.constant(1.0)
 
@@ -100,8 +101,6 @@ class TestExpectedKernel:
         ):
             p = point2(47.0, 30.0, 1e-6, 1e-6)
             value = qm.expected_kernel(term(kernel), 0.0, p)
-            from qmoments.model import kernel_value
-
             assert value == pytest.approx(kernel_value(kernel, 0.0, p.mean), abs=1e-6)
 
     def test_capped_residual_exhausted_capacity(self):
@@ -180,8 +179,6 @@ class TestCappedResidual:
 
     def test_zero_covariance_is_pointwise(self):
         """The first Runge-Kutta stage starts from cov = 0."""
-        from qmoments.model import kernel_value
-
         kernel = CappedResidual(0, 1, TimeSchedule.constant(10.0))
         for mean in ([4.0, 3.0], [9.0, 3.0], [4.0, 12.0], [-2.0, 12.0], [0.0, 10.0]):
             p = MomentPoint(np.array(mean), np.zeros((2, 2)))
@@ -327,7 +324,7 @@ class TestDriftAssembly:
         p = point2(50.0, 10.0, 3.0, 3.0)
         expected = np.zeros(2)
         for tr in model.transitions:
-            expected += np.asarray(tr.jump) * qm.quad_expected_kernel(tr.rate, 0.0, p)
+            expected += np.asarray(tr.jump) * quad_expected_kernel(tr.rate, 0.0, p)
         np.testing.assert_allclose(
             qm.closed_drift(model, 0.0, p), expected, atol=1e-8
         )
@@ -386,12 +383,12 @@ class TestNoiseMatrix:
 class TestQuadrature:
     def test_constant_kernel_exact(self):
         p = point2(1.0, 1.0, 5.0, 5.0)
-        value = qm.quad_expected_kernel(term(qm.Constant(), coeff=7.5), 0.0, p)
+        value = quad_expected_kernel(term(qm.Constant(), coeff=7.5), 0.0, p)
         assert value == 7.5
 
     def test_min_threshold_oracle_value(self):
         p = point2(0.0, 0.0, 1.0, 1.0)
-        value = qm.quad_expected_kernel(
+        value = quad_expected_kernel(
             term(MinThreshold(0, TimeSchedule.constant(0.0))), 0.0, p
         )
         assert value == pytest.approx(-0.3989422804014327, abs=1e-8)
@@ -412,5 +409,5 @@ class TestQuadrature:
         for p, kernel in cases:
             t = term(kernel)
             closed = qm.expected_kernel(t, 0.0, p)
-            quad = qm.quad_expected_kernel(t, 0.0, p)
+            quad = quad_expected_kernel(t, 0.0, p)
             assert abs(closed - quad) < 1e-8

@@ -16,6 +16,7 @@ from qmoments import (
 )
 from qmoments.model import model_breakpoints
 from helpers import variant_models
+from oracles import eval_rate
 from qmoments.systems import RetrialParams
 
 
@@ -165,7 +166,7 @@ def test_generator_entries_equal_pointwise_rates():
             assert inside.any()
             ulps = 1e-15 if isinstance(tr.rate.kernel, Linear) else 0.0
             for x, y in zip(coords[inside], target[inside]):
-                rate = qm.eval_rate(model, i, t, x)
+                rate = eval_rate(model, i, t, x)
                 assert abs(qt[y @ strides, x @ strides] - rate) <= ulps * rate, (t, i, x)
 
 

