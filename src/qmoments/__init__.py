@@ -35,7 +35,6 @@ from .model import (
     validate_model,
 )
 from .results import (
-    EnsembleStats,
     MomentTrajectory,
     read_long_csv,
     results_equal,
@@ -75,7 +74,6 @@ __all__ = [
     "CappedResidual",
     "Constant",
     "DivergenceError",
-    "EnsembleStats",
     "Linear",
     "MinPair",
     "MinThreshold",

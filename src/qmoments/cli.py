@@ -22,12 +22,12 @@ import numpy as np
 
 from .errors import DivergenceError, NumericalError, UsageError
 from .kolmogorov import exact_transient_moments
-from .model import NetworkModel, checked_grid, load_model
+from .model import GRID_TOL, NetworkModel, checked_grid, load_model
 from .results import (
-    EnsembleStats,
     MomentTrajectory,
     read_long_csv,
-    stat_names,
+    stat_positions,
+    stat_values,
     write_long_csv,
 )
 from .simulate import simulate_ensemble
@@ -159,6 +159,8 @@ def _parse_config(args: argparse.Namespace) -> ExperimentConfig:
     )
     if cfg.reps < 1:
         raise UsageError(f"reps must be >= 1, got {cfg.reps}")
+    if not 0 <= cfg.seed < 2**64:
+        raise UsageError(f"seed must be in 0 .. 2**64 - 1, got {cfg.seed}")
     return cfg
 
 
@@ -183,7 +185,7 @@ def run_experiment(cfg: ExperimentConfig):
     name to the error message for methods that failed numerically.
     """
     model, grid = _resolve_model(cfg)
-    results: dict[str, MomentTrajectory | EnsembleStats] = {}
+    results: dict[str, MomentTrajectory] = {}
     errors: dict[str, str] = {}
     for method in cfg.methods:
         try:
@@ -241,17 +243,6 @@ class DiffReport:
                 )
 
 
-def _stat_positions(dimension: int) -> dict[str, tuple[int, ...]]:
-    """CSV statistic name to its ``(i,)`` mean or ``(i, j)`` covariance entry."""
-    pairs = [(i, j) for i in range(dimension) for j in range(i, dimension)]
-    return dict(zip(stat_names(dimension), [(i,) for i in range(dimension)] + pairs))
-
-
-def _stat_value(result, position: tuple[int, ...], idx: int) -> float:
-    source = result.means if len(position) == 1 else result.covs
-    return float(source[(idx, *position)])
-
-
 def diff_report(results: dict, reference: str = "simulate", experiment: str = "") -> DiffReport:
     """Differences method - reference on the shared grid.
 
@@ -262,26 +253,23 @@ def diff_report(results: dict, reference: str = "simulate", experiment: str = ""
         raise UsageError(f"no {reference!r} result to compare against")
     ref = results[reference]
     report = DiffReport()
-    ref_has_cov = getattr(ref, "covs", None) is not None
     for method in (m for m in METHOD_ORDER if m in results):
         if method == reference:
             continue
         res = results[method]
         if len(res.times) != len(ref.times) or not np.allclose(
-            res.times, ref.times, atol=1e-9
+            res.times, ref.times, rtol=0.0, atol=GRID_TOL
         ):
             raise UsageError(
                 f"method {method!r} grid does not match the {reference!r} grid"
             )
-        positions = _stat_positions(ref.dimension)
-        if not ref_has_cov or getattr(res, "covs", None) is None:
-            positions = {s: pos for s, pos in positions.items() if len(pos) == 1}
-        for idx, t in enumerate(ref.times):
-            for stat, pos in positions.items():
-                value = _stat_value(res, pos, idx)
-                ref_value = _stat_value(ref, pos, idx)
+        with_cov = ref.covs is not None and res.covs is not None
+        positions = stat_positions(ref.dimension, with_cov)
+        rows = zip(ref.times.tolist(), stat_values(res, positions), stat_values(ref, positions))
+        for t, values, ref_values in rows:
+            for stat, value, ref_value in zip(positions, values, ref_values):
                 report.rows.append(
-                    (experiment, method, stat, float(t), value, ref_value, value - ref_value)
+                    (experiment, method, stat, t, value, ref_value, value - ref_value)
                 )
     return report
 

@@ -1,13 +1,12 @@
-"""Result containers and their long-format CSV serialization.
+"""The result container and its long-format CSV serialization.
 
-Analytic solvers produce :class:`MomentTrajectory`; the simulator produces
-:class:`EnsembleStats`.  Both share one long CSV schema with columns
+Every method produces a :class:`MomentTrajectory`; the simulator also sets its
+replication ``count``.  All results share one long CSV schema with columns
 
     t, method, stat, value, N
 
-where ``stat`` is ``mean_0 .. mean_{d-1}`` followed by ``cov_ij`` for
-``i <= j``, and ``N`` (the replication count) is only populated on ensemble
-rows.  Values are written with ``repr`` so the round trip is bit-exact.
+where ``stat`` runs over :func:`stat_positions` and ``N`` holds ``count`` where
+it is set.  Values are written with ``repr`` so the round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -29,15 +28,17 @@ class MomentTrajectory:
     method: str
     times: np.ndarray  # (n,)
     means: np.ndarray  # (n, d)
-    covs: np.ndarray  # (n, d, d); identically zero for the fluid method
+    covs: np.ndarray | None  # (n, d, d); zero for fluid, None for one replication
     warnings: list[str] = field(default_factory=list)
+    count: int | None = None  # replications, set only by ``simulate_ensemble``
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.means = np.asarray(self.means, dtype=float)
-        self.covs = np.asarray(self.covs, dtype=float)
         n, d = self.means.shape
-        if self.times.shape != (n,) or self.covs.shape != (n, d, d):
+        if self.covs is not None:
+            self.covs = np.asarray(self.covs, dtype=float)
+        if self.times.shape != (n,) or (self.covs is not None and self.covs.shape != (n, d, d)):
             raise UsageError("inconsistent trajectory array shapes")
         if np.any(np.diff(self.times) < 0):
             raise UsageError("trajectory times must be ascending")
@@ -47,74 +48,43 @@ class MomentTrajectory:
         return self.means.shape[1]
 
 
-@dataclass(eq=False)
-class EnsembleStats:
-    """Empirical moments over independent simulation replications.
-
-    The covariance uses the unbiased N-1 divisor and is absent for a single
-    replication.
-    """
-
-    times: np.ndarray  # (n,)
-    means: np.ndarray  # (n, d)
-    covs: np.ndarray | None  # (n, d, d) or None when count < 2
-    count: int
-    method: str = "simulate"
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.means = np.asarray(self.means, dtype=float)
-        if self.covs is not None:
-            self.covs = np.asarray(self.covs, dtype=float)
-
-    @property
-    def dimension(self) -> int:
-        return self.means.shape[1]
-
-
-Result = MomentTrajectory | EnsembleStats
+def stat_positions(dimension: int, with_cov: bool = True) -> dict[str, tuple[int, ...]]:
+    """CSV statistic name to its ``(i,)`` mean or ``(i, j)`` covariance entry,
+    in file order; the covariance entries only when ``with_cov`` is set."""
+    means = {f"mean_{i}": (i,) for i in range(dimension)}
+    pairs = [(i, j) for i in range(dimension) for j in range(i, dimension) if with_cov]
+    return means | {f"cov_{i}{j}": (i, j) for i, j in pairs}
 
 
 def stat_names(dimension: int) -> list[str]:
-    names = [f"mean_{i}" for i in range(dimension)]
-    names += [
-        f"cov_{i}{j}" for i in range(dimension) for j in range(dimension) if i <= j
+    return list(stat_positions(dimension))
+
+
+def stat_values(result: MomentTrajectory, positions) -> list[list[float]]:
+    """Per sample time, the values of ``result`` at ``positions`` in their order."""
+    columns = [
+        (result.means if len(pos) == 1 else result.covs)[(slice(None), *pos)]
+        for pos in positions.values()
     ]
-    return names
+    return np.stack(columns, axis=1).tolist()
 
 
-def _rows(result: Result):
-    d = result.dimension
-    count = result.count if isinstance(result, EnsembleStats) else None
-    with_cov = not (isinstance(result, EnsembleStats) and result.covs is None)
-    for idx, t in enumerate(result.times):
-        for i in range(d):
-            yield t, f"mean_{i}", result.means[idx, i], count
-        if with_cov:
-            for i in range(d):
-                for j in range(i, d):
-                    yield t, f"cov_{i}{j}", result.covs[idx, i, j], count
-
-
-def write_long_csv(results: list[Result], path) -> None:
+def write_long_csv(results: list[MomentTrajectory], path) -> None:
     """Write results in the shared long format (deterministic byte output)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for result in results:
-            for t, stat, value, count in _rows(result):
-                writer.writerow(
-                    [
-                        repr(float(t)),
-                        result.method,
-                        stat,
-                        repr(float(value)),
-                        "" if count is None else count,
-                    ]
+            positions = stat_positions(result.dimension, result.covs is not None)
+            count = "" if result.count is None else result.count
+            for t, row in zip(result.times.tolist(), stat_values(result, positions)):
+                writer.writerows(
+                    [repr(t), result.method, stat, repr(value), count]
+                    for stat, value in zip(positions, row)
                 )
 
 
-def read_long_csv(path) -> list[Result]:
+def read_long_csv(path) -> list[MomentTrajectory]:
     """Inverse of :func:`write_long_csv` (up to trajectory warnings); a file
     not in that format raises :class:`UsageError`."""
     try:
@@ -135,47 +105,35 @@ def read_long_csv(path) -> list[Result]:
                 if count:
                     entry["count"] = int(count)
 
-        results: list[Result] = []
+        results: list[MomentTrajectory] = []
         for method, entry in per_method.items():
-            times = np.array(entry["order"])
             stats = {stat for (_, stat) in entry["cells"]}
             d = sum(1 for s in stats if s.startswith("mean_"))
-            means = np.array(
-                [[entry["cells"][(t, f"mean_{i}")] for i in range(d)] for t in times]
+            positions = stat_positions(d, any(s.startswith("cov_") for s in stats))
+            values = np.array(
+                [[entry["cells"][(t, s)] for s in positions] for t in entry["order"]]
             )
-            has_cov = any(s.startswith("cov_") for s in stats)
             covs = None
-            if has_cov:
-                covs = np.zeros((len(times), d, d))
-                for idx, t in enumerate(times):
-                    for i in range(d):
-                        for j in range(i, d):
-                            v = entry["cells"][(t, f"cov_{i}{j}")]
-                            covs[idx, i, j] = v
-                            covs[idx, j, i] = v
-            if entry["count"] is not None:
-                results.append(EnsembleStats(times, means, covs, entry["count"], method))
-            else:
-                if covs is None:
-                    covs = np.zeros((len(times), d, d))
-                results.append(MomentTrajectory(method, times, means, covs))
+            if len(positions) > d:
+                rows, cols = np.array(list(positions.values())[d:]).T
+                covs = np.zeros((len(values), d, d))
+                covs[:, rows, cols] = covs[:, cols, rows] = values[:, d:]
+            results.append(
+                MomentTrajectory(
+                    method, entry["order"], values[:, :d], covs, count=entry["count"]
+                )
+            )
         return results
     except (ValueError, KeyError, csv.Error) as exc:  # a short row, a bad number, a missing cell
         raise UsageError(f"malformed results CSV {path}: {exc!r}") from exc
 
 
-def results_equal(a: Result, b: Result) -> bool:
+def results_equal(a: MomentTrajectory, b: MomentTrajectory) -> bool:
     """Equality of the numeric payload (method, grid, moments, count)."""
-    if a.method != b.method or a.dimension != b.dimension:
+    if a.method != b.method or a.count != b.count or (a.covs is None) != (b.covs is None):
         return False
-    if not np.array_equal(a.times, b.times) or not np.array_equal(a.means, b.means):
-        return False
-    cov_a = getattr(a, "covs", None)
-    cov_b = getattr(b, "covs", None)
-    if (cov_a is None) != (cov_b is None):
-        return False
-    if cov_a is not None and not np.array_equal(cov_a, cov_b):
-        return False
-    count_a = getattr(a, "count", None)
-    count_b = getattr(b, "count", None)
-    return count_a == count_b
+    return (
+        np.array_equal(a.times, b.times)
+        and np.array_equal(a.means, b.means)
+        and (a.covs is None or np.array_equal(a.covs, b.covs))
+    )

@@ -33,7 +33,7 @@ from .model import (
 )
 # bound under this name because perfbench/spans.py counts compiles through it
 from .model import compile_segments as _compile_segments
-from .results import EnsembleStats
+from .results import MomentTrajectory
 
 _CHUNK = 64  # paths per accumulator chunk; fixed so merges are worker-independent
 _BUFFER = 512  # uniform draws per generator call; short paths convert them all
@@ -193,13 +193,14 @@ def simulate_ensemble(
     seed: int,
     sample_times,
     workers: int = 1,
-) -> EnsembleStats:
-    """Empirical moments over ``count`` independent replications.
+) -> MomentTrajectory:
+    """Empirical moments over ``count`` independent replications, as a
+    ``"simulate"`` trajectory with that ``count``.
 
     Replication ``r`` always runs on stream ``r`` of ``seed``, and chunk
     accumulators are merged in index order, so the output is bitwise
-    independent of ``workers``.  Covariance (unbiased, N-1 divisor) is
-    reported only for ``count >= 2``.
+    independent of ``workers``.  The covariance (unbiased, N-1 divisor) is
+    ``None`` for ``count == 1``.
     """
     if count < 1:
         raise UsageError(f"replication count must be >= 1, got {count}")
@@ -219,4 +220,4 @@ def simulate_ensemble(
         acc = _merge_stats(acc, part)
     total, mean, m2 = acc
     covs = m2 / (total - 1) if total >= 2 else None
-    return EnsembleStats(times, mean, covs, total)
+    return MomentTrajectory("simulate", times, mean, covs, count=total)

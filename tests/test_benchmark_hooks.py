@@ -14,10 +14,15 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 OWNERS = (cli, closure, kolmogorov, simulate, solvers, simulate.RngStream)
 
 
-def test_span_hooks_install_and_restore_every_name():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_span_hooks_install_and_restore_every_name():
+    spans = _load_spans()
     before = [dict(vars(owner)) for owner in OWNERS]
     with spans.installed(spans.Recorder(), layers=True):  # AttributeError on a renamed name
         patched = sum(
@@ -28,3 +33,18 @@ def test_span_hooks_install_and_restore_every_name():
     assert patched > 0
     for owner, saved in zip(OWNERS, before):
         assert dict(vars(owner)) == saved, owner
+
+
+def test_method_and_csv_spans_fire(tmp_path):
+    """A span around a name the program no longer calls would read 0."""
+    spans = _load_spans()
+    out = str(tmp_path / "run")
+    with spans.installed(spans.Recorder(), layers=True) as rec:
+        argv = ["run", "--preset", "1", "--methods", "fluid,simulate", "--reps", "2",
+                "--grid", "6:8:1", "--out", out]
+        assert cli.main(argv) == 0
+        assert cli.main(["report", "--in", out]) == 0
+    for name in ("cli.run_experiment", "method.fluid", "method.simulate",
+                 "results.write", "results.read"):
+        assert name in rec.names, name
+    assert rec.counts["results.csv_bytes"] > 0

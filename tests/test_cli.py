@@ -267,6 +267,16 @@ class TestDiffReport:
         )
         with pytest.raises(UsageError):
             diff_report({"simulate": results["simulate"], "adjusted": short})
+        # far from 0 a relative tolerance would pair these grids
+        late = [1000.0, 1001.0]
+        simulated = qm.MomentTrajectory(
+            "simulate", late, np.zeros((2, 1)), np.zeros((2, 1, 1)), count=10
+        )
+        shifted = qm.MomentTrajectory(
+            "adjusted", np.add(late, 0.005), np.zeros((2, 1)), np.zeros((2, 1, 1))
+        )
+        with pytest.raises(UsageError):
+            diff_report({"simulate": simulated, "adjusted": shifted})
 
     def test_row_count_covers_all_statistics(self, tmp_path):
         results = self._results(tmp_path)
@@ -282,7 +292,9 @@ class TestDiffReport:
         adjusted = qm.MomentTrajectory(
             "adjusted", times, np.ones((2, d)), np.stack([covs, 2 * covs])
         )
-        simulated = qm.EnsembleStats(times, np.zeros((2, d)), np.zeros((2, d, d)), 10)
+        simulated = qm.MomentTrajectory(
+            "simulate", times, np.zeros((2, d)), np.zeros((2, d, d)), count=10
+        )
         qm.write_long_csv([adjusted, simulated], tmp_path / "combined.csv")
         back = {r.method: r for r in read_long_csv(tmp_path / "combined.csv")}
         assert qm.results_equal(back["adjusted"], adjusted)
@@ -412,6 +424,8 @@ BAD_GRIDS = {
         (["--methods", "exact", "--caps", "a,b"], None),
         (["--methods", "exact", "--caps", "4294967295,4294967295"], None),
         (["--methods", "exact", "--caps", "9223372036854775807,1"], None),
+        (["--seed", "-1"], None),
+        (["--seed", str(2**64)], None),
         ([], "{not json"),
         ([], json.dumps({"reps": "abc"})),
         ([], json.dumps({"dt": [0.1]})),
@@ -426,6 +440,7 @@ BAD_GRIDS = {
     ids=[
         "grid-nan", "grid-inf", "grid-huge", "dt-nan", "dt-inf", "dt-tiny", "caps-text",
         "caps-product-wraps", "caps-int64-max",
+        "seed-negative", "seed-2**64",
         "config-not-json", "config-reps-text", "config-dt-list", "config-not-object",
         "config-grid-empty",
         *[f"config-grid-{name}-{m}" for name in BAD_GRIDS for m in METHOD_ORDER],
@@ -465,7 +480,9 @@ def _manifest_not_json(run_dir):
 def test_malformed_run_directory_exits_2(tmp_path, capsys, corrupt):
     times = np.arange(3.0)
     adjusted = qm.MomentTrajectory("adjusted", times, np.ones((3, 2)), np.ones((3, 2, 2)))
-    simulated = qm.EnsembleStats(times, np.zeros((3, 2)), np.zeros((3, 2, 2)), 10)
+    simulated = qm.MomentTrajectory(
+        "simulate", times, np.zeros((3, 2)), np.zeros((3, 2, 2)), count=10
+    )
     qm.write_long_csv([adjusted, simulated], tmp_path / "combined.csv")
     (tmp_path / "run.json").write_text(json.dumps({"preset": 1}))
     assert main(["report", "--in", str(tmp_path)]) == 0
