@@ -263,6 +263,11 @@ def diff_report(results: dict, reference: str = "simulate", experiment: str = ""
             raise UsageError(
                 f"method {method!r} grid does not match the {reference!r} grid"
             )
+        if res.dimension != ref.dimension:
+            raise UsageError(
+                f"method {method!r} has dimension {res.dimension}, "
+                f"the {reference!r} result has {ref.dimension}"
+            )
         with_cov = ref.covs is not None and res.covs is not None
         positions = stat_positions(ref.dimension, with_cov)
         rows = zip(ref.times.tolist(), stat_values(res, positions), stat_values(ref, positions))

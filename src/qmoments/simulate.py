@@ -3,8 +3,20 @@
 Schedules are piecewise constant, so between two consecutive events (or
 schedule breakpoints) every transition rate is a constant given the state.
 Path generation therefore needs no thinning: the next event is the minimum
-of per-transition exponentials, truncated at the segment boundary, where the
-memoryless property justifies redrawing with the new rates.
+of per-transition exponentials (Gillespie's direct method), truncated at the
+segment boundary, where the memoryless property justifies redrawing with the
+new rates.
+
+One engine, ``_run_path``, advances a batch of paths in lockstep: each numpy
+step takes every unfinished path one event or one segment boundary further.
+A path keeps its own segment, clock and Philox stream, and its own
+arithmetic: rates are summed in transition order, the event is the first
+transition whose running sum reaches ``u * total``, and the uniforms are used
+in stream order.  So a path does not depend on the batch it runs in, and
+``simulate_path`` is the batch of one.  The exponential clock uses numpy's
+``log1p``, whose last bit can differ from the C library's (and between CPU
+instruction sets); a recorded state changes only if an event falls within
+that rounding of a sample time.
 
 Replications use counter-style splittable randomness: path ``r`` always runs
 on the Philox stream spawned for index ``r``, and ensemble moments are
@@ -14,7 +26,6 @@ bit-identical for any worker count.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -36,7 +47,8 @@ from .model import compile_segments as _compile_segments
 from .results import MomentTrajectory
 
 _CHUNK = 64  # paths per accumulator chunk; fixed so merges are worker-independent
-_BUFFER = 512  # uniform draws per generator call; short paths convert them all
+_BATCH = 8 * _CHUNK  # most paths one engine call advances in lockstep
+_BUFFER = 256  # buffered uniforms per path, refilled from the path's own stream
 
 
 @dataclass(frozen=True)
@@ -51,96 +63,145 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def _uniforms(gen):
-    """Uniform draws from ``gen`` as Python floats, fetched ``_BUFFER`` at a time."""
-    while True:
-        yield from gen.random(_BUFFER).tolist()
+def _kernel_values(term, thr, x, out) -> None:
+    """Kernel of one compiled term on every path of a batch, written to ``out``.
+
+    ``thr`` holds each path's threshold and ``x`` is the (d, paths) state.
+    Linear weights are summed in order with zeros skipped.  The caller scales
+    by the coefficient; schedules are finite, so ``coeff * 0.0`` is the zero
+    rate of a positive part below its threshold.
+    """
+    code, _, j, k, _, weights, _ = term
+    if code == CONST:
+        out.fill(1.0)
+    elif code == LINEAR:
+        out.fill(0.0)
+        for i, w in enumerate(weights):
+            if w:
+                out += w * x[i]
+    elif code == MIN_THRESHOLD:
+        np.minimum(x[j], thr, out=out)
+    elif code == POSITIVE_PART:
+        np.maximum(np.subtract(x[j], thr, out=out), 0.0, out=out)
+    elif code == MIN_PAIR:
+        np.minimum(x[j], x[k], out=out)
+    else:
+        np.minimum(x[j], np.maximum(thr - x[k], 0.0), out=out)
 
 
-def _run_path(segments, x0, sample_times, gen) -> np.ndarray:
-    """One exact sample path, recorded at the requested times.
+def _refill(buf, gens, ids, at) -> int:
+    """Refill, in stream order, every row with fewer than two unused uniforms.
+
+    A row holds at most one unused draw then; it moves to the front and the
+    rest of the row is drawn from the path's generator.  ``at`` holds each
+    path's flat index into ``buf`` and moves back with its row.  Returns how
+    many steps (at most two draws each) are safe before the next check.
+    """
+    cur = at - ids * _BUFFER
+    low = np.flatnonzero(cur > _BUFFER - 2)
+    if low.size:
+        rows, used = ids[low], cur[low]
+        buf[rows, 0] = buf[rows, -1]  # unused where used == _BUFFER - 1
+        for row, start in zip(rows.tolist(), (_BUFFER - used).tolist()):
+            gens[row].random(out=buf[row, start:])
+        at[low] -= used
+        cur[low] = 0
+    return 1 + int(_BUFFER - 2 - cur.max()) // 2
+
+
+def _run_path(segments, x0, sample_times, gens) -> np.ndarray:
+    """Exact sample paths, one per generator in ``gens``, recorded at the
+    requested times as a (paths, times, d) array.
 
     The recorded value at a sample time is the state of the right-continuous
     path there; a breakpoint coinciding with a sample applies the new
     parameter segment only after recording (the state does not jump at
-    breakpoints, so both orders agree).
+    breakpoints, so both orders agree).  A path stops once every sample is
+    recorded.
     """
-    x = list(x0)
-    d = len(x)
-    n = len(sample_times)
-    out = np.empty((n, d), dtype=np.int64)
-    si = 0
-    draw = _uniforms(gen).__next__
-    k_total = len(segments[0][2])
-    rates = [0.0] * k_total
-    for seg_start, seg_end, terms in segments:
-        if si == n:
-            break  # everything requested has been recorded
-        t = seg_start
-        while True:
-            total = 0.0
-            for i in range(k_total):
-                code, coeff, j, k, thr, weights, _jump = terms[i]
-                if code == CONST:
-                    r = coeff
-                elif code == LINEAR:
-                    acc = 0.0
-                    for w, xv in zip(weights, x):
-                        if w:
-                            acc += w * xv
-                    r = coeff * acc
-                elif code == MIN_THRESHOLD:
-                    xv = x[j]
-                    r = coeff * (xv if xv < thr else thr)
-                elif code == POSITIVE_PART:
-                    xv = x[j] - thr
-                    r = coeff * xv if xv > 0.0 else 0.0
-                else:
-                    if code == MIN_PAIR:
-                        cap = x[k]
-                    else:
-                        cap = thr - x[k]
-                        if cap < 0.0:
-                            cap = 0.0
-                    xv = x[j]
-                    r = coeff * (xv if xv < cap else cap)
-                rates[i] = r
-                total += r
-            if not math.isfinite(total) or total > 1e15:
+    terms = segments[0][2]  # kernels, indices and jumps are the same in every segment
+    k, d, n = len(terms), len(x0), len(sample_times)
+    # A closing segment [horizon, inf) with every rate zero records the
+    # samples at or after the horizon.
+    coeffs = np.array([[term[1] for term in seg[2]] for seg in segments] + [[0.0] * k]).T
+    thrs = np.array([[term[4] for term in seg[2]] for seg in segments] + [[0.0] * k]).T
+    ends = np.array([seg[1] for seg in segments] + [np.inf])
+    jumps = np.zeros((d, k + 1))  # column k: no event
+    jumps[:, :k] = np.array([term[6] for term in terms]).T
+    times = np.append(sample_times, np.inf)
+
+    count = len(gens)
+    out = np.empty((count, n, d), dtype=np.int64)
+    buf = np.empty((count, _BUFFER))
+    for gen, row in zip(gens, buf):
+        gen.random(out=row)
+    flat = buf.reshape(-1)
+    # One column per unfinished path; compacted when paths finish.
+    ids = np.arange(count)
+    at = ids * _BUFFER  # flat index of the path's next unused uniform
+    x = np.repeat(np.asarray(x0, dtype=float)[:, None], count, axis=1)
+    t = np.full(count, float(segments[0][0]))
+    seg = np.zeros(count, dtype=np.intp)
+    coeff, thr, end = coeffs[:, seg], thrs[:, seg], ends[seg]
+    si = np.zeros(count, dtype=np.intp)  # samples recorded so far
+    nxt = np.full(count, times[0])  # time of the next sample
+    budget = 0
+    # Overflow is caught by the check on the total; paths with total <= 0
+    # divide by it, and their result is discarded.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while ids.size:
+            if not budget:
+                budget = _refill(buf, gens, ids, at)
+            budget -= 1
+            cum = np.empty((k, ids.size))  # rates, then their running sums in model order
+            for i, term in enumerate(terms):
+                _kernel_values(term, thr[i], x, cum[i])
+            cum *= coeff
+            for i in range(1, k):
+                cum[i] += cum[i - 1]
+            total = cum[-1]
+            if not (np.maximum.reduce(total) <= 1e15 and np.minimum.reduce(total) > -np.inf):
+                bad = np.flatnonzero(~((total <= 1e15) & (total > -np.inf)))[0]
                 raise NumericalError(
-                    f"unusable total rate {total} at t={t:g}, state {x}"
+                    f"unusable total rate {float(total[bad])} at t={t[bad]:g}, "
+                    f"state {x[:, bad].astype(np.int64).tolist()}"
                 )
-            if total <= 0.0:
-                t_next = seg_end
+            live = total > 0.0  # a path without a positive total draws nothing
+            t_next = np.where(live, t - np.log1p(-flat[at]) / total, end)
+            leave = t_next >= end
+            t = np.minimum(t_next, end)
+            rec = nxt < t  # samples before t see the state before the event
+            finished = False
+            if rec.any():
+                rows = np.flatnonzero(rec)
+                lo, hi = si[rows], np.searchsorted(sample_times, t[rows])
+                width = hi - lo
+                path_rows = np.repeat(rows, width)
+                cols = np.arange(width.sum()) + np.repeat(lo - (np.cumsum(width) - width), width)
+                out[ids[path_rows], cols] = x[:, path_rows].T
+                si[rows], nxt[rows] = hi, times[hi]
+                finished = (hi == n).any()
+            hits = flat[at + 1] * total <= cum  # running sum reaches v = u * total
+            hits[-1] = True  # rounding at v ~ total picks the last transition
+            event = hits.argmax(axis=0)
+            if leave.any():
+                moved = np.flatnonzero(leave)
+                event[moved] = k
+                at += live
+                at += ~leave
+                seg[moved] += 1
+                now = seg[moved]  # clipped: paths leaving the closing segment are finished
+                coeff[:, moved] = coeffs.take(now, axis=1, mode="clip")
+                thr[:, moved] = thrs.take(now, axis=1, mode="clip")
+                end[moved] = ends.take(now, mode="clip")
             else:
-                t_next = t - math.log1p(-draw()) / total
-            if t_next >= seg_end:
-                while si < n and sample_times[si] < seg_end:
-                    out[si] = x
-                    si += 1
-                break
-            while si < n and sample_times[si] < t_next:
-                out[si] = x
-                si += 1
-            if si == n:
-                return out
-            v = draw() * total
-            acc = 0.0
-            jump = None
-            for i in range(k_total):
-                acc += rates[i]
-                if v <= acc:
-                    jump = terms[i][6]
-                    break
-            if jump is None:  # guard against rounding at v ~ total
-                jump = terms[k_total - 1][6]
-            for a in range(d):
-                if jump[a]:
-                    x[a] += jump[a]
-            t = t_next
-    while si < n:
-        out[si] = x
-        si += 1
+                at += 2
+            x += jumps.take(event, axis=1)
+            if finished:
+                keep = si < n
+                ids, at, x, t, seg, coeff, thr, end, si, nxt = (
+                    a[..., keep] for a in (ids, at, x, t, seg, coeff, thr, end, si, nxt)
+                )
     return out
 
 
@@ -152,20 +213,16 @@ def simulate_path(model: NetworkModel, rng: RngStream, sample_times) -> np.ndarr
     validate_model(model).raise_if_invalid()
     times = checked_grid(model, sample_times)
     segments = _compile_segments(model)
-    return _run_path(segments, model.initial_state, times, rng.generator())
+    return _run_path(segments, model.initial_state, times, [rng.generator()])[0]
 
 
-def _chunk_stats(model, seed, lo, hi, sample_times):
-    """Streaming mean/scatter accumulator over replication indices [lo, hi)."""
-    segments = _compile_segments(model)
-    d = model.dimension
-    n = len(sample_times)
+def _chunk_stats(paths):
+    """Streaming mean/scatter accumulator over one chunk of paths, in order."""
+    _, n, d = paths.shape
     count = 0
     mean = np.zeros((n, d))
     m2 = np.zeros((n, d, d))
-    for r in range(lo, hi):
-        gen = RngStream(seed, r).generator()
-        path = _run_path(segments, model.initial_state, sample_times, gen).astype(float)
+    for path in paths.astype(float):
         count += 1
         delta = path - mean
         mean += delta / count
@@ -173,8 +230,11 @@ def _chunk_stats(model, seed, lo, hi, sample_times):
     return count, mean, m2
 
 
-def _chunk_stats_star(args):
-    return _chunk_stats(*args)
+def _batch_stats(model, seed, lo, hi, sample_times):
+    """Chunk accumulators of replications [lo, hi), run as one lockstep batch."""
+    gens = [RngStream(seed, r).generator() for r in range(lo, hi)]
+    paths = _run_path(_compile_segments(model), model.initial_state, sample_times, gens)
+    return [_chunk_stats(paths[a:a + _CHUNK]) for a in range(0, hi - lo, _CHUNK)]
 
 
 def _merge_stats(a, b):
@@ -206,15 +266,15 @@ def simulate_ensemble(
         raise UsageError(f"replication count must be >= 1, got {count}")
     validate_model(model).raise_if_invalid()
     times = checked_grid(model, sample_times)
-    chunks = [
-        (model, seed, lo, min(lo + _CHUNK, count), times)
-        for lo in range(0, count, _CHUNK)
-    ]
-    if workers > 1 and len(chunks) > 1:
+    chunks = -(-count // _CHUNK)
+    size = _CHUNK * min(_BATCH // _CHUNK, -(-chunks // workers))
+    batches = [(model, seed, lo, min(lo + size, count), times) for lo in range(0, count, size)]
+    if workers > 1 and len(batches) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_chunk_stats_star, chunks, chunksize=4))
+            stats = list(pool.map(_batch_stats, *zip(*batches)))
     else:
-        partials = [_chunk_stats_star(c) for c in chunks]
+        stats = [_batch_stats(*batch) for batch in batches]
+    partials = [part for batch in stats for part in batch]
     acc = partials[0]
     for part in partials[1:]:
         acc = _merge_stats(acc, part)

@@ -5,6 +5,7 @@ the compiled plan (:func:`qmoments.model.compile_term`), so they stay
 independent of the evaluators they check:
 
 * ``kernel_value`` and ``eval_rate``  the pointwise kernel and rate;
+* ``reference_path``                  one simulated path by a scalar loop;
 * ``quad_expected_kernel``            the Gaussian expectation of a rate by
                                       kink-split Gauss-Legendre panels.
 """
@@ -28,9 +29,11 @@ from qmoments import (
     NumericalError,
     PositivePart,
     RateTerm,
+    RngStream,
     UsageError,
 )
 from qmoments.closure import _pair_spread
+from qmoments.model import model_breakpoints
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -63,6 +66,57 @@ def eval_rate(model: NetworkModel, i: int, t: float, x) -> float:
         )
     term = model.transitions[i].rate
     return term.coefficient.value_at(t) * kernel_value(term.kernel, t, x)
+
+
+# --------------------------------------------------------------------------
+# Scalar simulation path.
+
+
+def reference_path(model: NetworkModel, rng: RngStream, sample_times) -> np.ndarray:
+    """One path by Gillespie's direct method, one event per loop pass.
+
+    Rates come from ``eval_rate`` at each segment's start, are summed in model
+    order, and the event is the first transition whose running sum reaches
+    ``u * total``; the uniforms of ``rng`` are used in stream order and the
+    exponential clock uses ``math.log1p``.  States are recorded as
+    :func:`qmoments.simulate_path` records them.
+    """
+    gen = rng.generator()
+    pending: list[float] = []
+
+    def draw() -> float:
+        if not pending:
+            pending.extend(reversed(gen.random(512).tolist()))
+        return pending.pop()
+
+    x = list(model.initial_state)
+    times = list(sample_times)
+    out: list[list[int]] = []
+    bounds = [0.0] + model_breakpoints(model) + [float(model.horizon)]
+    k = model.num_transitions
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        t = start
+        while len(out) < len(times):
+            rates = [eval_rate(model, i, start, x) for i in range(k)]
+            total = 0.0
+            for rate in rates:
+                total += rate
+            t_next = end if total <= 0.0 else t - math.log1p(-draw()) / total
+            stop = min(t_next, end)
+            while len(out) < len(times) and times[len(out)] < stop:
+                out.append(list(x))
+            if t_next >= end or len(out) == len(times):
+                break
+            v, acc, chosen = draw() * total, 0.0, k - 1
+            for i, rate in enumerate(rates):
+                acc += rate
+                if v <= acc:
+                    chosen = i
+                    break
+            x = [a + b for a, b in zip(x, model.transitions[chosen].jump)]
+            t = t_next
+    out += [list(x)] * (len(times) - len(out))
+    return np.array(out, dtype=np.int64)
 
 
 # --------------------------------------------------------------------------

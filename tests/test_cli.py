@@ -278,6 +278,16 @@ class TestDiffReport:
         with pytest.raises(UsageError):
             diff_report({"simulate": simulated, "adjusted": shifted})
 
+    def test_dimension_mismatch_rejected(self, tmp_path):
+        times = [0.0, 1.0]
+        simulated = qm.MomentTrajectory(
+            "simulate", times, np.zeros((2, 2)), np.zeros((2, 2, 2)), count=10
+        )
+        for d in (1, 3):
+            other = qm.MomentTrajectory("adjusted", times, np.ones((2, d)), np.ones((2, d, d)))
+            with pytest.raises(UsageError, match="dimension"):
+                diff_report({"simulate": simulated, "adjusted": other})
+
     def test_row_count_covers_all_statistics(self, tmp_path):
         results = self._results(tmp_path)
         report = diff_report(results)
@@ -490,6 +500,17 @@ def test_malformed_run_directory_exits_2(tmp_path, capsys, corrupt):
     capsys.readouterr()
     assert main(["report", "--in", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_report_on_mismatched_dimensions_exits_2(tmp_path, capsys):
+    times = np.arange(3.0)
+    adjusted = qm.MomentTrajectory("adjusted", times, np.ones((3, 1)), np.ones((3, 1, 1)))
+    simulated = qm.MomentTrajectory(
+        "simulate", times, np.zeros((3, 2)), np.zeros((3, 2, 2)), count=10
+    )
+    qm.write_long_csv([adjusted, simulated], tmp_path / "combined.csv")
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    assert "dimension" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,25 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import qmoments as qm
+import qmoments.simulate as simulate
 from qmoments import (
     Constant,
     Linear,
     NetworkModel,
+    NumericalError,
     RateTerm,
     RngStream,
     TimeSchedule,
     Transition,
     UsageError,
 )
+from qmoments.cli import main
+
+from helpers import variant_models
+from oracles import reference_path
 
 
 def mminf(horizon=2.0, arrival=None):
@@ -105,3 +113,130 @@ def test_sample_times_validated():
             qm.simulate_path(mminf(horizon=10.0), RngStream(1, 0), grid)
         with pytest.raises(UsageError):
             qm.simulate_ensemble(mminf(horizon=10.0), 2, 1, grid)
+
+
+# --------------------------------------------------------------------------
+# The lockstep engine against recorded output, the scalar reference and itself
+
+
+def tiny_retrial():
+    """Three servers, arrival rate alternating 2/4 every 2 time units."""
+    horizon = 10.0
+    params = qm.RetrialParams(
+        servers=TimeSchedule.constant(3),
+        arrival=TimeSchedule.alternating(2, 4, 2.0, horizon),
+        service=TimeSchedule.constant(1.0),
+        retrial_rate=TimeSchedule.constant(1.0),
+        abandon=TimeSchedule.constant(3.0),
+        leave_prob=TimeSchedule.constant(0.5),
+    )
+    return qm.build_retrial(params, horizon)
+
+
+def preset7():
+    params, horizon, _ = qm.retrial_preset(7)
+    return qm.build_retrial(params, horizon)
+
+
+def grid(start, stop, step):
+    return start + step * np.arange(int(np.floor((stop - start) / step + 1e-9)) + 1)
+
+
+def batch(model, seed, streams, times):
+    """Rows of one engine call, on the given streams."""
+    gens = [RngStream(seed, r).generator() for r in streams]
+    segments = simulate._compile_segments(model)
+    return simulate._run_path(segments, model.initial_state, np.asarray(times, float), gens)
+
+
+def sha1(array, dtype):
+    return hashlib.sha1(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
+
+
+# sha1 of the first 64 paths of seed 901 (int64, little-endian) and of the
+# simulate_ensemble means and covariances (float64) at the listed count,
+# recorded from the one-path-at-a-time event loop this engine replaced.
+PINNED = {
+    "tiny": (tiny_retrial, (1.0, 10.0, 1.0), "b61512bad1ab174f7c8772f2e69cd7b5290c15ec",
+             8192, "8a5100621cf5271e655fae82768a9737404c9e0c",
+             "cf18e10d797c81b26b6f3a1e9867c6f42e12591e"),
+    "preset7": (preset7, (6.0, 15.0, 1.0), "cfaf752fe1d135a721788dd520f8ceafd8809ba0",
+                512, "435285fd1ad98e103373a88b99b6bbbf7ec60bda",
+                "a3e8d4fc19b8534747af3dfc5b7a47c21681fc53"),
+    "priority": (lambda: qm.build_priority(*qm.reference_priority_params()), (4.0, 20.0, 1.0),
+                 "8d40a28b6e03e3e6a8549cc305d31e91373c415c", None, None, None),
+    "peer": (lambda: qm.build_peer(*qm.reference_peer_params()), (0.5, 8.0, 0.5),
+             "8d653f89a1e78151d97d1523f3fbf33efa851e0e",
+             64, "fceaf8bf88472eb53a3f514eaa9374d6d82667a7",
+             "e12ada7bdd38a9d802f9b26e902b5926a419d606"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_pinned_paths_and_moments(name):
+    build, spec, paths_sha, count, means_sha, covs_sha = PINNED[name]
+    model, times = build(), grid(*spec)
+    assert sha1(batch(model, 901, range(64), times), "<i8") == paths_sha
+    if count:
+        stats = qm.simulate_ensemble(model, count, 901, times)
+        assert sha1(stats.means, "<f8") == means_sha
+        assert sha1(stats.covs, "<f8") == covs_sha
+
+
+@pytest.mark.parametrize(
+    "model, times",
+    [(m, grid(0.0, 2.25, 0.25)) for m in variant_models()]
+    + [(tiny_retrial(), grid(0.0, 10.0, 0.5)), (preset7(), grid(6.0, 15.0, 1.0))],
+    ids=[*(f"variant{i}" for i in range(7)), "tiny", "preset7"],
+)
+def test_batch_matches_scalar_reference(model, times):
+    """Every recorded state equals the scalar loop's, kernel by kernel."""
+    rows = batch(model, 901, range(32), times)
+    for r, row in enumerate(rows):
+        np.testing.assert_array_equal(row, reference_path(model, RngStream(901, r), times))
+
+
+def test_batch_rows_do_not_depend_on_the_batch():
+    model, times = tiny_retrial(), grid(0.5, 10.0, 0.5)
+    whole = batch(model, 3, range(100), times)
+    for r in (0, 1, 63, 64, 99):
+        np.testing.assert_array_equal(whole[r], qm.simulate_path(model, RngStream(3, r), times))
+    np.testing.assert_array_equal(whole[40:47], batch(model, 3, range(40, 47), times))
+    np.testing.assert_array_equal(whole[[5, 70]], batch(model, 3, [5, 70], times))
+
+
+def test_ensemble_is_bitwise_equal_across_worker_counts():
+    """1100 paths: three batches of 512 or 384 paths and a ragged last chunk."""
+    model, times = tiny_retrial(), grid(1.0, 10.0, 1.0)
+    runs = [qm.simulate_ensemble(model, 1100, 17, times, workers=w) for w in (1, 2, 3)]
+    for other in runs[1:]:
+        assert other.count == 1100
+        np.testing.assert_array_equal(runs[0].means, other.means)
+        np.testing.assert_array_equal(runs[0].covs, other.covs)
+
+
+def _bursting(value):
+    """Two arrival streams whose rates become ``value`` at t = 1; at 1e308
+    each rate is finite and their sum is not."""
+    arrival = RateTerm(TimeSchedule((0.0, 1.0), (2.0, value)), Constant())
+    departure = RateTerm(TimeSchedule.constant(1.0), Linear((1.0,)))
+    return NetworkModel(
+        1, (Transition((1,), arrival), Transition((1,), arrival), Transition((-1,), departure)),
+        (0,), 2.0,
+    )
+
+
+@pytest.mark.parametrize("value", [1e16, 1e308])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unusable_total_rate_raises(value, workers):
+    with pytest.raises(NumericalError, match=r"total rate .* at t=1, state \[\d+\]"):
+        qm.simulate_ensemble(_bursting(value), 130, 1, [0.5, 1.5], workers=workers)
+
+
+def test_unusable_total_rate_exits_3(tmp_path, capsys):
+    path = tmp_path / "burst.json"
+    qm.save_model(_bursting(1e16), path)
+    argv = ["run", "--model", str(path), "--methods", "simulate", "--reps", "8",
+            "--grid", "0.5:1.5:1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "at t=1, state [" in capsys.readouterr().err
