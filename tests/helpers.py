@@ -29,6 +29,7 @@ from qmoments import (
     TimeSchedule,
     Transition,
 )
+from qmoments.systems import RetrialParams, build_retrial
 from qmoments.closure import (
     SIGMA_FLOOR,
     _capped_residual,
@@ -213,6 +214,21 @@ def reference_diffusion(model, rates) -> np.ndarray:
     for tr, rate in zip(model.transitions, rates):
         out += np.outer(tr.jump, tr.jump) * (rate if rate > 0.0 else 0.0)
     return out
+
+
+def tiny_retrial_model():
+    """Three servers, arrival rate alternating 2/4 every 2 time units: short
+    paths and a 169-state lattice at caps (12, 12)."""
+    horizon = 10.0
+    params = RetrialParams(
+        servers=TimeSchedule.constant(3),
+        arrival=TimeSchedule.alternating(2, 4, 2.0, horizon),
+        service=TimeSchedule.constant(1.0),
+        retrial_rate=TimeSchedule.constant(1.0),
+        abandon=TimeSchedule.constant(3.0),
+        leave_prob=TimeSchedule.constant(0.5),
+    )
+    return build_retrial(params, horizon)
 
 
 def variant_models():

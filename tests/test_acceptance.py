@@ -23,7 +23,7 @@ from qmoments.model import (
     PositivePart,
 )
 
-from helpers import capped_residual_expect, random_moment_point
+from helpers import capped_residual_expect, random_moment_point, tiny_retrial_model
 from oracles import quad_expected_kernel
 
 SEED = 42
@@ -103,19 +103,6 @@ def peer_bundle():
     adj_dense = qm.solve_adjusted(model, cfg)
     mz_dense = qm.solve_measure_zero(model, cfg)
     return grid, adjusted, sim, dense, adj_dense, mz_dense
-
-
-def tiny_retrial_model():
-    horizon = 10.0
-    params = qm.RetrialParams(
-        servers=TimeSchedule.constant(3),
-        arrival=TimeSchedule.alternating(2, 4, 2.0, horizon),
-        service=TimeSchedule.constant(1.0),
-        retrial_rate=TimeSchedule.constant(1.0),
-        abandon=TimeSchedule.constant(3.0),
-        leave_prob=TimeSchedule.constant(0.5),
-    )
-    return qm.build_retrial(params, horizon)
 
 
 # --------------------------------------------------------------------------

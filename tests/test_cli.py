@@ -278,7 +278,7 @@ class TestDiffReport:
         with pytest.raises(UsageError):
             diff_report({"simulate": simulated, "adjusted": shifted})
 
-    def test_dimension_mismatch_rejected(self, tmp_path):
+    def test_dimension_mismatch_rejected(self):
         times = [0.0, 1.0]
         simulated = qm.MomentTrajectory(
             "simulate", times, np.zeros((2, 2)), np.zeros((2, 2, 2)), count=10

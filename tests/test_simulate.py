@@ -18,7 +18,7 @@ from qmoments import (
 )
 from qmoments.cli import main
 
-from helpers import variant_models
+from helpers import tiny_retrial_model, variant_models
 from oracles import reference_path
 
 
@@ -119,20 +119,6 @@ def test_sample_times_validated():
 # The lockstep engine against recorded output, the scalar reference and itself
 
 
-def tiny_retrial():
-    """Three servers, arrival rate alternating 2/4 every 2 time units."""
-    horizon = 10.0
-    params = qm.RetrialParams(
-        servers=TimeSchedule.constant(3),
-        arrival=TimeSchedule.alternating(2, 4, 2.0, horizon),
-        service=TimeSchedule.constant(1.0),
-        retrial_rate=TimeSchedule.constant(1.0),
-        abandon=TimeSchedule.constant(3.0),
-        leave_prob=TimeSchedule.constant(0.5),
-    )
-    return qm.build_retrial(params, horizon)
-
-
 def preset7():
     params, horizon, _ = qm.retrial_preset(7)
     return qm.build_retrial(params, horizon)
@@ -157,7 +143,7 @@ def sha1(array, dtype):
 # simulate_ensemble means and covariances (float64) at the listed count,
 # recorded from the one-path-at-a-time event loop this engine replaced.
 PINNED = {
-    "tiny": (tiny_retrial, (1.0, 10.0, 1.0), "b61512bad1ab174f7c8772f2e69cd7b5290c15ec",
+    "tiny": (tiny_retrial_model, (1.0, 10.0, 1.0), "b61512bad1ab174f7c8772f2e69cd7b5290c15ec",
              8192, "8a5100621cf5271e655fae82768a9737404c9e0c",
              "cf18e10d797c81b26b6f3a1e9867c6f42e12591e"),
     "preset7": (preset7, (6.0, 15.0, 1.0), "cfaf752fe1d135a721788dd520f8ceafd8809ba0",
@@ -186,7 +172,7 @@ def test_pinned_paths_and_moments(name):
 @pytest.mark.parametrize(
     "model, times",
     [(m, grid(0.0, 2.25, 0.25)) for m in variant_models()]
-    + [(tiny_retrial(), grid(0.0, 10.0, 0.5)), (preset7(), grid(6.0, 15.0, 1.0))],
+    + [(tiny_retrial_model(), grid(0.0, 10.0, 0.5)), (preset7(), grid(6.0, 15.0, 1.0))],
     ids=[*(f"variant{i}" for i in range(7)), "tiny", "preset7"],
 )
 def test_batch_matches_scalar_reference(model, times):
@@ -197,7 +183,7 @@ def test_batch_matches_scalar_reference(model, times):
 
 
 def test_batch_rows_do_not_depend_on_the_batch():
-    model, times = tiny_retrial(), grid(0.5, 10.0, 0.5)
+    model, times = tiny_retrial_model(), grid(0.5, 10.0, 0.5)
     whole = batch(model, 3, range(100), times)
     for r in (0, 1, 63, 64, 99):
         np.testing.assert_array_equal(whole[r], qm.simulate_path(model, RngStream(3, r), times))
@@ -207,7 +193,7 @@ def test_batch_rows_do_not_depend_on_the_batch():
 
 def test_ensemble_is_bitwise_equal_across_worker_counts():
     """1100 paths: three batches of 512 or 384 paths and a ragged last chunk."""
-    model, times = tiny_retrial(), grid(1.0, 10.0, 1.0)
+    model, times = tiny_retrial_model(), grid(1.0, 10.0, 1.0)
     runs = [qm.simulate_ensemble(model, 1100, 17, times, workers=w) for w in (1, 2, 3)]
     for other in runs[1:]:
         assert other.count == 1100
