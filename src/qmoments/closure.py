@@ -193,7 +193,7 @@ def closed_rate(term: tuple, p: MomentPoint) -> tuple[float, tuple]:
     drift must keep the exact-mean identity) and only the diffusion term
     clamps it at zero.
     """
-    code, coeff, j, k, n, weights, _ = term
+    code, coeff, j, k, n, weights, _, _ = term
     if code == CONST:
         return coeff, ()
     if code == LINEAR:

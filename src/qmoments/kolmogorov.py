@@ -21,7 +21,7 @@ environment are bitwise equal.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix, identity
+from scipy.sparse import dia_matrix
 
 from .errors import NumericalError, UsageError
 from .model import (
@@ -45,7 +45,7 @@ _TAIL = 1e-16
 
 def _lattice_rates(term: tuple, coords: np.ndarray) -> np.ndarray:
     """Rate of one compiled term at every (S, d) lattice coordinate."""
-    code, coeff, j, k, n, weights, _ = term
+    code, coeff, j, k, n, weights, _, _ = term
     if code == CONST:
         kernel = np.ones(coords.shape[0])
     elif code == LINEAR:
@@ -62,31 +62,27 @@ def _lattice_rates(term: tuple, coords: np.ndarray) -> np.ndarray:
 
 
 def _generator_transpose(model: NetworkModel, t: float, coords, strides, caps):
-    """Sparse Q(t)' on the truncated lattice (outward jumps disabled)."""
+    """Sparse Q(t)' on the truncated lattice (outward jumps disabled), in DIA
+    format: a transition with jump ``j`` moves state ``s`` to ``s + j @
+    strides``, so its flows fill the diagonal at offset ``-(j @ strides)``.
+    Offsets ascend, so a product sums each row in ascending column order;
+    transitions sharing a jump add up in model order."""
     size = coords.shape[0]
-    src_idx = coords @ strides
-    rows, cols, vals = [], [], []
+    diagonals = {0: np.zeros(size)}
     for term in compile_terms(model, t):
         rate = _lattice_rates(term, coords)
         target = coords + np.asarray(term[6])
         inside = np.all((target >= 0) & (target <= caps), axis=1)
-        active = inside & (rate > 0.0)
-        if not np.any(active):
-            continue
-        tgt_idx = target[active] @ strides
-        rows.append(tgt_idx)
-        cols.append(src_idx[active])
-        vals.append(rate[active])
-        # diagonal outflow
-        rows.append(src_idx[active])
-        cols.append(src_idx[active])
-        vals.append(-rate[active])
-    if not rows:
-        return coo_matrix((size, size)).tocsr()
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+        flow = np.where(inside & (rate > 0.0), rate, 0.0)
+        offset = -int(np.asarray(term[6]) @ strides)
+        if offset in diagonals:
+            diagonals[offset] += flow
+        else:
+            diagonals[offset] = flow
+        diagonals[0] -= flow  # outflow
+    offsets = sorted(diagonals)
+    data = np.array([diagonals[o] for o in offsets])
+    return dia_matrix((data, offsets), shape=(size, size))
 
 
 def expm_multiply(step, rate: float, dt: float, p: np.ndarray) -> np.ndarray:
@@ -158,7 +154,9 @@ def state_distributions(model: NetworkModel, caps, grid):
         if t_event in boundaries or t_event == 0.0:
             step = _generator_transpose(model, t_event, coords, strides, caps)
             rate = float(-step.diagonal().min())
-            step = step / rate + identity(size, format="csr") if rate > 0.0 else None
+            if rate > 0.0:  # P = I + Q'/rate
+                step.data *= 1 / rate
+                step.data[list(step.offsets).index(0)] += 1.0
     return times, coords, probs
 
 

@@ -141,17 +141,19 @@ class NetworkModel:
 
 def compile_term(rate: RateTerm, jump: tuple[int, ...], t: float) -> tuple:
     """One rate frozen at time ``t`` into plain values,
-    ``(code, coeff, index, other, threshold, weights, jump)``; fields a kernel
-    does not have read 0, 0.0 or None.  Every evaluator in the package looks
-    its schedules up here."""
+    ``(code, coeff, index, other, threshold, weights, jump, moves)``; fields a
+    kernel does not have read 0, 0.0 or None, and ``moves`` holds
+    ``(a, jump[a])`` for each nonzero jump entry.  Every evaluator in the
+    package looks its schedules up here."""
     kernel = rate.kernel
     code = _KERNEL_CODES.get(type(kernel))
     if code is None:
         raise UsageError(f"unknown kernel type {type(kernel).__name__}")
     threshold = getattr(kernel, "threshold", None)
     thr = 0.0 if threshold is None else threshold.value_at(t)
+    moves = tuple((a, v) for a, v in enumerate(jump) if v)
     return (code, rate.coefficient.value_at(t), getattr(kernel, "index", 0),
-            getattr(kernel, "other", 0), thr, getattr(kernel, "weights", None), jump)
+            getattr(kernel, "other", 0), thr, getattr(kernel, "weights", None), jump, moves)
 
 
 def compile_terms(model: NetworkModel, t: float) -> list[tuple]:

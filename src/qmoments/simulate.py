@@ -71,7 +71,7 @@ def _kernel_values(term, thr, x, out) -> None:
     by the coefficient; schedules are finite, so ``coeff * 0.0`` is the zero
     rate of a positive part below its threshold.
     """
-    code, _, j, k, _, weights, _ = term
+    code, _, j, k, _, weights, _, _ = term
     if code == CONST:
         out.fill(1.0)
     elif code == LINEAR:

@@ -1,6 +1,8 @@
 """Deterministic transient solvers for mean and covariance trajectories.
 
-Three methods share one fixed-step Runge-Kutta engine:
+Three methods share one fixed-step Runge-Kutta engine, which integrates one
+flat state vector: the mean alone for fluid, the mean followed by the
+row-major covariance for the other two.
 
 * ``solve_fluid``        integrates the pointwise drift; covariance is zero.
 * ``solve_adjusted``     closes drift, Jacobian and diffusion on the running
@@ -17,9 +19,10 @@ Every method compiles the model's plan once per solve (shared with the
 simulator, :func:`~qmoments.model.compile_segments`) and finds each
 Runge-Kutta stage's segment by bisection.
 
-Steps never straddle a schedule breakpoint.  Because time enters the rate
-functions only through piecewise-constant schedules, freezing the schedule
-lookup at the step midpoint makes each step an exact RK4 step of an
+The mesh ends at the last sample time, so a divergence after it is never
+reached.  Steps never straddle a schedule breakpoint.  Because time enters
+the rate functions only through piecewise-constant schedules, freezing the
+schedule lookup at the step midpoint makes each step an exact RK4 step of an
 autonomous system, so integrating an alternating parameter is bitwise the
 same as chaining its constant segments.
 """
@@ -71,9 +74,11 @@ class SolverConfig:
 
 
 def _build_mesh(model: NetworkModel, cfg: SolverConfig, grid: np.ndarray):
-    """Integration nodes: breakpoints and grid times, gaps split to <= dt.
+    """Integration nodes up to the last sample time: breakpoints and grid
+    times, gaps split to <= dt.  They are a prefix of the mesh that would run
+    to the horizon; no output reads a node past the last sample.
 
-    Returns the node array and, per node, the index into ``grid`` it reports
+    Returns the node times and, per node, the index into ``grid`` it reports
     to (or -1).
     """
     anchors = [0.0, float(model.horizon)]
@@ -86,31 +91,35 @@ def _build_mesh(model: NetworkModel, cfg: SolverConfig, grid: np.ndarray):
             merged.append(a)
     nodes = [merged[0]]
     for a, b in zip(merged[:-1], merged[1:]):
+        if a > grid[-1] + GRID_TOL:  # no later node can be a sample
+            break
         try:
             steps = max(1, int(np.ceil((b - a) / cfg.dt - 1e-12)))
-            nodes.extend(np.linspace(a, b, steps + 1)[1:])
+            nodes.extend(np.linspace(a, b, steps + 1)[1:].tolist())
         except (ValueError, OverflowError, MemoryError) as exc:
             raise UsageError(f"dt={cfg.dt:g} needs too many steps from t={a:g} to {b:g}") from exc
-    nodes = np.asarray(nodes)
-    sample_of = np.full(len(nodes), -1, dtype=int)
+    sample_of = [-1] * len(nodes)
     gi = 0
     for ni, t in enumerate(nodes):
-        if gi < len(grid) and abs(t - grid[gi]) <= GRID_TOL:
+        if abs(t - grid[gi]) <= GRID_TOL:
             sample_of[ni] = gi
             gi += 1
-    if gi != len(grid):
-        raise UsageError("sample grid could not be aligned with the mesh")
-    return nodes, sample_of
+            if gi == len(grid):
+                return nodes[: ni + 1], sample_of[: ni + 1]
+    raise UsageError("sample grid could not be aligned with the mesh")
 
 
 def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
-    """RK4 on the (mean, covariance) pair over the aligned mesh."""
+    """RK4 on one flat state over the aligned mesh: the mean for fluid, else
+    the mean followed by the row-major covariance.  ``rhs(t, y)`` returns the
+    derivative of ``y``."""
     validate_model(model).raise_if_invalid()
     grid = checked_grid(model, cfg.grid)
     nodes, sample_of = _build_mesh(model, cfg, grid)
     d = model.dimension
-    m = np.asarray(model.initial_state, dtype=float)
-    c = np.zeros((d, d))
+    y = np.zeros(d if method == "fluid" else d + d * d)
+    y[:d] = model.initial_state
+    cov = None if method == "fluid" else y[d:].reshape(d, d)  # a view, updated in place
     means = np.zeros((len(grid), d))
     covs = np.zeros((len(grid), d, d))
     warnings: list[str] = []
@@ -118,13 +127,12 @@ def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
     def record(ni):
         gi = sample_of[ni]
         if gi >= 0:
-            means[gi] = m
-            covs[gi] = c
-            trace = float(np.trace(c))
-            if trace > 0 and float(np.linalg.eigvalsh(c)[0]) < -1e-4 * trace:
-                warnings.append(
-                    f"covariance poorly conditioned at t={grid[gi]:g}"
-                )
+            means[gi] = y[:d]
+            if cov is not None:
+                covs[gi] = cov
+                trace = float(np.trace(cov))
+                if trace > 0 and float(np.linalg.eigvalsh(cov)[0]) < -1e-4 * trace:
+                    warnings.append(f"covariance poorly conditioned at t={grid[gi]:g}")
 
     record(0)
     # overflow is an anticipated, detected condition here, not a warning
@@ -133,14 +141,15 @@ def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
             t0, t1 = nodes[ni], nodes[ni + 1]
             h = t1 - t0
             tm = 0.5 * (t0 + t1)  # schedules are constant on the step
-            dm1, dc1 = rhs(tm, m, c)
-            dm2, dc2 = rhs(tm, m + 0.5 * h * dm1, c + 0.5 * h * dc1)
-            dm3, dc3 = rhs(tm, m + 0.5 * h * dm2, c + 0.5 * h * dc2)
-            dm4, dc4 = rhs(tm, m + h * dm3, c + h * dc3)
-            m = m + (h / 6.0) * (dm1 + 2.0 * dm2 + 2.0 * dm3 + dm4)
-            c = c + (h / 6.0) * (dc1 + 2.0 * dc2 + 2.0 * dc3 + dc4)
-            c = 0.5 * (c + c.T)
-            if not (np.all(np.isfinite(m)) and np.all(np.isfinite(c))):
+            k1 = rhs(tm, y)
+            k2 = rhs(tm, y + 0.5 * h * k1)
+            k3 = rhs(tm, y + 0.5 * h * k2)
+            k4 = rhs(tm, y + h * k3)
+            y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if cov is not None:
+                cov += cov.T
+                cov *= 0.5
+            if not np.isfinite(y).all():
                 raise DivergenceError(
                     f"{method} solve diverged between t={t0:g} and t={t1:g}",
                     last_time=float(t0),
@@ -163,8 +172,8 @@ def solve_fluid(model: NetworkModel, cfg: SolverConfig | None = None) -> MomentT
     cfg = cfg or SolverConfig(method="fluid")
     plan, d = _plan_at(model), model.dimension
 
-    def rhs(t, m, c):
-        return _drift_terms(plan(t), m.tolist(), d), c  # c is the zero start, its own rate
+    def rhs(t, y):
+        return _drift_terms(plan(t), y.tolist(), d)
 
     return _solve_moments(model, cfg, rhs, "fluid")
 
@@ -173,9 +182,10 @@ def _solve_covariance(model: NetworkModel, cfg: SolverConfig, rate, state, metho
     """``dC/dt = A C + C A' + Q``, all from :func:`moment_terms` at ``state(m, c)``."""
     plan, d = _plan_at(model), model.dimension
 
-    def rhs(t, m, c):
+    def rhs(t, y):
+        m, c = y[:d], y[d:].reshape(d, d)
         drift_m, a, q = moment_terms(rate, plan(t), state(m, c), d)
-        return drift_m, a @ c + c @ a.T + q
+        return np.concatenate((drift_m, (a @ c + c @ a.T + q).ravel()))
 
     return _solve_moments(model, cfg, rhs, method)
 
@@ -238,7 +248,7 @@ def pointwise_rate(term: tuple, xs: list) -> tuple[float, tuple]:
     """Rate of one compiled term at the state ``xs`` (a list of floats) and
     its one-sided kernel gradient, as ``(index, entry)`` pairs without the
     coefficient, for the entries the kernel reads."""
-    code, coeff, j, k, thr, weights, _ = term
+    code, coeff, j, k, thr, weights, _, _ = term
     # min(u, v) is spelled `v if v < u else u` and max(u, v) `v if v > u
     # else u`, which is how the builtins resolve ties and NaN
     if code == CONST:
@@ -265,28 +275,26 @@ def moment_terms(rate, terms, state, d: int) -> tuple[np.ndarray, ...]:
 
     ``rate(term, state)`` is :func:`pointwise_rate` or
     :func:`~qmoments.closure.closed_rate`.  One pass over the transitions, in
-    model order: drift entry ``a`` adds ``jump_a * rate``, Jacobian entry
-    ``(a, b)`` adds ``coeff * (jump_a * grad_b)`` and diffusion entry ``(a, b)``
-    adds ``(jump_a * jump_b) * rate`` where the rate is positive.
+    model order, and over each one's nonzero jump entries: drift entry ``a``
+    adds ``jump_a * rate``, Jacobian entry ``(a, b)`` adds
+    ``coeff * (jump_a * grad_b)`` and diffusion entry ``(a, b)`` adds
+    ``(jump_a * jump_b) * rate`` where the rate is positive.
     """
     drift_x = [0.0] * d
-    jac = [[0.0] * d for _ in range(d)]
-    diffusion = [[0.0] * d for _ in range(d)]
+    jac = [0.0] * (d * d)
+    diffusion = [0.0] * (d * d)
     for term in terms:
         r, grad = rate(term, state)
-        coeff, jump = term[1], term[6]
-        for a, jump_a in enumerate(jump):
-            if jump_a:
-                drift_x[a] += jump_a * r
-                row = jac[a]
-                for b, g in grad:
-                    row[b] += coeff * (jump_a * g)
-                if r > 0.0:
-                    row = diffusion[a]
-                    for b, jump_b in enumerate(jump):
-                        if jump_b:
-                            row[b] += (jump_a * jump_b) * r
-    return np.array(drift_x), np.array(jac), np.array(diffusion)
+        coeff, moves = term[1], term[7]
+        for a, jump_a in moves:
+            drift_x[a] += jump_a * r
+            row = a * d
+            for b, g in grad:
+                jac[row + b] += coeff * (jump_a * g)
+            if r > 0.0:
+                for b, jump_b in moves:
+                    diffusion[row + b] += (jump_a * jump_b) * r
+    return np.array(drift_x), np.array(jac).reshape(d, d), np.array(diffusion).reshape(d, d)
 
 
 def _drift_terms(terms, xs: list, d: int) -> np.ndarray:
@@ -294,9 +302,8 @@ def _drift_terms(terms, xs: list, d: int) -> np.ndarray:
     drift_x = [0.0] * d
     for term in terms:
         r = pointwise_rate(term, xs)[0]
-        for a, jump_a in enumerate(term[6]):
-            if jump_a:
-                drift_x[a] += jump_a * r
+        for a, jump_a in term[7]:
+            drift_x[a] += jump_a * r
     return np.array(drift_x)
 
 

@@ -185,15 +185,17 @@ class TestRunAndReport:
         assert (out_a / "combined.csv").read_bytes() == (out_b / "combined.csv").read_bytes()
 
     def test_divergent_method_exits_3_but_writes_others(self, tmp_path):
+        # a stiff death process: RK4 at dt = 0.01 blows up near t = 1.2,
+        # inside the sampled window (ODE methods stop at the last sample)
         model = qm.NetworkModel(
             1,
             (
                 qm.Transition(
-                    (1,),
-                    qm.RateTerm(qm.TimeSchedule.constant(100.0), qm.Linear((1.0,))),
+                    (-1,),
+                    qm.RateTerm(qm.TimeSchedule.constant(1000.0), qm.Linear((1.0,))),
                 ),
             ),
-            (1,),
+            (10,),
             10.0,
         )
         path = tmp_path / "explode.json"
@@ -205,13 +207,14 @@ class TestRunAndReport:
                 "--model", str(path),
                 "--methods", "fluid,simulate",
                 "--reps", "2",
-                "--grid", "0:0.1:0.1",
+                "--grid", "0:2:1",
                 "--out", str(out),
             ]
         )
         assert code == 3
         manifest = json.loads((out / "run.json").read_text())
         assert "fluid" in manifest["errors"]
+        assert (out / "simulate.csv").exists()
 
     def test_report_without_simulation_is_usage_error(self, tmp_path):
         model_path = tiny_model_file(tmp_path)

@@ -146,8 +146,8 @@ class TestCompiledPlan:
         for a, b, (first, second) in segments:
             mid = 0.5 * (a + b)
             n, r = servers.value_at(mid), rate.value_at(mid)
-            assert first == (MIN_THRESHOLD, r, 0, 0, n, None, (-1, 0))
-            assert second == (CAPPED, n, 1, 0, r, None, (0, -1))
+            assert first == (MIN_THRESHOLD, r, 0, 0, n, None, (-1, 0), ((0, -1),))
+            assert second == (CAPPED, n, 1, 0, r, None, (0, -1), ((1, -1),))
 
 
 class TestKernelProperties:

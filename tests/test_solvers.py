@@ -29,7 +29,7 @@ from qmoments import (
 )
 from qmoments.closure import MomentPoint, closed_rate
 from qmoments.model import compile_terms
-from qmoments.solvers import moment_terms, pointwise_rate
+from qmoments.solvers import METHODS, _solve_moments, moment_terms, pointwise_rate
 
 
 def mminf(lam=2.0, mu=1.0, horizon=2.0, arrival=None):
@@ -397,6 +397,55 @@ class TestStepping:
         with pytest.raises(DivergenceError) as err:
             qm.solve_fluid(exploding, SolverConfig(grid=np.array([10.0])))
         assert 0.0 <= err.value.last_time < 10.0
+
+    def test_divergence_after_last_sample_is_not_reached(self):
+        exploding = NetworkModel(
+            1,
+            (Transition((1,), RateTerm(TimeSchedule.constant(100.0), Linear((1.0,)))),),
+            (1,),
+            10.0,
+        )
+        out = qm.solve_fluid(exploding, SolverConfig(grid=np.array([0.0, 0.1])))
+        assert np.all(np.isfinite(out.means))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_solve_stops_at_last_sample_bitwise(self, method):
+        """Rows up to t = 15 do not depend on how far the grid goes."""
+        model = qm.build_retrial(*qm.retrial_preset(7)[:2])
+        short = qm.solve(model, SolverConfig(method=method, grid=np.arange(6.0, 16.0)))
+        full = qm.solve(model, SolverConfig(method=method, grid=np.arange(6.0, 21.0)))
+        assert np.array_equal(short.means, full.means[:10])
+        assert np.array_equal(short.covs, full.covs[:10])
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_rhs_runs_four_stages_per_step_up_to_last_sample(self, method):
+        """250 steps of 0.01 reach t = 2.5, the last sample, of horizon 10;
+        fluid integrates the mean alone."""
+        calls = []
+
+        def rhs(t, y):
+            calls.append((t, y.shape))
+            return np.zeros_like(y)
+
+        grid = np.array([1.0, 2.5])
+        _solve_moments(mminf(horizon=10.0), SolverConfig(grid=grid), rhs, method)
+        assert len(calls) == 4 * 250
+        assert max(t for t, _ in calls) < 2.5
+        assert {shape for _, shape in calls} == {(1,) if method == "fluid" else (2,)}
+
+    @pytest.mark.parametrize(
+        "short, full",
+        [([1.0, 2.0 + 5e-10], [1.0, 2.0 + 5e-10, 4.0]), ([1.0, 4.0 + 5e-10], [1.0, 4.0])],
+        ids=["breakpoint", "horizon"],
+    )
+    def test_last_sample_within_tolerance_keeps_the_mesh(self, short, full):
+        """A last sample within GRID_TOL of a breakpoint (t = 2) or of the
+        horizon (t = 4) reports the state at that node, as a longer grid does."""
+        model = mminf(horizon=4.0, arrival=TimeSchedule.alternating(45, 55, 2.0, 4.0))
+        got = qm.solve_adjusted(model, SolverConfig(grid=np.array(short)))
+        want = qm.solve_adjusted(model, SolverConfig(grid=np.array(full)))
+        assert np.array_equal(got.means, want.means[:2])
+        assert np.array_equal(got.covs, want.covs[:2])
 
     def test_method_dispatch(self):
         grid = np.array([1.0])
