@@ -31,7 +31,7 @@ from .results import (
     write_long_csv,
 )
 from .simulate import simulate_ensemble
-from .solvers import METHODS as ODE_METHODS, SolverConfig, solve
+from .solvers import FLOW_METHODS, METHODS as ODE_METHODS, SolverConfig, solve
 from .systems import build_retrial, retrial_preset
 
 METHOD_ORDER = ("fluid", "adjusted", "measure-zero", "simulate", "exact")
@@ -217,6 +217,7 @@ def run_experiment(cfg: ExperimentConfig):
         "dt": cfg.dt,
         "errors": errors,
         "warnings": {m: results[m].warnings for m in ordered if m in ODE_METHODS},
+        "crossings": {m: results[m].crossings for m in ordered if m in FLOW_METHODS},
     }
     with open(os.path.join(cfg.out_dir, MANIFEST), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -327,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--reps", type=int, help="simulation replications")
     run.add_argument("--seed", type=int, help="master seed")
-    run.add_argument("--dt", type=float, help="solver step size")
+    run.add_argument(
+        "--dt", type=float, help="RK4 step of adjusted; kink-probe spacing of fluid, measure-zero"
+    )
     run.add_argument("--grid", help="sample times t0:t1:step")
     run.add_argument("--out", help="output directory")
     run.add_argument("--caps", help="per-dimension state caps for method 'exact'")

@@ -5,8 +5,9 @@ expectation under a Gaussian surrogate ``X ~ N(mean, cov)`` smooths out the
 min/positive-part kinks, which is what lets the mean and covariance ODEs
 close on themselves.  This module provides
 
-* ``closed_rate(term, p)``      expected rate and mean-gradient of one compiled
-                                term, the adjusted method's rate rule
+* ``closed_rate(term, state)``  expected rate and mean-gradient of one compiled
+                                term at the moments ``(mean, cov)`` held as
+                                flat lists, the adjusted method's rate rule
                                 (:func:`qmoments.solvers.moment_terms`)
 * ``expected_kernel``           E[coefficient(t) * kernel(X)]
 * ``expected_kernel_grad_mean`` its gradient with respect to the mean
@@ -66,6 +67,11 @@ class MomentPoint:
     def marginal_std(self, j: int) -> float:
         return math.sqrt(max(float(self.cov[j, j]), 0.0))
 
+    def flat(self) -> tuple[list, list]:
+        """The state :func:`closed_rate` reads: the mean and the row-major
+        covariance as lists of floats."""
+        return self.mean.tolist(), self.cov.ravel().tolist()
+
 
 # --------------------------------------------------------------------------
 # Closed forms for the individual kernels.  With z = (n - m) / s:
@@ -91,10 +97,12 @@ def _positive_part_expectation(m: float, s: float, n: float) -> float:
     return s * normal_pdf(z) + (m - n) * (1.0 - normal_cdf(z))
 
 
-def _pair_spread(p: MomentPoint, j: int, k: int) -> float:
-    """Standard deviation of X_j - X_k; raises on corrupt covariance."""
-    var = float(p.cov[j, j] + p.cov[k, k] - 2.0 * p.cov[j, k])
-    tol = 1e-9 * max(1.0, abs(float(p.cov[j, j])) + abs(float(p.cov[k, k])))
+def _pair_spread(cov: list, d: int, j: int, k: int) -> float:
+    """Standard deviation of X_j - X_k from the row-major covariance of
+    dimension ``d``; raises on corrupt covariance."""
+    vj, vk = cov[j * d + j], cov[k * d + k]
+    var = vj + vk - 2.0 * cov[j * d + k]
+    tol = 1e-9 * max(1.0, abs(vj) + abs(vk))
     if var < -tol:
         raise NumericalError(
             f"negative variance {var} for component difference ({j}, {k}); "
@@ -168,10 +176,11 @@ def _truncated_excess(
     return (mu - a) * prob + sigma * tail, prob
 
 
-def _capped_residual(p: MomentPoint, j: int, k: int, n: float) -> tuple[float, float, float]:
+def _capped_residual(mean: list, cov: list, j: int, k: int, n: float) -> tuple[float, float, float]:
     """``E[min(X_j, (n - X_k)^+)]`` and its derivatives in ``m_j`` and ``m_k``."""
-    mj, mk = float(p.mean[j]), float(p.mean[k])
-    vj, vk, c = float(p.cov[j, j]), float(p.cov[k, k]), float(p.cov[j, k])
+    d = len(mean)
+    mj, mk = mean[j], mean[k]
+    vj, vk, c = cov[j * d + j], cov[k * d + k], cov[j * d + k]
     sum_excess, p_sum = _truncated_excess(mj + mk, vj + vk + 2.0 * c, n, mk, vk, n, c + vk)
     low_excess, p_low = _truncated_excess(mj, vj, 0.0, mk, vk, n, c)
     all_excess, p_all = _truncated_excess(mj, vj, 0.0, 0.0, 0.0, math.inf, 0.0)
@@ -183,10 +192,11 @@ def _capped_residual(p: MomentPoint, j: int, k: int, n: float) -> tuple[float, f
 # Public closed-path interface
 
 
-def closed_rate(term: tuple, p: MomentPoint) -> tuple[float, tuple]:
+def closed_rate(term: tuple, state: tuple[list, list]) -> tuple[float, tuple]:
     """Expected rate ``E[coeff * kernel(X)]`` of one compiled term and the
     mean-gradient of the expected kernel, as ``(index, entry)`` pairs without
-    the coefficient, for the entries the kernel reads.
+    the coefficient, for the entries the kernel reads.  ``state`` is the mean
+    and the row-major covariance as lists of floats (:meth:`MomentPoint.flat`).
 
     Threshold expectations can come out negative because the Gaussian
     surrogate has mass below zero; the raw value is returned on purpose (the
@@ -194,23 +204,24 @@ def closed_rate(term: tuple, p: MomentPoint) -> tuple[float, tuple]:
     clamps it at zero.
     """
     code, coeff, j, k, n, weights, _, _ = term
+    mean, cov = state
     if code == CONST:
         return coeff, ()
     if code == LINEAR:
-        return coeff * float(np.dot(weights, p.mean)), tuple(enumerate(weights))
+        return coeff * float(np.dot(weights, mean)), tuple(enumerate(weights))
     if code == MIN_PAIR:
-        mj, mk = float(p.mean[j]), float(p.mean[k])
-        theta = _pair_spread(p, j, k)
+        mj, mk = mean[j], mean[k]
+        theta = _pair_spread(cov, len(mean), j, k)
         if theta < SIGMA_FLOOR:
             return coeff * min(mj, mk), ((j if mj <= mk else k, 1.0),)
         u = (mk - mj) / theta
         value = mj * normal_cdf(u) + mk * normal_cdf(-u) - theta * normal_pdf(u)
         return coeff * value, ((j, normal_cdf(u)), (k, normal_cdf(-u)))
     if code == CAPPED:
-        value, d_own, d_other = _capped_residual(p, j, k, n)
+        value, d_own, d_other = _capped_residual(mean, cov, j, k, n)
         return coeff * value, ((j, d_own), (k, d_other))
     # min(x_j, n) or (x_j - n)^+
-    m, s = float(p.mean[j]), p.marginal_std(j)
+    m, s = mean[j], math.sqrt(max(cov[j * (len(mean) + 1)], 0.0))
     below = (1.0 if m <= n else 0.0) if s < SIGMA_FLOOR else normal_cdf((n - m) / s)
     if code == MIN_THRESHOLD:
         return coeff * _min_threshold_expectation(m, s, n), ((j, below),)
@@ -219,13 +230,13 @@ def closed_rate(term: tuple, p: MomentPoint) -> tuple[float, tuple]:
 
 def expected_kernel(term: RateTerm, t: float, p: MomentPoint) -> float:
     """Expected rate ``E[coefficient(t) * kernel(X)]`` for Gaussian ``X``."""
-    return closed_rate(compile_term(term, (), t), p)[0]
+    return closed_rate(compile_term(term, (), t), p.flat())[0]
 
 
 def expected_kernel_grad_mean(term: RateTerm, t: float, p: MomentPoint) -> np.ndarray:
     """Gradient of ``expected_kernel`` with respect to the mean vector."""
     compiled = compile_term(term, (), t)
     grad = np.zeros(p.mean.shape[0])
-    for b, g in closed_rate(compiled, p)[1]:
+    for b, g in closed_rate(compiled, p.flat())[1]:
         grad[b] = compiled[1] * g
     return grad

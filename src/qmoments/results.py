@@ -31,6 +31,7 @@ class MomentTrajectory:
     covs: np.ndarray | None  # (n, d, d); zero for fluid, None for one replication
     warnings: list[str] = field(default_factory=list)
     count: int | None = None  # replications, set only by ``simulate_ensemble``
+    crossings: list[list] = field(default_factory=list)  # [t, transition, surface] of the flow
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

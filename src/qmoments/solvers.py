@@ -1,10 +1,6 @@
 """Deterministic transient solvers for mean and covariance trajectories.
 
-Three methods share one fixed-step Runge-Kutta engine, which integrates one
-flat state vector: the mean alone for fluid, the mean followed by the
-row-major covariance for the other two.
-
-* ``solve_fluid``        integrates the pointwise drift; covariance is zero.
+* ``solve_fluid``        the pointwise drift's flow; covariance is zero.
 * ``solve_adjusted``     closes drift, Jacobian and diffusion on the running
                          Gaussian surrogate and integrates mean and
                          covariance simultaneously.
@@ -12,19 +8,37 @@ row-major covariance for the other two.
                          propagates the covariance with one-sided derivatives
                          of the kinked rates evaluated on the fluid path.
 
-Both covariance methods integrate ``dC/dt = A C + C A' + sum_i rate_i^+ J_i J_i'``
-(the diffusion term of Mandelbaum, Massey & Reiman 1998) with drift, ``A`` and
-the diffusion from one pass, :func:`moment_terms`; only the rate rule differs.
-Every method compiles the model's plan once per solve (shared with the
-simulator, :func:`~qmoments.model.compile_segments`) and finds each
-Runge-Kutta stage's segment by bisection.
+The covariance methods solve ``dC/dt = A C + C A' + sum_i rate_i^+ J_i J_i'``
+(the diffusion term of Mandelbaum, Massey & Reiman 1998).  Every method
+compiles the model's plan once per solve (shared with the simulator,
+:func:`~qmoments.model.compile_segments`).
+
+**Adjusted** runs fixed-step RK4 on one flat state, the mean followed by the
+row-major covariance, with drift, ``A`` and the diffusion from one pass,
+:func:`moment_terms`, under :func:`~qmoments.closure.closed_rate`.  Freezing
+the schedule lookup at the step midpoint makes each step an exact RK4 step of
+an autonomous system, so integrating an alternating parameter is bitwise the
+same as chaining its constant segments.
+
+**Fluid and measure-zero** follow the exact switched-affine flow.  Each kernel
+is affine in the state between its kinks and each schedule is constant between
+breakpoints, so inside a region (one branch per term, see
+:func:`pointwise_rate`) the stacked state ``z = (x, 1, vec C)`` obeys
+``z' = M z``, solved by ``expm(M h) z`` (Van Loan 1978, IEEE TAC 23).  The
+mean is stepped from mesh node to mesh node by the ``(x, 1)`` block alone,
+whose exponentials are cached per plan segment, region and step length within
+one solve, so measure-zero's mean is bitwise the fluid's.  The covariance
+rows of the full exponential are applied only where a covariance is read: at
+samples, crossings and breakpoints.  A region ends where the path crosses one
+of its linear switching functions: a kink surface of a term or the zero of an
+affine rate.  The side of every switching function is checked at each mesh
+node, so ``dt`` is the probe spacing: an excursion across a surface and back
+within one probe interval is not seen.  A crossing is located by safeguarded
+Newton on the switching function along the flow and listed in the result's
+``crossings``.
 
 The mesh ends at the last sample time, so a divergence after it is never
-reached.  Steps never straddle a schedule breakpoint.  Because time enters
-the rate functions only through piecewise-constant schedules, freezing the
-schedule lookup at the step midpoint makes each step an exact RK4 step of an
-autonomous system, so integrating an alternating parameter is bitwise the
-same as chaining its constant segments.
+reached, and steps never straddle a schedule breakpoint.
 """
 
 from __future__ import annotations
@@ -35,10 +49,12 @@ from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
+from scipy.linalg import expm
 
 from .closure import MomentPoint, closed_rate
-from .errors import DivergenceError, UsageError
+from .errors import DivergenceError, NumericalError, UsageError
 from .model import (
+    CAPPED,
     CONST,
     GRID_TOL,
     LINEAR,
@@ -55,11 +71,16 @@ from .model import (
 from .results import MomentTrajectory
 
 METHODS = ("fluid", "adjusted", "measure-zero")
+FLOW_METHODS = ("fluid", "measure-zero")
+CROSSING_CAP = 100  # crossings per plan segment; more means the path chatters on a kink
+_PUSH = 1e-9  # the region past a crossing is read this far along the drift, in time units
+_ROOT_TOL = 1e-13  # crossing times are located to this, in time units
 
 
 @dataclass
 class SolverConfig:
-    """Step size, method tag and output grid for one solve.
+    """Step size (the probe spacing for fluid and measure-zero), method tag and
+    output grid for one solve.
 
     ``grid`` follows :func:`~qmoments.model.checked_grid`; ``None`` is every whole time unit.
     """
@@ -109,17 +130,21 @@ def _build_mesh(model: NetworkModel, cfg: SolverConfig, grid: np.ndarray):
     raise UsageError("sample grid could not be aligned with the mesh")
 
 
+def _poorly_conditioned(cov: np.ndarray) -> bool:
+    trace = float(np.trace(cov))
+    return trace > 0 and float(np.linalg.eigvalsh(cov)[0]) < -1e-4 * trace
+
+
 def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
-    """RK4 on one flat state over the aligned mesh: the mean for fluid, else
-    the mean followed by the row-major covariance.  ``rhs(t, y)`` returns the
-    derivative of ``y``."""
+    """RK4 on the mean followed by the row-major covariance over the aligned
+    mesh.  ``rhs(t, y)`` returns the derivative of ``y``."""
     validate_model(model).raise_if_invalid()
     grid = checked_grid(model, cfg.grid)
     nodes, sample_of = _build_mesh(model, cfg, grid)
     d = model.dimension
-    y = np.zeros(d if method == "fluid" else d + d * d)
+    y = np.zeros(d + d * d)
     y[:d] = model.initial_state
-    cov = None if method == "fluid" else y[d:].reshape(d, d)  # a view, updated in place
+    cov = y[d:].reshape(d, d)  # a view, updated in place
     means = np.zeros((len(grid), d))
     covs = np.zeros((len(grid), d, d))
     warnings: list[str] = []
@@ -128,11 +153,9 @@ def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
         gi = sample_of[ni]
         if gi >= 0:
             means[gi] = y[:d]
-            if cov is not None:
-                covs[gi] = cov
-                trace = float(np.trace(cov))
-                if trace > 0 and float(np.linalg.eigvalsh(cov)[0]) < -1e-4 * trace:
-                    warnings.append(f"covariance poorly conditioned at t={grid[gi]:g}")
+            covs[gi] = cov
+            if _poorly_conditioned(cov):
+                warnings.append(f"covariance poorly conditioned at t={grid[gi]:g}")
 
     record(0)
     # overflow is an anticipated, detected condition here, not a warning
@@ -146,9 +169,8 @@ def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
             k3 = rhs(tm, y + 0.5 * h * k2)
             k4 = rhs(tm, y + h * k3)
             y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if cov is not None:
-                cov += cov.T
-                cov *= 0.5
+            cov += cov.T
+            cov *= 0.5
             if not np.isfinite(y).all():
                 raise DivergenceError(
                     f"{method} solve diverged between t={t0:g} and t={t1:g}",
@@ -156,6 +178,220 @@ def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
                 )
             record(ni + 1)
     return MomentTrajectory(method, grid.copy(), means, covs, warnings)
+
+
+# --------------------------------------------------------------------------
+# The exact switched-affine flow of fluid and measure-zero.
+
+
+def _kink_surfaces(terms, d: int) -> dict[tuple, tuple]:
+    """Each term's kink surfaces ``w . x = c`` as rows ``(w, -c)`` over
+    ``(x, 1)``, each once: row to ``(label, owning transitions)``."""
+    surfaces: dict[tuple, tuple] = {}
+
+    def add(i, label, c, *coords):
+        row = [0.0] * (d + 1)
+        for a, w in coords:
+            row[a] = w
+        row[d] = -c
+        surfaces.setdefault(tuple(row), (label, []))[1].append(i)
+
+    for i, (code, _, j, k, thr, _, _, _) in enumerate(terms):
+        if code in (MIN_THRESHOLD, POSITIVE_PART):
+            add(i, f"x{j} = {thr:g}", thr, (j, 1.0))
+        elif code == MIN_PAIR:
+            add(i, f"x{j} = x{k}", 0.0, (j, 1.0), (k, -1.0))
+        elif code == CAPPED:
+            add(i, f"x{j} + x{k} = {thr:g}", thr, (j, 1.0), (k, 1.0))
+            add(i, f"x{k} = {thr:g}", thr, (k, 1.0))
+            add(i, f"x{j} = 0", 0.0, (j, 1.0))
+    return surfaces
+
+
+class _Region:
+    """One region of one plan segment: every term on one branch, every rate
+    on one side of zero.  Holds the flow matrix of ``(x, 1)`` (``flow``), the
+    same with ``vec C`` appended for measure-zero (``full``), the switching
+    functions as rows over ``(x, 1)`` whose sign tells the side
+    (``surfaces``), and the step exponentials cached by step length."""
+
+    def __init__(self, terms, kinks, jumps, rates, xs, with_cov):
+        k, d = jumps.shape
+        # rate_i = alpha_i + beta_i . x in the region: beta = coeff * grad
+        beta, alpha = np.zeros((k, d)), np.zeros(k)
+        for i, (term, (r, grad)) in enumerate(zip(terms, rates)):
+            for b, g in grad:
+                beta[i, b] = term[1] * g
+            alpha[i] = r - sum(beta[i, b] * xs[b] for b, _ in grad)
+        a = jumps.T @ beta
+        self.flow = np.zeros((d + 1, d + 1))
+        self.flow[:d, :d] = a
+        self.flow[:d, d] = jumps.T @ alpha
+        # the zero of an affine rate is a switching function: -rate <= 0 while rate >= 0
+        moving = [i for i in range(k) if beta[i].any()]
+        rows = list(kinks) + [(*-beta[i], -alpha[i]) for i in moving]
+        self.labels = [*kinks.values()] + [("rate = 0", [i]) for i in moving]
+        self.surfaces = np.array(rows).reshape(len(rows), d + 1)
+        self.full = None
+        if with_cov:  # rows of vec C: (A (+) A) vec C + Q_0 + sum_a Q_a x_a
+            on = np.array([r >= 0.0 for r, _ in rates], dtype=float)
+            outer = (jumps[:, :, None] * jumps[:, None, :]).reshape(k, d * d) * on[:, None]
+            eye = np.eye(d)
+            self.full = np.zeros((d + 1 + d * d, d + 1 + d * d))
+            self.full[: d + 1, : d + 1] = self.flow
+            self.full[d + 1 :, :d] = outer.T @ beta
+            self.full[d + 1 :, d] = outer.T @ alpha
+            self.full[d + 1 :, d + 1 :] = np.kron(a, eye) + np.kron(eye, a)
+        self.steps: dict[float, np.ndarray] = {}
+
+    def step(self, h: float) -> np.ndarray:
+        """``expm(flow h)``, cached."""
+        out = self.steps.get(h)
+        if out is None:
+            out = self.steps[h] = expm(self.flow * h)
+        return out
+
+
+def _crossing_time(row, flow, xa, h: float, below: bool, f_end: float):
+    """First time in ``(0, h]`` at which ``row . (x, 1)`` leaves the side
+    ``below`` (value <= 0) it held at 0, by Newton on the flow from the
+    regula falsi guess, kept inside the bracket.  Returns the time and the
+    ``(x, 1)`` state there."""
+    lo, hi = 0.0, h
+    f0 = float(row @ xa)
+    tau = h * f0 / (f0 - f_end) if f0 != f_end else 0.5 * h
+    if not 0.0 < tau < h:
+        tau = 0.5 * h
+    for _ in range(100):
+        x = expm(flow * tau) @ xa
+        f = float(row @ x)
+        if (f <= 0.0) == below:
+            lo = tau
+        else:
+            hi = tau
+        slope = float(row @ (flow @ x))
+        nxt = tau - f / slope if slope else math.nan
+        if not lo < nxt < hi:  # Newton left the bracket: halve it instead
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - tau) <= _ROOT_TOL:
+            break
+        tau = nxt
+    return tau, x
+
+
+def _solve_flow(model: NetworkModel, cfg: SolverConfig, method: str) -> MomentTrajectory:
+    """Fluid or measure-zero by the switched-affine flow over the aligned mesh.
+
+    The mean is stepped node to node by the cached ``(x, 1)`` exponentials.
+    The covariance is formed only where it is read, at samples, crossings and
+    breakpoints, from ``(x, 1, vec C)`` at the last such time."""
+    validate_model(model).raise_if_invalid()
+    grid = checked_grid(model, cfg.grid)
+    nodes, sample_of = _build_mesh(model, cfg, grid)
+    d = model.dimension
+    with_cov = method == "measure-zero"
+    segments = compile_segments(model)
+    starts = [seg[0] for seg in segments]
+    jumps = np.array([tr.jump for tr in model.transitions], dtype=float)
+    xa = np.array([*model.initial_state, 1.0])  # (x, 1)
+    c = np.zeros(d * d)  # row-major covariance
+    t_cov, z_cov = 0.0, np.concatenate((xa, c))  # where the covariance was last formed
+    means = np.zeros((len(grid), d))
+    covs = np.zeros((len(grid), d, d))
+    warnings: list[str] = []
+    crossings: list[list] = []
+    regions: dict = {}
+
+    def region_at(si, xs: list):
+        """The region just past ``xs`` along the drift, and its sides there."""
+        terms = segments[si][2]
+        rates = [pointwise_rate(term, xs) for term in terms]
+        drift_x = jumps.T @ np.array([r for r, _ in rates])
+        ahead = (np.array(xs) + _PUSH * drift_x).tolist()
+        rates = [pointwise_rate(term, ahead) for term in terms]
+        key = (si, *(g for _, g in rates), *(r >= 0.0 for r, _ in rates))
+        region = regions.get(key)
+        if region is None:
+            kinks = _kink_surfaces(terms, d)
+            region = regions[key] = _Region(terms, kinks, jumps, rates, ahead, with_cov)
+        return key, region, region.surfaces @ np.array([*ahead, 1.0]) <= 0.0
+
+    def carry(region, t: float):
+        """Form the covariance at ``t`` (where the mean is ``xa``) through ``region``."""
+        nonlocal c, t_cov, z_cov
+        if with_cov and t != t_cov:
+            cov = (expm(region.full * (t - t_cov))[d + 1 :] @ z_cov).reshape(d, d)
+            if not np.isfinite(cov).all():
+                raise DivergenceError(
+                    f"{method} solve diverged between t={t_cov:g} and t={t:g}",
+                    last_time=float(t_cov),
+                )
+            c = (0.5 * (cov + cov.T)).ravel()
+            t_cov, z_cov = t, np.concatenate((xa, c))
+
+    def record(gi):
+        means[gi] = xa[:d]
+        covs[gi] = c.reshape(d, d)
+        if with_cov and _poorly_conditioned(covs[gi]):
+            warnings.append(f"covariance poorly conditioned at t={grid[gi]:g}")
+
+    si = -1
+    if sample_of[0] == 0:
+        record(0)
+    # overflow is an anticipated, detected condition here, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ni in range(len(nodes) - 1):
+            t, t1 = nodes[ni], nodes[ni + 1]
+            seg = bisect_right(starts, 0.5 * (t + t1)) - 1
+            if seg != si:
+                if si >= 0:
+                    carry(region, t)
+                si, crossed = seg, 0
+                key, region, sides = region_at(si, xa[:d].tolist())
+            while True:
+                xa1 = region.step(t1 - t) @ xa
+                if not np.isfinite(xa1).all():
+                    raise DivergenceError(
+                        f"{method} solve diverged between t={t:g} and t={t1:g}",
+                        last_time=float(t),
+                    )
+                sides1 = region.surfaces @ xa1 <= 0.0
+                if (sides1 == sides).all():
+                    break
+                # the earliest switching function to change side sets the crossing
+                tau, xa, hit = min(
+                    (
+                        (*_crossing_time(region.surfaces[i], region.flow, xa, t1 - t, sides[i],
+                                         float(region.surfaces[i] @ xa1)), i)
+                        for i in np.flatnonzero(sides1 != sides)
+                    ),
+                    key=lambda found: found[0],
+                )
+                t += tau
+                carry(region, t)
+                crossed += 1
+                if crossed > CROSSING_CAP:
+                    raise NumericalError(
+                        f"{method} solve crossed switching surfaces more than {CROSSING_CAP} "
+                        f"times in the plan segment from t={starts[si]:g} (the path stays on or "
+                        f"circles a kink); last crossing at t={t:.12g}, x={xa[:d].tolist()}"
+                    )
+                label, owners = region.labels[hit]
+                new_key, region, sides = region_at(si, xa[:d].tolist())
+                if new_key != key:
+                    crossings.extend([t, i, label] for i in owners)
+                key = new_key
+            xa = xa1
+            gi = sample_of[ni + 1]
+            if gi >= 0:
+                carry(region, t1)
+                record(gi)
+    return MomentTrajectory(method, grid.copy(), means, covs, warnings, crossings=crossings)
+
+
+def solve_fluid(model: NetworkModel, cfg: SolverConfig | None = None) -> MomentTrajectory:
+    """Deterministic large-population limit; covariance reported as zero."""
+    return _solve_flow(model, cfg or SolverConfig(method="fluid"), "fluid")
 
 
 def _plan_at(model: NetworkModel):
@@ -167,29 +403,6 @@ def _plan_at(model: NetworkModel):
     return lambda t: segments[bisect_right(starts, t) - 1][2]
 
 
-def solve_fluid(model: NetworkModel, cfg: SolverConfig | None = None) -> MomentTrajectory:
-    """Deterministic large-population limit; covariance reported as zero."""
-    cfg = cfg or SolverConfig(method="fluid")
-    plan, d = _plan_at(model), model.dimension
-
-    def rhs(t, y):
-        return _drift_terms(plan(t), y.tolist(), d)
-
-    return _solve_moments(model, cfg, rhs, "fluid")
-
-
-def _solve_covariance(model: NetworkModel, cfg: SolverConfig, rate, state, method: str):
-    """``dC/dt = A C + C A' + Q``, all from :func:`moment_terms` at ``state(m, c)``."""
-    plan, d = _plan_at(model), model.dimension
-
-    def rhs(t, y):
-        m, c = y[:d], y[d:].reshape(d, d)
-        drift_m, a, q = moment_terms(rate, plan(t), state(m, c), d)
-        return np.concatenate((drift_m, (a @ c + c @ a.T + q).ravel()))
-
-    return _solve_moments(model, cfg, rhs, method)
-
-
 def solve_adjusted(
     model: NetworkModel, cfg: SolverConfig | None = None
 ) -> MomentTrajectory:
@@ -197,11 +410,20 @@ def solve_adjusted(
 
     The drift, its Jacobian and the diffusion term are re-closed on the
     running (mean, covariance) pair at every Runge-Kutta stage, from one
-    :func:`~qmoments.closure.closed_rate` per transition; the covariance obeys
+    :func:`~qmoments.closure.closed_rate` per transition, which reads the
+    mean and the row-major covariance as flat lists; the covariance obeys
     ``dC/dt = A C + C A' + Q`` and is symmetrized after each step.
     """
     cfg = cfg or SolverConfig(method="adjusted")
-    return _solve_covariance(model, cfg, closed_rate, MomentPoint, "adjusted")
+    plan, d = _plan_at(model), model.dimension
+
+    def rhs(t, y):
+        c = y[d:].reshape(d, d)
+        state = (y[:d].tolist(), y[d:].tolist())
+        drift_m, a, q = moment_terms(closed_rate, plan(t), state, d)
+        return np.concatenate((drift_m, (a @ c + c @ a.T + q).ravel()))
+
+    return _solve_moments(model, cfg, rhs, "adjusted")
 
 
 def solve_measure_zero(
@@ -212,10 +434,11 @@ def solve_measure_zero(
     The rate kinks are ignored on the grounds that the fluid path spends
     measure-zero time on them: the Jacobian uses fixed one-sided derivatives
     (the convention is stated above :func:`pointwise_rate`) evaluated at the
-    fluid state, and the diffusion term uses the pointwise rates there.
+    fluid state, and the diffusion term uses the pointwise rates there.  The
+    flow takes the branch a kink leads into, so the convention only decides
+    a path that starts on a kink and stays there.
     """
-    cfg = cfg or SolverConfig(method="measure-zero")
-    return _solve_covariance(model, cfg, pointwise_rate, lambda m, c: m.tolist(), "measure-zero")
+    return _solve_flow(model, cfg or SolverConfig(method="measure-zero"), "measure-zero")
 
 
 def solve(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
@@ -297,16 +520,6 @@ def moment_terms(rate, terms, state, d: int) -> tuple[np.ndarray, ...]:
     return np.array(drift_x), np.array(jac).reshape(d, d), np.array(diffusion).reshape(d, d)
 
 
-def _drift_terms(terms, xs: list, d: int) -> np.ndarray:
-    """The drift alone of :func:`moment_terms` under :func:`pointwise_rate`."""
-    drift_x = [0.0] * d
-    for term in terms:
-        r = pointwise_rate(term, xs)[0]
-        for a, jump_a in term[7]:
-            drift_x[a] += jump_a * r
-    return np.array(drift_x)
-
-
 def _noise_columns(rate, terms, state, d: int) -> np.ndarray:
     """d x k matrix with columns ``jump_i * sqrt(max(rate_i, 0))``; its Gram
     matrix is the diffusion term up to rounding."""
@@ -320,7 +533,8 @@ def _noise_columns(rate, terms, state, d: int) -> np.ndarray:
 
 def drift(model: NetworkModel, t: float, x) -> np.ndarray:
     """Net state change rate: sum of jump vectors weighted by their rates."""
-    return _drift_terms(compile_terms(model, t), list(map(float, x)), model.dimension)
+    xs = list(map(float, x))
+    return moment_terms(pointwise_rate, compile_terms(model, t), xs, model.dimension)[0]
 
 
 def pointwise_drift_jacobian(model: NetworkModel, t: float, x) -> np.ndarray:
@@ -337,15 +551,15 @@ def pointwise_noise_matrix(model: NetworkModel, t: float, x) -> np.ndarray:
 
 def closed_drift(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
     """Jump-weighted sum of Gaussian-closed rates."""
-    return moment_terms(closed_rate, compile_terms(model, t), p, model.dimension)[0]
+    return moment_terms(closed_rate, compile_terms(model, t), p.flat(), model.dimension)[0]
 
 
 def closed_drift_jacobian(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
     """Gradient matrix of the closed drift with respect to the mean."""
-    return moment_terms(closed_rate, compile_terms(model, t), p, model.dimension)[1]
+    return moment_terms(closed_rate, compile_terms(model, t), p.flat(), model.dimension)[1]
 
 
 def noise_matrix(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
     """d x k matrix whose i-th column is ``jump_i * sqrt(max(rate_i, 0))``
     under the Gaussian-closed rates."""
-    return _noise_columns(closed_rate, compile_terms(model, t), p, model.dimension)
+    return _noise_columns(closed_rate, compile_terms(model, t), p.flat(), model.dimension)

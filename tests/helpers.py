@@ -286,7 +286,7 @@ def _reference_closed_rate(term, t, p: MomentPoint):
     if isinstance(kernel, MinPair):
         j, k = kernel.index, kernel.other
         mj, mk = float(p.mean[j]), float(p.mean[k])
-        theta = _pair_spread(p, j, k)
+        theta = _pair_spread(p.cov.ravel().tolist(), len(p.mean), j, k)
         if theta < SIGMA_FLOOR:
             grad[j if mj <= mk else k] = 1.0
             return coeff * min(mj, mk), grad
@@ -297,7 +297,7 @@ def _reference_closed_rate(term, t, p: MomentPoint):
         return coeff * value, grad
     if isinstance(kernel, CappedResidual):
         value, d_own, d_other = _capped_residual(
-            p, kernel.index, kernel.other, kernel.threshold.value_at(t)
+            *p.flat(), kernel.index, kernel.other, kernel.threshold.value_at(t)
         )
         grad[kernel.index] = d_own
         grad[kernel.other] = d_other

@@ -7,7 +7,10 @@ independent of the evaluators they check:
 * ``kernel_value`` and ``eval_rate``  the pointwise kernel and rate;
 * ``reference_path``                  one simulated path by a scalar loop;
 * ``quad_expected_kernel``            the Gaussian expectation of a rate by
-                                      kink-split Gauss-Legendre panels.
+                                      kink-split Gauss-Legendre panels;
+* ``ivp_moments``                     the fluid mean and measure-zero
+                                      covariance by an adaptive integrator
+                                      that stops at every switching surface.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.special import ndtr
 
 from qmoments import (
@@ -33,7 +37,8 @@ from qmoments import (
     UsageError,
 )
 from qmoments.closure import _pair_spread
-from qmoments.model import model_breakpoints
+from qmoments.model import compile_terms, model_breakpoints
+from qmoments.solvers import moment_terms, pointwise_rate
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -224,7 +229,7 @@ def quad_expected_kernel(term: RateTerm, t: float, p: MomentPoint) -> float:
     elif isinstance(kernel, MinPair):
         j, k = kernel.index, kernel.other
         mj, mk = float(p.mean[j]), float(p.mean[k])
-        theta = _pair_spread(p, j, k)
+        theta = _pair_spread(p.cov.ravel().tolist(), len(p.mean), j, k)
         if theta < 1e-12:
             value = min(mj, mk)
         else:
@@ -240,3 +245,93 @@ def quad_expected_kernel(term: RateTerm, t: float, p: MomentPoint) -> float:
     if not math.isfinite(result):
         raise NumericalError(f"quadrature produced non-finite value {result}")
     return result
+
+
+# --------------------------------------------------------------------------
+# Adaptive integration of the piecewise-smooth fluid and measure-zero ODEs.
+
+
+def _switching_rows(model: NetworkModel, t: float) -> list[tuple[np.ndarray, float]]:
+    """``(w, c)`` of every surface ``w . x = c`` on which a rate at time ``t``
+    kinks or its kernel changes sign, read from the kernel dataclasses."""
+    d = model.dimension
+    rows = []
+
+    def add(c, *coords):
+        w = np.zeros(d)
+        for a, v in coords:
+            w[a] = v
+        rows.append((w, c))
+
+    for tr in model.transitions:
+        kernel = tr.rate.kernel
+        if isinstance(kernel, Linear):
+            rows.append((np.array(kernel.weights, dtype=float), 0.0))
+        elif isinstance(kernel, (MinThreshold, PositivePart)):
+            add(kernel.threshold.value_at(t), (kernel.index, 1.0))
+            if isinstance(kernel, MinThreshold):
+                add(0.0, (kernel.index, 1.0))
+        elif isinstance(kernel, MinPair):
+            add(0.0, (kernel.index, 1.0), (kernel.other, -1.0))
+            add(0.0, (kernel.index, 1.0))
+            add(0.0, (kernel.other, 1.0))
+        elif isinstance(kernel, CappedResidual):
+            n = kernel.threshold.value_at(t)
+            add(n, (kernel.index, 1.0), (kernel.other, 1.0))
+            add(n, (kernel.other, 1.0))
+            add(0.0, (kernel.index, 1.0))
+    return rows
+
+
+def ivp_moments(model: NetworkModel, grid, tol: float = 1e-12):
+    """Fluid means and measure-zero covariances at ``grid`` by DOP853
+    (``rtol = atol = tol``), RHS from ``moment_terms(pointwise_rate, ...)``.
+
+    The integration restarts at every schedule breakpoint, sample time and
+    switching surface (terminal events), so each call sees a smooth RHS.  A
+    surface the state sits on at a restart counts only when the path comes
+    back to it; one it sits on without moving is left out until the next
+    restart.
+    """
+    d = model.dimension
+    y = np.zeros(d + d * d)
+    y[:d] = model.initial_state
+    grid = [float(g) for g in grid]
+    stops = sorted(set([0.0, *model_breakpoints(model), *grid]))
+    stops = [s for s in stops if s <= grid[-1]]
+    means, covs, a = [], [], 0.0
+    for b in stops:
+        if b > a:
+            terms = compile_terms(model, a)
+            rows = _switching_rows(model, a)
+
+            def rhs(_t, y, terms=terms):
+                c = y[d:].reshape(d, d)
+                drift, jac, diffusion = moment_terms(pointwise_rate, terms, y[:d].tolist(), d)
+                return np.concatenate((drift, (jac @ c + c @ jac.T + diffusion).ravel()))
+
+            t, a = a, b
+            while t < b:
+                x, slope = y[:d], rhs(t, y)[:d]
+                events = []
+                for w, c in rows:
+                    g0, dg = float(w @ x) - c, float(w @ slope)
+                    direction = 0.0
+                    if abs(g0) <= 1e-9 * (1.0 + abs(c) + float(np.abs(w) @ np.abs(x))):
+                        if dg == 0.0:
+                            continue
+                        direction = -1.0 if dg > 0.0 else 1.0
+
+                    def event(_t, y, w=w, c=c):
+                        return float(w @ y[:d]) - c
+
+                    event.terminal, event.direction = True, direction
+                    events.append(event)
+                sol = solve_ivp(rhs, (t, b), y, method="DOP853", rtol=tol, atol=tol, events=events)
+                if sol.status < 0:
+                    raise NumericalError(f"solve_ivp failed at t={t}: {sol.message}")
+                t, y = (float(sol.t[-1]) if sol.status == 1 else b), sol.y[:, -1].copy()
+        if b in grid:
+            means.append(y[:d].copy())
+            covs.append(y[d:].reshape(d, d).copy())
+    return np.array(means), np.array(covs)

@@ -185,17 +185,20 @@ class TestRunAndReport:
         assert (out_a / "combined.csv").read_bytes() == (out_b / "combined.csv").read_bytes()
 
     def test_divergent_method_exits_3_but_writes_others(self, tmp_path):
-        # a stiff death process: RK4 at dt = 0.01 blows up near t = 1.2,
-        # inside the sampled window (ODE methods stop at the last sample)
+        # a birth process at rate 1000 x fed from x = 0 at rate 1e-300: the
+        # fluid, 1e-303 (exp(1000 t) - 1), overflows near t = 1.41 under any
+        # method, inside the sampled window (ODE methods stop at the last
+        # sample), while a simulated path almost surely stays at 0
         model = qm.NetworkModel(
             1,
             (
+                qm.Transition((1,), qm.RateTerm(qm.TimeSchedule.constant(1e-300), qm.Constant())),
                 qm.Transition(
-                    (-1,),
+                    (1,),
                     qm.RateTerm(qm.TimeSchedule.constant(1000.0), qm.Linear((1.0,))),
                 ),
             ),
-            (10,),
+            (0,),
             10.0,
         )
         path = tmp_path / "explode.json"

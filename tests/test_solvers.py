@@ -29,7 +29,14 @@ from qmoments import (
 )
 from qmoments.closure import MomentPoint, closed_rate
 from qmoments.model import compile_terms
-from qmoments.solvers import METHODS, _solve_moments, moment_terms, pointwise_rate
+from qmoments.solvers import (
+    FLOW_METHODS,
+    METHODS,
+    _Region,
+    _solve_moments,
+    moment_terms,
+    pointwise_rate,
+)
 
 
 def mminf(lam=2.0, mu=1.0, horizon=2.0, arrival=None):
@@ -279,7 +286,7 @@ class TestPointwisePass:
 def assert_closed_matches_reference(model, t, p):
     """The moment pass under the closed rate, and the public wrappers, equal
     the type-dispatched loop bit for bit."""
-    got = moment_terms(closed_rate, compile_terms(model, t), p, model.dimension)
+    got = moment_terms(closed_rate, compile_terms(model, t), p.flat(), model.dimension)
     drift, jac, diffusion, noise = reference_closed_terms(model, t, p)
     nan = bool(np.isnan(p.mean).any())  # NaN outputs are expected only from a NaN mean
     for g, want in zip(got, (drift, jac, diffusion)):
@@ -331,7 +338,7 @@ class TestDiffusion:
             terms = compile_terms(model, t)
             for rate, state, b in (
                 (pointwise_rate, x.tolist(), qm.pointwise_noise_matrix(model, t, x)),
-                (closed_rate, p, qm.noise_matrix(model, t, p)),
+                (closed_rate, p.flat(), qm.noise_matrix(model, t, p)),
             ):
                 q = moment_terms(rate, terms, state, d)[2]
                 assert np.array_equal(q, q.T)
@@ -417,10 +424,9 @@ class TestStepping:
         assert np.array_equal(short.means, full.means[:10])
         assert np.array_equal(short.covs, full.covs[:10])
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_rhs_runs_four_stages_per_step_up_to_last_sample(self, method):
-        """250 steps of 0.01 reach t = 2.5, the last sample, of horizon 10;
-        fluid integrates the mean alone."""
+    def test_rhs_runs_four_stages_per_step_up_to_last_sample(self):
+        """The RK4 engine (adjusted only): 250 steps of 0.01 reach t = 2.5,
+        the last sample, of horizon 10, on the mean and covariance."""
         calls = []
 
         def rhs(t, y):
@@ -428,10 +434,29 @@ class TestStepping:
             return np.zeros_like(y)
 
         grid = np.array([1.0, 2.5])
-        _solve_moments(mminf(horizon=10.0), SolverConfig(grid=grid), rhs, method)
+        _solve_moments(mminf(horizon=10.0), SolverConfig(grid=grid), rhs, "adjusted")
         assert len(calls) == 4 * 250
         assert max(t for t, _ in calls) < 2.5
-        assert {shape for _, shape in calls} == {(1,) if method == "fluid" else (2,)}
+        assert {shape for _, shape in calls} == {(2,)}
+
+    @pytest.mark.parametrize("method", FLOW_METHODS)
+    def test_flow_probes_every_node_up_to_last_sample(self, method, monkeypatch):
+        """Fluid and measure-zero take one cached exponential step per probe
+        node: 250 steps of 0.01 reach t = 2.5, the last sample, of horizon 10,
+        and M/M/inf crosses no switching surface."""
+        steps = []
+        step = _Region.step
+
+        def counted(region, h):
+            steps.append(h)
+            return step(region, h)
+
+        monkeypatch.setattr(_Region, "step", counted)
+        grid = np.array([1.0, 2.5])
+        out = qm.solve(mminf(horizon=10.0), SolverConfig(method=method, grid=grid))
+        assert len(steps) == 250
+        assert sum(steps) == pytest.approx(2.5, rel=0.0, abs=1e-12)
+        assert out.crossings == []
 
     @pytest.mark.parametrize(
         "short, full",
