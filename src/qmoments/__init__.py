@@ -11,7 +11,6 @@ systems, and a CSV-producing command-line interface.
 from .closure import (
     MomentPoint,
     expected_kernel,
-    expected_kernel_grad_mean,
     normal_cdf,
     normal_pdf,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "drift",
     "exact_transient_moments",
     "expected_kernel",
-    "expected_kernel_grad_mean",
     "load_model",
     "merge_schedules",
     "model_from_dict",

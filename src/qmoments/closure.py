@@ -9,8 +9,7 @@ close on themselves.  This module provides
                                 term at the moments ``(mean, cov)`` held as
                                 flat lists, the adjusted method's rate rule
                                 (:func:`qmoments.solvers.moment_terms`)
-* ``expected_kernel``           E[coefficient(t) * kernel(X)]
-* ``expected_kernel_grad_mean`` its gradient with respect to the mean
+* ``expected_kernel``           E[coefficient(t) * kernel(X)] of one RateTerm
 
 The closed path dispatches on the compiled kernel code.  Only the one- or
 two-dimensional marginal blocks of the covariance that a kernel actually reads
@@ -63,9 +62,6 @@ class MomentPoint:
                 f"moment point needs mean (d,) and cov (d, d); got "
                 f"{self.mean.shape} and {self.cov.shape}"
             )
-
-    def marginal_std(self, j: int) -> float:
-        return math.sqrt(max(float(self.cov[j, j]), 0.0))
 
     def flat(self) -> tuple[list, list]:
         """The state :func:`closed_rate` reads: the mean and the row-major
@@ -231,12 +227,3 @@ def closed_rate(term: tuple, state: tuple[list, list]) -> tuple[float, tuple]:
 def expected_kernel(term: RateTerm, t: float, p: MomentPoint) -> float:
     """Expected rate ``E[coefficient(t) * kernel(X)]`` for Gaussian ``X``."""
     return closed_rate(compile_term(term, (), t), p.flat())[0]
-
-
-def expected_kernel_grad_mean(term: RateTerm, t: float, p: MomentPoint) -> np.ndarray:
-    """Gradient of ``expected_kernel`` with respect to the mean vector."""
-    compiled = compile_term(term, (), t)
-    grad = np.zeros(p.mean.shape[0])
-    for b, g in closed_rate(compiled, p.flat())[1]:
-        grad[b] = compiled[1] * g
-    return grad

@@ -4,10 +4,12 @@ For small models the forward equations ``p' = p Q(t)`` are solved directly on
 the box ``{0..cap_0} x ... x {0..cap_{d-1}}``.  Jumps that would leave the box
 are disabled (reflecting truncation), which conserves probability mass and
 keeps the moment oracle well defined; choose caps so the boundary occupancy
-is negligible.  Within one schedule segment the generator is constant; it is
-built from the model's terms compiled at the segment start
-(:func:`~qmoments.model.compile_terms`), one rate vector per transition over
-the whole lattice.  An interval is advanced by uniformization:
+is negligible.  Within one segment of the model's compiled plan
+(:func:`~qmoments.model.compile_segments`, read once per solve) the generator
+is constant; each transition fills one rate vector over the whole lattice
+through the array kernel the simulator also runs
+(:func:`~qmoments.model.kernel_values`), so this module holds no kernel rule
+of its own.  An interval is advanced by uniformization:
 ``exp(dt Q') p = sum_k w_k P^k p`` with ``P = I + Q'/rate``, ``rate`` the
 largest outflow and ``w`` the Poisson(rate dt) pmf, a sum of nonnegative
 terms.  ``w`` comes from the ratio recurrence outward
@@ -24,18 +26,7 @@ import numpy as np
 from scipy.sparse import dia_matrix
 
 from .errors import NumericalError, UsageError
-from .model import (
-    CONST,
-    LINEAR,
-    MIN_PAIR,
-    MIN_THRESHOLD,
-    POSITIVE_PART,
-    NetworkModel,
-    checked_grid,
-    compile_terms,
-    model_breakpoints,
-    validate_model,
-)
+from .model import NetworkModel, checked_grid, compile_segments, kernel_values, validate_model
 from .results import MomentTrajectory
 
 STATE_LIMIT = 2_000_000
@@ -43,34 +34,20 @@ _MASS_TOL = 1e-8
 _TAIL = 1e-16
 
 
-def _lattice_rates(term: tuple, coords: np.ndarray) -> np.ndarray:
-    """Rate of one compiled term at every (S, d) lattice coordinate."""
-    code, coeff, j, k, n, weights, _, _ = term
-    if code == CONST:
-        kernel = np.ones(coords.shape[0])
-    elif code == LINEAR:
-        kernel = coords @ np.asarray(weights)
-    elif code == MIN_THRESHOLD:
-        kernel = np.minimum(coords[:, j], n)
-    elif code == POSITIVE_PART:
-        kernel = np.maximum(coords[:, j] - n, 0.0)
-    elif code == MIN_PAIR:
-        kernel = np.minimum(coords[:, j], coords[:, k])
-    else:  # capped residual
-        kernel = np.minimum(coords[:, j], np.maximum(n - coords[:, k], 0.0))
-    return coeff * kernel
-
-
-def _generator_transpose(model: NetworkModel, t: float, coords, strides, caps):
-    """Sparse Q(t)' on the truncated lattice (outward jumps disabled), in DIA
-    format: a transition with jump ``j`` moves state ``s`` to ``s + j @
-    strides``, so its flows fill the diagonal at offset ``-(j @ strides)``.
-    Offsets ascend, so a product sums each row in ascending column order;
-    transitions sharing a jump add up in model order."""
+def _generator_transpose(terms, coords, strides, caps):
+    """Sparse Q' on the truncated lattice for one segment's compiled ``terms``
+    (outward jumps disabled), in DIA format.  Each transition's rates are the
+    shared array kernel (:func:`~qmoments.model.kernel_values`) on the (d, S)
+    lattice, scaled by the coefficient.  A transition with jump ``j`` moves
+    state ``s`` to ``s + j @ strides``, so its flows fill the diagonal at offset
+    ``-(j @ strides)``.  Offsets ascend, so a product sums each row in
+    ascending column order; transitions sharing a jump add up in model order."""
     size = coords.shape[0]
     diagonals = {0: np.zeros(size)}
-    for term in compile_terms(model, t):
-        rate = _lattice_rates(term, coords)
+    rate = np.empty(size)
+    for term in terms:
+        kernel_values(term, term[4], coords.T, rate)
+        rate *= term[1]
         target = coords + np.asarray(term[6])
         inside = np.all((target >= 0) & (target <= caps), axis=1)
         flow = np.where(inside & (rate > 0.0), rate, 0.0)
@@ -133,8 +110,9 @@ def state_distributions(model: NetworkModel, caps, grid):
     p = np.zeros(size)
     p[int(x0 @ strides)] = 1.0
 
-    boundaries = [b for b in model_breakpoints(model) if b < times[-1]]
-    events = sorted(set(times.tolist()) | set(boundaries) | {0.0})
+    # one generator per plan segment that starts before the last sample
+    plan = {a: terms for a, _, terms in compile_segments(model) if a < times[-1] or a == 0.0}
+    events = sorted(set(times.tolist()) | set(plan))
     probs = np.empty((len(times), size))
     out_i = 0
     t_now = 0.0
@@ -151,8 +129,8 @@ def state_distributions(model: NetworkModel, caps, grid):
                 )
             probs[out_i] = p
             out_i += 1
-        if t_event in boundaries or t_event == 0.0:
-            step = _generator_transpose(model, t_event, coords, strides, caps)
+        if t_event in plan:
+            step = _generator_transpose(plan[t_event], coords, strides, caps)
             rate = float(-step.diagonal().min())
             if rate > 0.0:  # P = I + Q'/rate
                 step.data *= 1 / rate

@@ -156,6 +156,34 @@ def compile_term(rate: RateTerm, jump: tuple[int, ...], t: float) -> tuple:
             getattr(kernel, "other", 0), thr, getattr(kernel, "weights", None), jump, moves)
 
 
+def kernel_values(term: tuple, thr, x: np.ndarray, out: np.ndarray) -> None:
+    """Kernel of one compiled term at every column of ``x``, written to ``out``:
+    the array kernel that the simulator and the lattice oracle both evaluate.
+
+    ``x`` is a (d, N) array of paths or lattice points and ``thr`` is a scalar
+    or a per-column array of thresholds.  Linear weights are summed in order
+    with zeros skipped.  The caller scales by the coefficient; schedules are
+    finite, so ``coeff * 0.0`` is the zero rate of a positive part below its
+    threshold.
+    """
+    code, _, j, k, _, weights, _, _ = term
+    if code == CONST:
+        out.fill(1.0)
+    elif code == LINEAR:
+        out.fill(0.0)
+        for i, w in enumerate(weights):
+            if w:
+                out += w * x[i]
+    elif code == MIN_THRESHOLD:
+        np.minimum(x[j], thr, out=out)
+    elif code == POSITIVE_PART:
+        np.maximum(np.subtract(x[j], thr, out=out), 0.0, out=out)
+    elif code == MIN_PAIR:
+        np.minimum(x[j], x[k], out=out)
+    else:
+        np.minimum(x[j], np.maximum(thr - x[k], 0.0), out=out)
+
+
 def compile_terms(model: NetworkModel, t: float) -> list[tuple]:
     """Every transition of the model compiled at time ``t``, in model order."""
     return [compile_term(tr.rate, tr.jump, t) for tr in model.transitions]

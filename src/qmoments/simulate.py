@@ -26,22 +26,14 @@ bit-identical for any worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .model import (
-    CONST,
-    LINEAR,
-    MIN_PAIR,
-    MIN_THRESHOLD,
-    POSITIVE_PART,
-    NetworkModel,
-    checked_grid,
-    validate_model,
-)
+from .model import NetworkModel, checked_grid, kernel_values, validate_model
 # bound under this name because perfbench/spans.py counts compiles through it
 from .model import compile_segments as _compile_segments
 from .results import MomentTrajectory
@@ -49,6 +41,7 @@ from .results import MomentTrajectory
 _CHUNK = 64  # paths per accumulator chunk; fixed so merges are worker-independent
 _BATCH = 8 * _CHUNK  # most paths one engine call advances in lockstep
 _BUFFER = 256  # buffered uniforms per path, refilled from the path's own stream
+_EVENT_LIMIT = 1e8  # expected events left on one path; checked at each buffer refill
 
 
 @dataclass(frozen=True)
@@ -61,32 +54,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.Philox(seq))
-
-
-def _kernel_values(term, thr, x, out) -> None:
-    """Kernel of one compiled term on every path of a batch, written to ``out``.
-
-    ``thr`` holds each path's threshold and ``x`` is the (d, paths) state.
-    Linear weights are summed in order with zeros skipped.  The caller scales
-    by the coefficient; schedules are finite, so ``coeff * 0.0`` is the zero
-    rate of a positive part below its threshold.
-    """
-    code, _, j, k, _, weights, _, _ = term
-    if code == CONST:
-        out.fill(1.0)
-    elif code == LINEAR:
-        out.fill(0.0)
-        for i, w in enumerate(weights):
-            if w:
-                out += w * x[i]
-    elif code == MIN_THRESHOLD:
-        np.minimum(x[j], thr, out=out)
-    elif code == POSITIVE_PART:
-        np.maximum(np.subtract(x[j], thr, out=out), 0.0, out=out)
-    elif code == MIN_PAIR:
-        np.minimum(x[j], x[k], out=out)
-    else:
-        np.minimum(x[j], np.maximum(thr - x[k], 0.0), out=out)
 
 
 def _refill(buf, gens, ids, at) -> int:
@@ -150,12 +117,13 @@ def _run_path(segments, x0, sample_times, gens) -> np.ndarray:
     # divide by it, and their result is discarded.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while ids.size:
-            if not budget:
+            refilled = not budget
+            if refilled:
                 budget = _refill(buf, gens, ids, at)
             budget -= 1
             cum = np.empty((k, ids.size))  # rates, then their running sums in model order
             for i, term in enumerate(terms):
-                _kernel_values(term, thr[i], x, cum[i])
+                kernel_values(term, thr[i], x, cum[i])
             cum *= coeff
             for i in range(1, k):
                 cum[i] += cum[i - 1]
@@ -165,6 +133,13 @@ def _run_path(segments, x0, sample_times, gens) -> np.ndarray:
                 raise NumericalError(
                     f"unusable total rate {float(total[bad])} at t={t[bad]:g}, "
                     f"state {x[:, bad].astype(np.int64).tolist()}"
+                )
+            # expected events still to come, checked once per refill
+            if refilled and (left := total * (sample_times[-1] - t)).max() > _EVENT_LIMIT:
+                bad = int(left.argmax())
+                raise NumericalError(
+                    f"runaway path: total rate {float(total[bad]):.6g} at t={t[bad]:g}, state "
+                    f"{x[:, bad].astype(np.int64).tolist()}, means over {_EVENT_LIMIT:g} events"
                 )
             live = total > 0.0  # a path without a positive total draws nothing
             t_next = np.where(live, t - np.log1p(-flat[at]) / total, end)
@@ -262,8 +237,9 @@ def simulate_ensemble(
 
     Replication ``r`` always runs on stream ``r`` of ``seed``, and chunk
     accumulators are merged in index order, so the output is bitwise
-    independent of ``workers``.  The covariance (unbiased, N-1 divisor) is
-    ``None`` for ``count == 1``.
+    independent of ``workers``.  The batch layout depends on ``workers``
+    alone; the pool runs no more processes than there are batches or CPUs.
+    The covariance (unbiased, N-1 divisor) is ``None`` for ``count == 1``.
     """
     if count < 1:
         raise UsageError(f"replication count must be >= 1, got {count}")
@@ -272,8 +248,9 @@ def simulate_ensemble(
     chunks = -(-count // _CHUNK)
     size = _CHUNK * min(_BATCH // _CHUNK, -(-chunks // workers))
     batches = [(model, seed, lo, min(lo + size, count), times) for lo in range(0, count, size)]
-    if workers > 1 and len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    procs = min(workers, len(batches), os.cpu_count() or 1)
+    if procs > 1:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             stats = list(pool.map(_batch_stats, *zip(*batches)))
     else:
         stats = [_batch_stats(*batch) for batch in batches]

@@ -6,7 +6,8 @@ derivatives come from central finite differences, the pointwise drift,
 Jacobian, diffusion and noise matrix come from plain per-quantity loops, and
 the closed pass comes from a loop that dispatches on kernel types and looks
 every schedule up at ``t``.  The type-dispatched kernel and the quadrature
-oracle live in ``oracles``.
+oracle live in ``oracles``.  ``expected_kernel_grad_mean`` is the one adapter
+over the library's closed path, for the gradient tests, and no reference.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ from qmoments.closure import (
     _min_threshold_expectation,
     _pair_spread,
     _positive_part_expectation,
+    closed_rate,
     normal_cdf,
     normal_pdf,
 )
+from qmoments.model import compile_term
 from oracles import kernel_value
 
 
@@ -275,7 +278,8 @@ def _reference_closed_rate(term, t, p: MomentPoint):
         grad[: len(kernel.weights)] = kernel.weights
         return coeff * float(np.dot(kernel.weights, p.mean)), grad
     if isinstance(kernel, (MinThreshold, PositivePart)):
-        m, s = float(p.mean[kernel.index]), p.marginal_std(kernel.index)
+        j = kernel.index
+        m, s = float(p.mean[j]), math.sqrt(max(float(p.cov[j, j]), 0.0))
         n = kernel.threshold.value_at(t)
         below = (1.0 if m <= n else 0.0) if s < SIGMA_FLOOR else normal_cdf((n - m) / s)
         if isinstance(kernel, MinThreshold):
@@ -321,3 +325,14 @@ def reference_closed_terms(model, t, p: MomentPoint):
                 drift[a] += jump_a * rate
                 jac[a] += coeff * (jump_a * grad)
     return drift, jac, reference_diffusion(model, rates), reference_noise_matrix(model, rates)
+
+
+def expected_kernel_grad_mean(term, t, p: MomentPoint) -> np.ndarray:
+    """Dense mean-gradient of ``qmoments.expected_kernel``, coefficient
+    included: an adapter over the library's ``closed_rate``, not an
+    independent reference."""
+    compiled = compile_term(term, (), t)
+    grad = np.zeros(p.mean.shape[0])
+    for b, g in closed_rate(compiled, p.flat())[1]:
+        grad[b] = compiled[1] * g
+    return grad

@@ -166,7 +166,7 @@ def _quad_capped_residual(kernel: CappedResidual, t: float, p: MomentPoint) -> f
     j, k = kernel.index, kernel.other
     n = kernel.threshold.value_at(t)
     mj, mk = float(p.mean[j]), float(p.mean[k])
-    sk = p.marginal_std(k)
+    sk = math.sqrt(max(float(p.cov[k, k]), 0.0))
     slope = float(p.cov[j, k]) / (sk * sk) if sk >= 1e-12 else 0.0
     sc = math.sqrt(max(float(p.cov[j, j]) - slope * float(p.cov[j, k]), 0.0))
 
@@ -215,7 +215,8 @@ def quad_expected_kernel(term: RateTerm, t: float, p: MomentPoint) -> float:
         # no kink; splitting at the mean resolves the weight to 4e-15 by 32 nodes
         value = _panel_integral(lambda u: m + _SQRT2 * s * u, [0.0])
     elif isinstance(kernel, (MinThreshold, PositivePart)):
-        m, s = float(p.mean[kernel.index]), p.marginal_std(kernel.index)
+        j = kernel.index
+        m, s = float(p.mean[j]), math.sqrt(max(float(p.cov[j, j]), 0.0))
         n = kernel.threshold.value_at(t)
         if s < 1e-12:
             value = kernel_value(kernel, t, p.mean)

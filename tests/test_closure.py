@@ -18,6 +18,7 @@ from qmoments import (
 
 from helpers import (
     capped_residual_expect,
+    expected_kernel_grad_mean,
     gauss_expect_1d,
     nested_gauss_expect,
     random_moment_point,
@@ -156,7 +157,7 @@ class TestCappedResidual:
     @staticmethod
     def closed(p, n, coeff=1.0):
         t = term(CappedResidual(0, 1, TimeSchedule.constant(n)), coeff)
-        return qm.expected_kernel(t, 0.0, p), qm.expected_kernel_grad_mean(t, 0.0, p)
+        return qm.expected_kernel(t, 0.0, p), expected_kernel_grad_mean(t, 0.0, p)
 
     def test_random_points_against_nested_quadrature(self):
         rng = np.random.default_rng(47)
@@ -231,7 +232,7 @@ class TestCappedResidual:
 class TestGradients:
     def test_positive_part_gradient_at_kink(self):
         p = point2(50.0, 0.0, 1.0, 1.0)
-        grad = qm.expected_kernel_grad_mean(
+        grad = expected_kernel_grad_mean(
             term(PositivePart(0, TimeSchedule.constant(50.0))), 0.0, p
         )
         assert grad[0] == pytest.approx(0.5, abs=1e-12)
@@ -242,10 +243,10 @@ class TestGradients:
         p2 = point2(-7.0, 30.0, 5.0, 0.2, rho=0.5)
         t = term(Linear((0.0, 0.7)), coeff=2.0)
         np.testing.assert_allclose(
-            qm.expected_kernel_grad_mean(t, 0.0, p1), [0.0, 1.4]
+            expected_kernel_grad_mean(t, 0.0, p1), [0.0, 1.4]
         )
         np.testing.assert_allclose(
-            qm.expected_kernel_grad_mean(t, 0.0, p2), [0.0, 1.4]
+            expected_kernel_grad_mean(t, 0.0, p2), [0.0, 1.4]
         )
 
     def test_min_threshold_gradient_bounded_by_coefficient(self):
@@ -254,7 +255,7 @@ class TestGradients:
         t = term(MinThreshold(0, TimeSchedule.constant(20.0)), coeff=mu)
         for _ in range(200):
             p = random_moment_point(rng, 2, sigma_lo=1e-2)
-            g = qm.expected_kernel_grad_mean(t, 0.0, p)[0]
+            g = expected_kernel_grad_mean(t, 0.0, p)[0]
             assert 0.0 <= g <= mu + 1e-12
 
     def test_gradients_match_finite_differences(self):
@@ -273,7 +274,7 @@ class TestGradients:
             t = term(kernel, coeff=1.3)
             for _ in range(40):
                 p = random_moment_point(rng, 2, sigma_lo=0.1, sigma_hi=50.0)
-                grad = qm.expected_kernel_grad_mean(t, 0.0, p)
+                grad = expected_kernel_grad_mean(t, 0.0, p)
                 for b in range(2):
                     mp, mm = p.mean.copy(), p.mean.copy()
                     mp[b] += h

@@ -14,7 +14,7 @@ from qmoments import (
     Transition,
     UsageError,
 )
-from qmoments.model import model_breakpoints
+from qmoments.model import compile_terms, model_breakpoints
 from helpers import variant_models
 from oracles import eval_rate
 from qmoments.systems import RetrialParams
@@ -65,7 +65,7 @@ def dense_reference(model, caps, grid):
         t_now = t_event
         if t_event in grid:
             out.append(p)
-        qt = kolmogorov._generator_transpose(model, t_event, coords, strides, caps)
+        qt = kolmogorov._generator_transpose(compile_terms(model, t_event), coords, strides, caps)
     return np.array(out), qt
 
 
@@ -159,7 +159,8 @@ def test_generator_entries_equal_pointwise_rates():
     bounds = [0.0] + model_breakpoints(model) + [model.horizon]
     assert len(bounds) > 3
     for t in (0.5 * (a + b) for a, b in zip(bounds[:-1], bounds[1:])):
-        qt = kolmogorov._generator_transpose(model, t, coords, strides, caps).toarray()
+        terms = compile_terms(model, t)
+        qt = kolmogorov._generator_transpose(terms, coords, strides, caps).toarray()
         for i, tr in enumerate(model.transitions):
             target = coords + np.asarray(tr.jump)
             inside = np.all((target >= 0) & (target <= caps), axis=1)

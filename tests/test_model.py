@@ -19,8 +19,10 @@ from qmoments.model import (
     CAPPED,
     MIN_THRESHOLD,
     compile_segments,
+    kernel_values,
 )
-from oracles import eval_rate
+from helpers import variant_models
+from oracles import eval_rate, kernel_value
 
 
 def mminf_model(lam=2.0, mu=1.0, horizon=2.0):
@@ -148,6 +150,31 @@ class TestCompiledPlan:
             n, r = servers.value_at(mid), rate.value_at(mid)
             assert first == (MIN_THRESHOLD, r, 0, 0, n, None, (-1, 0), ((0, -1),))
             assert second == (CAPPED, n, 1, 0, r, None, (0, -1), ((1, -1),))
+
+    def test_array_kernel_matches_type_dispatched_kernel(self):
+        """``kernel_values`` on a (d, N) array of non-integer states equals
+        ``kernel_value`` column by column: in every plan segment with that
+        segment's scalar threshold, and with per-column thresholds taken from
+        different segments (as the simulator's paths hold them).  A linear
+        kernel sums in a different order, so it may differ in the last bit."""
+        model = variant_models()[-1]  # all six variants, scheduled n(t) and coefficient
+        segments = compile_segments(model)
+        mids = [0.5 * (a + b) for a, b, _ in segments]
+        assert len(segments) > 2
+        x = np.random.default_rng(11).uniform(0.0, 6.0, size=(2, 40))
+        x[:, :3] = [[4.0, 2.5, 1.25], [2.5, 4.0, 1.25]]  # on the kinks n = 4, 2.5 and x0 = x1
+        seg_of = np.arange(x.shape[1]) % len(segments)
+        out = np.empty(x.shape[1])
+        for i, tr in enumerate(model.transitions):
+            rtol = 1e-15 if isinstance(tr.rate.kernel, Linear) else 0.0
+            for (_, _, terms), t in zip(segments, mids):
+                kernel_values(terms[i], terms[i][4], x, out)
+                want = [kernel_value(tr.rate.kernel, t, col) for col in x.T]
+                np.testing.assert_allclose(out, want, rtol=rtol, atol=0.0)
+            thr = np.array([segments[s][2][i][4] for s in seg_of])
+            kernel_values(segments[0][2][i], thr, x, out)
+            want = [kernel_value(tr.rate.kernel, mids[s], col) for s, col in zip(seg_of, x.T)]
+            np.testing.assert_allclose(out, want, rtol=rtol, atol=0.0)
 
 
 class TestKernelProperties:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -201,6 +202,35 @@ def test_ensemble_is_bitwise_equal_across_worker_counts():
         np.testing.assert_array_equal(runs[0].covs, other.covs)
 
 
+def test_pool_is_sized_to_the_batches(monkeypatch):
+    """``workers`` far above the batch count opens a pool of one process per
+    batch, and the batch layout alone fixes the result.  The stand-in pool
+    maps in this process, so no process starts."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
+    model, times = tiny_retrial_model(), grid(1.0, 10.0, 1.0)
+    wide = qm.simulate_ensemble(model, 130, 5, times, workers=10**6)  # 3 batches
+    assert sizes == [3]
+    serial = qm.simulate_ensemble(model, 130, 5, times, workers=1)
+    assert sizes == [3]
+    assert qm.results_equal(wide, serial)
+
+
 def _bursting(value):
     """Two arrival streams whose rates become ``value`` at t = 1; at 1e308
     each rate is finite and their sum is not."""
@@ -226,3 +256,18 @@ def test_unusable_total_rate_exits_3(tmp_path, capsys):
             "--grid", "0.5:1.5:1", "--out", str(tmp_path / "out")]
     assert main(argv) == 3
     assert "at t=1, state [" in capsys.readouterr().err
+
+
+def test_runaway_path_exits_3(tmp_path, capsys):
+    """A birth process at rate 1000 x from x = 10 would take about 1e12 events;
+    the expected-events check stops it long before the total rate is unusable."""
+    birth = RateTerm(TimeSchedule.constant(1000.0), Linear((1.0,)))
+    path = tmp_path / "runaway.json"
+    qm.save_model(NetworkModel(1, (Transition((1,), birth),), (10,), 2.0), path)
+    out = tmp_path / "out"
+    argv = ["run", "--model", str(path), "--methods", "simulate", "--reps", "8",
+            "--grid", "0:2:1", "--out", str(out)]
+    assert main(argv) == 3
+    assert "runaway path" in capsys.readouterr().err
+    errors = json.loads((out / "run.json").read_text())["errors"]
+    assert errors["simulate"].startswith("runaway path: total rate ")
