@@ -144,8 +144,8 @@ def exact_transient_moments(model: NetworkModel, caps, grid) -> MomentTrajectory
     fcoords = coords.astype(float)
     means = probs @ fcoords
     covs = np.empty((len(times), model.dimension, model.dimension))
-    for idx in range(len(times)):
-        second = np.einsum("s,si,sj->ij", probs[idx], fcoords, fcoords)
-        covs[idx] = second - np.outer(means[idx], means[idx])
+    for idx in range(len(times)):  # about the mean, so nothing cancels
+        dev = fcoords - means[idx]
+        covs[idx] = (probs[idx, :, None] * dev).T @ dev
         covs[idx] = 0.5 * (covs[idx] + covs[idx].T)
     return MomentTrajectory("exact", times, means, covs)

@@ -347,14 +347,22 @@ def _kernel_to_dict(kernel: Kernel) -> dict:
     return out
 
 
-def _kernel_from_dict(d: dict) -> Kernel:
+def _whole(value, where: str) -> int:
+    """An integral number as an int: ``2`` and ``2.0`` pass; ``2.5``, ``true``
+    and ``"2"`` raise instead of truncating."""
+    if value is True or value is False or int(value) != value:
+        raise UsageError(f"{where}: {value!r} is not an integer")
+    return int(value)
+
+
+def _kernel_from_dict(d: dict, where: str) -> Kernel:
     variant = d.get("variant")
     if variant not in _TAG_TO_KERNEL:
         raise UsageError(f"unknown kernel variant {variant!r}")
     kind, args = _TAG_TO_KERNEL[variant], []
     for f in fields(kind):
         if f.name in _INDEX_FIELDS:
-            args.append(int(d.get("indices", [])[_INDEX_FIELDS.index(f.name)]))
+            args.append(_whole(d.get("indices", [])[_INDEX_FIELDS.index(f.name)], where))
         elif f.name == "threshold":
             args.append(_schedule_from_dict(d["threshold"]))
         else:
@@ -382,18 +390,18 @@ def model_from_dict(data: dict) -> NetworkModel:
     try:
         transitions = tuple(
             Transition(
-                tuple(tr["jump"]),
+                tuple(_whole(j, f"transition {i}: jump") for j in tr["jump"]),
                 RateTerm(
                     _schedule_from_dict(tr["coefficient"]),
-                    _kernel_from_dict(tr["kernel"]),
+                    _kernel_from_dict(tr["kernel"], f"transition {i}: kernel indices"),
                 ),
             )
-            for tr in data["transitions"]
+            for i, tr in enumerate(data["transitions"])
         )
         return NetworkModel(
-            dimension=int(data["dimension"]),
+            dimension=_whole(data["dimension"], "dimension"),
             transitions=transitions,
-            initial_state=tuple(data["initial_state"]),
+            initial_state=tuple(_whole(v, "initial_state") for v in data["initial_state"]),
             horizon=float(data["horizon"]),
         )
     except (AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:

@@ -19,8 +19,9 @@ instruction sets); a recorded state changes only if an event falls within
 that rounding of a sample time.
 
 Replications use counter-style splittable randomness: path ``r`` always runs
-on the Philox stream spawned for index ``r``, and ensemble moments are
-accumulated in fixed-size chunks merged in index order, so the result is
+on the Philox stream spawned for index ``r``.  Recorded states are integers,
+so each batch returns exact sums of ``x`` and ``x xᵀ``; they add up in Python
+ints and each moment is one correctly rounded division, so the result is
 bit-identical for any worker count.
 """
 
@@ -38,7 +39,7 @@ from .model import NetworkModel, checked_grid, kernel_values, validate_model
 from .model import compile_segments as _compile_segments
 from .results import MomentTrajectory
 
-_CHUNK = 64  # paths per accumulator chunk; fixed so merges are worker-independent
+_CHUNK = 64  # a batch holds a whole number of these, except the last
 _BATCH = 8 * _CHUNK  # most paths one engine call advances in lockstep
 _BUFFER = 256  # buffered uniforms per path, refilled from the path's own stream
 _EVENT_LIMIT = 1e8  # expected events left on one path; checked at each buffer refill
@@ -195,34 +196,19 @@ def simulate_path(model: NetworkModel, rng: RngStream, sample_times) -> np.ndarr
 
 
 def _chunk_stats(paths):
-    """Streaming mean/scatter accumulator over one chunk of paths, in order."""
-    _, n, d = paths.shape
-    count = 0
-    mean = np.zeros((n, d))
-    m2 = np.zeros((n, d, d))
-    for path in paths.astype(float):
-        count += 1
-        delta = path - mean
-        mean += delta / count
-        m2 += np.einsum("ti,tj->tij", delta, path - mean)
-    return count, mean, m2
+    """Exact sums ``(count, sum x, sum x xᵀ)`` per sample time over integer
+    ``paths``: in int64 while ``count * max|x|**2`` fits, else in Python ints."""
+    big = max(int(paths.max()), -int(paths.min()))
+    if len(paths) * big * big >= 2**63:
+        paths = paths.astype(object)
+    return len(paths), paths.sum(0), np.einsum("rti,rtj->tij", paths, paths)
 
 
 def _batch_stats(model, seed, lo, hi, sample_times):
-    """Chunk accumulators of replications [lo, hi), run as one lockstep batch."""
+    """Moment sums of replications [lo, hi), run as one lockstep batch."""
     gens = [RngStream(seed, r).generator() for r in range(lo, hi)]
     paths = _run_path(_compile_segments(model), model.initial_state, sample_times, gens)
-    return [_chunk_stats(paths[a:a + _CHUNK]) for a in range(0, hi - lo, _CHUNK)]
-
-
-def _merge_stats(a, b):
-    na, ma, sa = a
-    nb, mb, sb = b
-    n = na + nb
-    delta = mb - ma
-    mean = ma + delta * (nb / n)
-    m2 = sa + sb + np.einsum("ti,tj->tij", delta, delta) * (na * nb / n)
-    return n, mean, m2
+    return _chunk_stats(paths)
 
 
 def simulate_ensemble(
@@ -235,18 +221,19 @@ def simulate_ensemble(
     """Empirical moments over ``count`` independent replications, as a
     ``"simulate"`` trajectory with that ``count``.
 
-    Replication ``r`` always runs on stream ``r`` of ``seed``, and chunk
-    accumulators are merged in index order, so the output is bitwise
-    independent of ``workers``.  The batch layout depends on ``workers``
-    alone; the pool runs no more processes than there are batches or CPUs.
-    The covariance (unbiased, N-1 divisor) is ``None`` for ``count == 1``.
+    Replication ``r`` always runs on stream ``r`` of ``seed``.  The batch sums
+    are exact integers and add up in Python ints; the mean ``S1/N`` and the
+    covariance ``(N S2 - S1 S1ᵀ) / (N (N-1))`` (unbiased) are one correctly
+    rounded division per entry, so the output is bitwise independent of
+    ``workers`` and the covariance is exactly symmetric.  The batch layout
+    depends on ``workers`` alone; the pool runs no more processes than there
+    are batches or CPUs.  The covariance is ``None`` for ``count == 1``.
     """
     if count < 1:
         raise UsageError(f"replication count must be >= 1, got {count}")
     validate_model(model).raise_if_invalid()
     times = checked_grid(model, sample_times)
-    chunks = -(-count // _CHUNK)
-    size = _CHUNK * min(_BATCH // _CHUNK, -(-chunks // workers))
+    size = _CHUNK * min(_BATCH // _CHUNK, -(-count // (_CHUNK * workers)))
     batches = [(model, seed, lo, min(lo + size, count), times) for lo in range(0, count, size)]
     procs = min(workers, len(batches), os.cpu_count() or 1)
     if procs > 1:
@@ -254,10 +241,11 @@ def simulate_ensemble(
             stats = list(pool.map(_batch_stats, *zip(*batches)))
     else:
         stats = [_batch_stats(*batch) for batch in batches]
-    partials = [part for batch in stats for part in batch]
-    acc = partials[0]
-    for part in partials[1:]:
-        acc = _merge_stats(acc, part)
-    total, mean, m2 = acc
-    covs = m2 / (total - 1) if total >= 2 else None
-    return MomentTrajectory("simulate", times, mean, covs, count=total)
+    total = sum(part[0] for part in stats)
+    s1 = sum(part[1].astype(object) for part in stats)
+    s2 = sum(part[2].astype(object) for part in stats)
+    covs = None
+    if total >= 2:
+        scatter = total * s2 - s1[:, :, None] * s1[:, None, :]
+        covs = (scatter / (total * (total - 1))).astype(float)
+    return MomentTrajectory("simulate", times, (s1 / total).astype(float), covs, count=total)

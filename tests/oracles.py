@@ -6,6 +6,8 @@ independent of the evaluators they check:
 
 * ``kernel_value`` and ``eval_rate``  the pointwise kernel and rate;
 * ``reference_path``                  one simulated path by a scalar loop;
+* ``sample_moments``                  ensemble mean and covariance in exact
+                                      rationals;
 * ``quad_expected_kernel``            the Gaussian expectation of a rate by
                                       kink-split Gauss-Legendre panels;
 * ``ivp_moments``                     the fluid mean and measure-zero
@@ -16,6 +18,7 @@ independent of the evaluators they check:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -122,6 +125,24 @@ def reference_path(model: NetworkModel, rng: RngStream, sample_times) -> np.ndar
             t = t_next
     out += [list(x)] * (len(times) - len(out))
     return np.array(out, dtype=np.int64)
+
+
+def sample_moments(paths) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and unbiased covariance of integer ``paths`` (reps, times, d) per
+    sample time, in exact rationals: the mean first, then the centered
+    products about it, each entry rounded once to float at the end."""
+    reps, n, d = paths.shape
+    data = paths.astype(object)  # Python ints
+    means = np.empty((n, d))
+    covs = np.empty((n, d, d))
+    for t in range(n):
+        mean = [Fraction(sum(data[:, t, i]), reps) for i in range(d)]
+        dev = [[x - m for x, m in zip(row, mean)] for row in data[:, t]]
+        means[t] = [float(m) for m in mean]
+        for i in range(d):
+            for j in range(d):
+                covs[t, i, j] = float(sum(r[i] * r[j] for r in dev) / (reps - 1))
+    return means, covs
 
 
 # --------------------------------------------------------------------------

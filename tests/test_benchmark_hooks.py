@@ -45,6 +45,6 @@ def test_method_and_csv_spans_fire(tmp_path):
         assert cli.main(argv) == 0
         assert cli.main(["report", "--in", out]) == 0
     for name in ("cli.run_experiment", "method.fluid", "method.simulate",
-                 "results.write", "results.read"):
+                 "simulate.chunk", "simulate.compile", "results.write", "results.read"):
         assert name in rec.names, name
     assert rec.counts["results.csv_bytes"] > 0

@@ -419,6 +419,40 @@ def test_wrongly_typed_documents_exit_2(tmp_path, path, value):
     assert code == 2
 
 
+def _preset7_document():
+    params, horizon, _ = qm.retrial_preset(7)
+    return qm.model_to_dict(qm.build_retrial(params, horizon))
+
+
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (("transitions", 0, "jump"), [1.5, 0], "transition 0: jump"),
+        (("transitions", 0, "jump"), [True, 0], "transition 0: jump"),
+        (("initial_state",), [2.7, 0], "initial_state"),
+        (("transitions", 2, "kernel", "indices"), [0.9], "transition 2: kernel indices"),
+        (("dimension",), 2.5, "dimension"),
+    ],
+    ids=["jump", "jump-bool", "initial_state", "indices", "dimension"],
+)
+def test_non_integral_document_fields_exit_2(tmp_path, capsys, path, value, named):
+    """Integer fields are not truncated: 1.5, 2.7, 0.9 or true is an error."""
+    doc = _preset7_document()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    code = main(
+        ["run", "--model", str(model_path), "--methods", "fluid", "--out", str(tmp_path / "o")]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert named in err and "is not an integer" in err
+    assert "Traceback" not in err
+
+
 # sample grids that every method must reject with exit 2
 BAD_GRIDS = {
     "nan": [6, float("nan")],

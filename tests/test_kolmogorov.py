@@ -112,6 +112,27 @@ def test_repeated_solves_are_bitwise_identical():
     assert np.array_equal(first, second)
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than float64 on this platform",
+)
+def test_covariance_matches_long_double_moments():
+    """Preset 7's covariances against the same probabilities' moments about
+    the mean in long double.  Forming ``sum p x xᵀ - m mᵀ`` in float64
+    instead cancels to about 2e-12 of the largest entry."""
+    params, horizon, grid = qm.retrial_preset(7)
+    model = qm.build_retrial(params, horizon)
+    _, coords, probs = qm.state_distributions(model, (130, 60), grid)
+    x = coords.astype(np.longdouble)
+    ref = []
+    for p in probs.astype(np.longdouble):
+        dev = x - p @ x
+        ref.append((p[:, None] * dev).T @ dev)
+    ref = np.array(ref)
+    covs = qm.exact_transient_moments(model, (130, 60), grid).covs
+    assert np.abs(covs - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_zero_rate_model_is_point_mass():
     model = NetworkModel(
         2,

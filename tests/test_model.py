@@ -276,6 +276,16 @@ class TestSerialization:
         qm.save_model(model, path)
         assert qm.load_model(path) == model
 
+    def test_integral_floats_load(self):
+        params, horizon, _ = qm.retrial_preset(7)
+        model = qm.build_retrial(params, horizon)
+        doc = qm.model_to_dict(model)
+        doc["dimension"] = 2.0
+        doc["initial_state"] = [0.0, 0]
+        doc["transitions"][0]["jump"] = [1.0, 0.0]
+        doc["transitions"][2]["kernel"]["indices"] = [0.0]
+        assert qm.model_from_dict(doc) == model
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(UsageError):
             qm.model_from_dict(

@@ -20,7 +20,7 @@ from qmoments import (
 from qmoments.cli import main
 
 from helpers import tiny_retrial_model, variant_models
-from oracles import reference_path
+from oracles import reference_path, sample_moments
 
 
 def mminf(horizon=2.0, arrival=None):
@@ -140,22 +140,23 @@ def sha1(array, dtype):
     return hashlib.sha1(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
 
 
-# sha1 of the first 64 paths of seed 901 (int64, little-endian) and of the
+# sha1 of the first 64 paths of seed 901 (int64, little-endian), recorded
+# from the one-path-at-a-time event loop this engine replaced, and of the
 # simulate_ensemble means and covariances (float64) at the listed count,
-# recorded from the one-path-at-a-time event loop this engine replaced.
+# recorded from the exact integer moment sums (each entry correctly rounded).
 PINNED = {
     "tiny": (tiny_retrial_model, (1.0, 10.0, 1.0), "b61512bad1ab174f7c8772f2e69cd7b5290c15ec",
-             8192, "8a5100621cf5271e655fae82768a9737404c9e0c",
-             "cf18e10d797c81b26b6f3a1e9867c6f42e12591e"),
+             8192, "ca8fe377ae644f50267492ff73bc89be8771b675",
+             "c48cebcd62c14fa3cf7868c682764cf0033b4fd4"),
     "preset7": (preset7, (6.0, 15.0, 1.0), "cfaf752fe1d135a721788dd520f8ceafd8809ba0",
-                512, "435285fd1ad98e103373a88b99b6bbbf7ec60bda",
-                "a3e8d4fc19b8534747af3dfc5b7a47c21681fc53"),
+                512, "16c1091953ff668ac548850ae0b7ed8fa3b961c4",
+                "a9402ba2082a3b52a419edb5e3b168541ac28495"),
     "priority": (lambda: qm.build_priority(*qm.reference_priority_params()), (4.0, 20.0, 1.0),
                  "8d40a28b6e03e3e6a8549cc305d31e91373c415c", None, None, None),
     "peer": (lambda: qm.build_peer(*qm.reference_peer_params()), (0.5, 8.0, 0.5),
              "8d653f89a1e78151d97d1523f3fbf33efa851e0e",
-             64, "fceaf8bf88472eb53a3f514eaa9374d6d82667a7",
-             "e12ada7bdd38a9d802f9b26e902b5926a419d606"),
+             64, "84d0eb3bcd867b9cc4708549f00670f2f593ce02",
+             "10d1a8fc221b86ee53ecdd5296c8363e7768bd47"),
 }
 
 
@@ -168,6 +169,40 @@ def test_pinned_paths_and_moments(name):
         stats = qm.simulate_ensemble(model, count, 901, times)
         assert sha1(stats.means, "<f8") == means_sha
         assert sha1(stats.covs, "<f8") == covs_sha
+        np.testing.assert_array_equal(stats.covs, stats.covs.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("name", ["preset7", "peer"])
+def test_ensemble_moments_equal_exact_rationals(name):
+    """Every mean and covariance entry is the correctly rounded sample moment
+    of the same paths, computed two-pass in fractions."""
+    build, spec, _, count, _, _ = PINNED[name]
+    model, times = build(), grid(*spec)
+    stats = qm.simulate_ensemble(model, count, 901, times)
+    means, covs = sample_moments(batch(model, 901, range(count), times))
+    np.testing.assert_array_equal(stats.means, means)
+    np.testing.assert_array_equal(stats.covs, covs)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_huge_jumps_sum_in_python_ints(workers):
+    """Jumps of 2**40 put sum x xᵀ beyond int64; the moments stay exact."""
+    scale = 2**40
+    model = NetworkModel(
+        2,
+        (
+            Transition((scale, 1), RateTerm(TimeSchedule.constant(2.0), Constant())),
+            Transition((0, 1), RateTerm(TimeSchedule.constant(1.0), Constant())),
+        ),
+        (0, 0),
+        2.0,
+    )
+    times = [0.5, 1.0, 2.0]
+    stats = qm.simulate_ensemble(model, 130, 3, times, workers=workers)
+    means, covs = sample_moments(batch(model, 3, range(130), times))
+    assert stats.covs[-1, 0, 0] > 2.0**63
+    np.testing.assert_array_equal(stats.means, means)
+    np.testing.assert_array_equal(stats.covs, covs)
 
 
 @pytest.mark.parametrize(
@@ -193,7 +228,8 @@ def test_batch_rows_do_not_depend_on_the_batch():
 
 
 def test_ensemble_is_bitwise_equal_across_worker_counts():
-    """1100 paths: three batches of 512 or 384 paths and a ragged last chunk."""
+    """1100 paths in one, two or three batches, the last of them ragged
+    (not a multiple of 64 paths); integer sums make the split irrelevant."""
     model, times = tiny_retrial_model(), grid(1.0, 10.0, 1.0)
     runs = [qm.simulate_ensemble(model, 1100, 17, times, workers=w) for w in (1, 2, 3)]
     for other in runs[1:]:
