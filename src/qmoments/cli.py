@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergenceError, NumericalError, UsageError
 from .kolmogorov import exact_transient_moments
-from .model import GRID_TOL, NetworkModel, checked_grid, load_model
+from .model import GRID_TOL, NetworkModel, _whole, checked_grid, load_model
 from .results import (
     MomentTrajectory,
     read_long_csv,
@@ -142,17 +142,17 @@ def _parse_config(args: argparse.Namespace) -> ExperimentConfig:
     if isinstance(caps, str):
         caps = tuple(int(c) for c in caps.split(","))
     elif caps is not None:
-        caps = tuple(int(c) for c in caps)
+        caps = tuple(_whole(c, "caps") for c in caps)
     if "exact" in methods and caps is None:
         raise UsageError("missing required field: caps (needed by method 'exact')")
     cfg = ExperimentConfig(
         methods=methods,
         out_dir=out_dir,
-        preset=int(preset) if preset is not None else None,
+        preset=_whole(preset, "preset") if preset is not None else None,
         model_path=model_path,
-        reps=int(pick(args.reps, "reps", 1000)),
-        seed=int(pick(args.seed, "seed", 0)),
-        dt=float(pick(args.dt, "dt", 0.01)),
+        reps=_whole(pick(args.reps, "reps", 1000), "reps"),
+        seed=_whole(pick(args.seed, "seed", 0), "seed"),
+        dt=SolverConfig(dt=float(pick(args.dt, "dt", 0.01))).dt,
         grid=grid,
         caps=caps,
         workers=_default_workers(),

@@ -3,12 +3,13 @@
 Replacing the pointwise rate ``coefficient(t) * kernel(x)`` by its
 expectation under a Gaussian surrogate ``X ~ N(mean, cov)`` smooths out the
 min/positive-part kinks, which is what lets the mean and covariance ODEs
-close on themselves.  This module provides
+close on themselves.  At zero covariance the surrogate is a point mass and
+the expectation is the pointwise rate, so this is the one rate rule of every
+deterministic method.  This module provides
 
 * ``closed_rate(term, state)``  expected rate and mean-gradient of one compiled
                                 term at the moments ``(mean, cov)`` held as
-                                flat lists, the adjusted method's rate rule
-                                (:func:`qmoments.solvers.moment_terms`)
+                                flat lists (:func:`qmoments.solvers.moment_terms`)
 * ``expected_kernel``           E[coefficient(t) * kernel(X)] of one RateTerm
 
 The closed path dispatches on the compiled kernel code.  Only the one- or
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 from scipy.special import owens_t
@@ -29,7 +31,17 @@ from .model import CAPPED, CONST, LINEAR, MIN_PAIR, MIN_THRESHOLD, RateTerm, com
 
 # Below this marginal standard deviation the closed forms degenerate to the
 # pointwise kernel at the mean (the expressions divide by sigma inside the
-# Gaussian pdf, and the covariance starts at exactly zero).
+# Gaussian pdf, and the covariance starts at exactly zero).  There a tie at a
+# kink goes to the branch that tracks the state variable:
+#   d/dx min(x, n)      = 1 when x <= n, else 0
+#   d/dx (x - n)^+      = 1 when x >  n, else 0
+#   min(x_j, x_k)       differentiates along x_j when x_j <= x_k
+#   min(x_j, (n-x_k)^+) differentiates along x_j when x_j <= (n - x_k)^+,
+#                       else along x_k while n - x_k is positive.
+# The measure-zero method assumes the tie set carries no time, so any fixed
+# convention is admissible.  Zero gradient entries are left out; min(u, v) is
+# spelled `v if v < u else u` and max(u, v) `v if v > u else u`, which is how
+# the builtins resolve ties and NaN.
 SIGMA_FLOOR = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
@@ -80,15 +92,11 @@ class MomentPoint:
 
 
 def _min_threshold_expectation(m: float, s: float, n: float) -> float:
-    if s < SIGMA_FLOOR:
-        return min(m, n)
     z = (n - m) / s
     return -s * normal_pdf(z) + (m - n) * normal_cdf(z) + n
 
 
 def _positive_part_expectation(m: float, s: float, n: float) -> float:
-    if s < SIGMA_FLOOR:
-        return max(m - n, 0.0)
     z = (n - m) / s
     return s * normal_pdf(z) + (m - n) * (1.0 - normal_cdf(z))
 
@@ -193,6 +201,7 @@ def closed_rate(term: tuple, state: tuple[list, list]) -> tuple[float, tuple]:
     mean-gradient of the expected kernel, as ``(index, entry)`` pairs without
     the coefficient, for the entries the kernel reads.  ``state`` is the mean
     and the row-major covariance as lists of floats (:meth:`MomentPoint.flat`).
+    Below ``SIGMA_FLOOR`` it is the kernel at the mean, ties resolved as above.
 
     Threshold expectations can come out negative because the Gaussian
     surrogate has mass below zero; the raw value is returned on purpose (the
@@ -204,24 +213,33 @@ def closed_rate(term: tuple, state: tuple[list, list]) -> tuple[float, tuple]:
     if code == CONST:
         return coeff, ()
     if code == LINEAR:
-        return coeff * float(np.dot(weights, mean)), tuple(enumerate(weights))
+        return coeff * sum(map(mul, weights, mean)), tuple(enumerate(weights))
+    d, m = len(mean), mean[j]
     if code == MIN_PAIR:
-        mj, mk = mean[j], mean[k]
-        theta = _pair_spread(cov, len(mean), j, k)
+        mk = mean[k]
+        theta = _pair_spread(cov, d, j, k)
         if theta < SIGMA_FLOOR:
-            return coeff * min(mj, mk), ((j if mj <= mk else k, 1.0),)
-        u = (mk - mj) / theta
-        value = mj * normal_cdf(u) + mk * normal_cdf(-u) - theta * normal_pdf(u)
+            return coeff * (mk if mk < m else m), ((j if m <= mk else k, 1.0),)
+        u = (mk - m) / theta
+        value = m * normal_cdf(u) + mk * normal_cdf(-u) - theta * normal_pdf(u)
         return coeff * value, ((j, normal_cdf(u)), (k, normal_cdf(-u)))
-    if code == CAPPED:
+    s = math.sqrt(max(cov[j * (d + 1)], 0.0))
+    if code == CAPPED:  # min(x_j, (n - x_k)^+)
+        if s < SIGMA_FLOOR and math.sqrt(max(cov[k * (d + 1)], 0.0)) < SIGMA_FLOOR:
+            residual = n - mean[k]
+            cap = 0.0 if 0.0 > residual else residual
+            grad = ((j, 1.0),) if m <= cap else ((k, -1.0),) if residual > 0.0 else ()
+            return coeff * (cap if cap < m else m), grad
         value, d_own, d_other = _capped_residual(mean, cov, j, k, n)
         return coeff * value, ((j, d_own), (k, d_other))
-    # min(x_j, n) or (x_j - n)^+
-    m, s = mean[j], math.sqrt(max(cov[j * (len(mean) + 1)], 0.0))
-    below = (1.0 if m <= n else 0.0) if s < SIGMA_FLOOR else normal_cdf((n - m) / s)
-    if code == MIN_THRESHOLD:
-        return coeff * _min_threshold_expectation(m, s, n), ((j, below),)
-    return coeff * _positive_part_expectation(m, s, n), ((j, 1.0 - below),)
+    if code == MIN_THRESHOLD:  # min(x_j, n)
+        if s < SIGMA_FLOOR:
+            return coeff * (n if n < m else m), ((j, 1.0),) if m <= n else ()
+        return coeff * _min_threshold_expectation(m, s, n), ((j, normal_cdf((n - m) / s)),)
+    if s < SIGMA_FLOOR:  # (x_j - n)^+
+        over = m - n
+        return coeff * (0.0 if 0.0 > over else over), ((j, 1.0),) if m > n else ()
+    return coeff * _positive_part_expectation(m, s, n), ((j, 1.0 - normal_cdf((n - m) / s)),)
 
 
 def expected_kernel(term: RateTerm, t: float, p: MomentPoint) -> float:

@@ -22,20 +22,20 @@ same as chaining its constant segments.
 
 **Fluid and measure-zero** follow the exact switched-affine flow.  Each kernel
 is affine in the state between its kinks and each schedule is constant between
-breakpoints, so inside a region (one branch per term, see
-:func:`pointwise_rate`) the stacked state ``z = (x, 1, vec C)`` obeys
-``z' = M z``, solved by ``expm(M h) z`` (Van Loan 1978, IEEE TAC 23).  The
-mean is stepped from mesh node to mesh node by the ``(x, 1)`` block alone,
-whose exponentials are cached per plan segment, region and step length within
-one solve, so measure-zero's mean is bitwise the fluid's.  The covariance
-rows of the full exponential are applied only where a covariance is read: at
-samples, crossings and breakpoints.  A region ends where the path crosses one
-of its linear switching functions: a kink surface of a term or the zero of an
-affine rate.  The side of every switching function is checked at each mesh
-node, so ``dt`` is the probe spacing: an excursion across a surface and back
-within one probe interval is not seen.  A crossing is located by safeguarded
-Newton on the switching function along the flow and listed in the result's
-``crossings``.
+breakpoints, so inside a region (one branch per term: the gradient that
+:func:`~qmoments.closure.closed_rate` gives at zero covariance) the stacked
+state ``z = (x, 1, vec C)`` obeys ``z' = M z``, solved by ``expm(M h) z``
+(Van Loan 1978, IEEE TAC 23).  The mean is stepped from mesh node to mesh node
+by the ``(x, 1)`` block alone, whose exponentials are cached per plan segment,
+region and step length within one solve, so measure-zero's mean is bitwise the
+fluid's.  The covariance rows of the full exponential are applied only where a
+covariance is read: at samples, crossings and breakpoints.  A region ends
+where the path crosses one of its linear switching functions: a kink surface
+of a term or the zero of an affine rate.  The side of every switching function
+is checked at each mesh node, so ``dt`` is the probe spacing: an excursion
+across a surface and back within one probe interval is not seen.  A crossing
+is located by safeguarded Newton on the switching function along the flow and
+listed in the result's ``crossings``.
 
 The mesh ends at the last sample time, so a divergence after it is never
 reached, and steps never straddle a schedule breakpoint.
@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 from scipy.linalg import expm
@@ -55,9 +54,7 @@ from .closure import MomentPoint, closed_rate
 from .errors import DivergenceError, NumericalError, UsageError
 from .model import (
     CAPPED,
-    CONST,
     GRID_TOL,
-    LINEAR,
     MIN_PAIR,
     MIN_THRESHOLD,
     POSITIVE_PART,
@@ -301,14 +298,15 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig, method: str) -> MomentTr
     warnings: list[str] = []
     crossings: list[list] = []
     regions: dict = {}
+    zero_cov = [0.0] * (d * d)  # under which closed_rate is the pointwise rate
 
     def region_at(si, xs: list):
         """The region just past ``xs`` along the drift, and its sides there."""
         terms = segments[si][2]
-        rates = [pointwise_rate(term, xs) for term in terms]
+        rates = [closed_rate(term, (xs, zero_cov)) for term in terms]
         drift_x = jumps.T @ np.array([r for r, _ in rates])
         ahead = (np.array(xs) + _PUSH * drift_x).tolist()
-        rates = [pointwise_rate(term, ahead) for term in terms]
+        rates = [closed_rate(term, (ahead, zero_cov)) for term in terms]
         key = (si, *(g for _, g in rates), *(r >= 0.0 for r, _ in rates))
         region = regions.get(key)
         if region is None:
@@ -420,7 +418,7 @@ def solve_adjusted(
     def rhs(t, y):
         c = y[d:].reshape(d, d)
         state = (y[:d].tolist(), y[d:].tolist())
-        drift_m, a, q = moment_terms(closed_rate, plan(t), state, d)
+        drift_m, a, q = moment_terms(plan(t), state, d)
         return np.concatenate((drift_m, (a @ c + c @ a.T + q).ravel()))
 
     return _solve_moments(model, cfg, rhs, "adjusted")
@@ -433,8 +431,9 @@ def solve_measure_zero(
 
     The rate kinks are ignored on the grounds that the fluid path spends
     measure-zero time on them: the Jacobian uses fixed one-sided derivatives
-    (the convention is stated above :func:`pointwise_rate`) evaluated at the
-    fluid state, and the diffusion term uses the pointwise rates there.  The
+    evaluated at the fluid state, and the diffusion term uses the pointwise
+    rates there, both from :func:`~qmoments.closure.closed_rate` at zero
+    covariance (its tie conventions are stated in :mod:`qmoments.closure`).  The
     flow takes the branch a kink leads into, so the convention only decides
     a path that starts on a kink and stays there.
     """
@@ -453,61 +452,20 @@ def solve(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
     raise UsageError(f"unknown solver method {cfg.method!r}")
 
 
-# --------------------------------------------------------------------------
-# Pointwise (one-sided) derivatives for the measure-zero method.
-#
-# The kinked kernels have no derivative exactly at the kink; the convention
-# here resolves ties toward the branch that tracks the state variable:
-#   d/dx min(x, n)      = 1 when x <= n, else 0
-#   d/dx (x - n)^+      = 1 when x >  n, else 0
-#   min(x_j, x_k)       differentiates along x_j when x_j <= x_k
-#   min(x_j, (n-x_k)^+) differentiates along x_j when x_j <= residual,
-#                       else along x_k while the residual is positive.
-# Under the method's own assumption the tie set carries no time, so any
-# fixed convention is admissible; this one is deterministic and documented.
-
-
-def pointwise_rate(term: tuple, xs: list) -> tuple[float, tuple]:
-    """Rate of one compiled term at the state ``xs`` (a list of floats) and
-    its one-sided kernel gradient, as ``(index, entry)`` pairs without the
-    coefficient, for the entries the kernel reads."""
-    code, coeff, j, k, thr, weights, _, _ = term
-    # min(u, v) is spelled `v if v < u else u` and max(u, v) `v if v > u
-    # else u`, which is how the builtins resolve ties and NaN
-    if code == CONST:
-        return coeff, ()
-    if code == LINEAR:
-        return coeff * sum(map(mul, weights, xs)), tuple(enumerate(weights))
-    if code == MIN_THRESHOLD:
-        xj = xs[j]
-        return coeff * (thr if thr < xj else xj), ((j, 1.0),) if xj <= thr else ()
-    if code == POSITIVE_PART:
-        over = xs[j] - thr
-        return coeff * (0.0 if 0.0 > over else over), ((j, 1.0),) if xs[j] > thr else ()
-    if code == MIN_PAIR:
-        xj, xk = xs[j], xs[k]
-        return coeff * (xk if xk < xj else xj), ((j, 1.0),) if xj <= xk else ((k, 1.0),)
-    xj, residual = xs[j], thr - xs[k]  # capped residual
-    cap = 0.0 if 0.0 > residual else residual
-    grad = ((j, 1.0),) if xj <= cap else ((k, -1.0),) if residual > 0.0 else ()
-    return coeff * (cap if cap < xj else xj), grad
-
-
-def moment_terms(rate, terms, state, d: int) -> tuple[np.ndarray, ...]:
+def moment_terms(terms, state, d: int) -> tuple[np.ndarray, ...]:
     """Drift, Jacobian and diffusion of compiled ``terms`` at ``state``.
 
-    ``rate(term, state)`` is :func:`pointwise_rate` or
-    :func:`~qmoments.closure.closed_rate`.  One pass over the transitions, in
-    model order, and over each one's nonzero jump entries: drift entry ``a``
-    adds ``jump_a * rate``, Jacobian entry ``(a, b)`` adds
-    ``coeff * (jump_a * grad_b)`` and diffusion entry ``(a, b)`` adds
-    ``(jump_a * jump_b) * rate`` where the rate is positive.
+    Rates come from :func:`~qmoments.closure.closed_rate`, pointwise at a zero
+    covariance.  One pass over the transitions, in model order, and over each
+    one's nonzero jump entries: drift entry ``a`` adds ``jump_a * rate``,
+    Jacobian entry ``(a, b)`` adds ``coeff * (jump_a * grad_b)`` and diffusion
+    entry ``(a, b)`` adds ``(jump_a * jump_b) * rate`` where it is positive.
     """
     drift_x = [0.0] * d
     jac = [0.0] * (d * d)
     diffusion = [0.0] * (d * d)
     for term in terms:
-        r, grad = rate(term, state)
+        r, grad = closed_rate(term, state)
         coeff, moves = term[1], term[7]
         for a, jump_a in moves:
             drift_x[a] += jump_a * r
@@ -520,46 +478,48 @@ def moment_terms(rate, terms, state, d: int) -> tuple[np.ndarray, ...]:
     return np.array(drift_x), np.array(jac).reshape(d, d), np.array(diffusion).reshape(d, d)
 
 
-def _noise_columns(rate, terms, state, d: int) -> np.ndarray:
+def _noise_columns(terms, state, d: int) -> np.ndarray:
     """d x k matrix with columns ``jump_i * sqrt(max(rate_i, 0))``; its Gram
     matrix is the diffusion term up to rounding."""
     noise = np.zeros((d, len(terms)))
     for i, term in enumerate(terms):
-        r = rate(term, state)[0]
+        r = closed_rate(term, state)[0]
         if r > 0.0:
             noise[:, i] = np.multiply(term[6], math.sqrt(r))
     return noise
 
 
+def _point(model: NetworkModel, x) -> tuple[list, list]:
+    """The state ``x`` with zero covariance, where rates are pointwise."""
+    return list(map(float, x)), [0.0] * (model.dimension * model.dimension)
+
+
 def drift(model: NetworkModel, t: float, x) -> np.ndarray:
     """Net state change rate: sum of jump vectors weighted by their rates."""
-    xs = list(map(float, x))
-    return moment_terms(pointwise_rate, compile_terms(model, t), xs, model.dimension)[0]
+    return moment_terms(compile_terms(model, t), _point(model, x), model.dimension)[0]
 
 
 def pointwise_drift_jacobian(model: NetworkModel, t: float, x) -> np.ndarray:
     """Gradient matrix of the pointwise drift with one-sided kink convention."""
-    xs = list(map(float, x))
-    return moment_terms(pointwise_rate, compile_terms(model, t), xs, model.dimension)[1]
+    return moment_terms(compile_terms(model, t), _point(model, x), model.dimension)[1]
 
 
 def pointwise_noise_matrix(model: NetworkModel, t: float, x) -> np.ndarray:
     """Columns ``jump_i * sqrt(max(rate_i, 0))`` at the given state."""
-    terms = compile_terms(model, t)
-    return _noise_columns(pointwise_rate, terms, list(map(float, x)), model.dimension)
+    return _noise_columns(compile_terms(model, t), _point(model, x), model.dimension)
 
 
 def closed_drift(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
     """Jump-weighted sum of Gaussian-closed rates."""
-    return moment_terms(closed_rate, compile_terms(model, t), p.flat(), model.dimension)[0]
+    return moment_terms(compile_terms(model, t), p.flat(), model.dimension)[0]
 
 
 def closed_drift_jacobian(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
     """Gradient matrix of the closed drift with respect to the mean."""
-    return moment_terms(closed_rate, compile_terms(model, t), p.flat(), model.dimension)[1]
+    return moment_terms(compile_terms(model, t), p.flat(), model.dimension)[1]
 
 
 def noise_matrix(model: NetworkModel, t: float, p: MomentPoint) -> np.ndarray:
     """d x k matrix whose i-th column is ``jump_i * sqrt(max(rate_i, 0))``
     under the Gaussian-closed rates."""
-    return _noise_columns(closed_rate, compile_terms(model, t), p.flat(), model.dimension)
+    return _noise_columns(compile_terms(model, t), p.flat(), model.dimension)

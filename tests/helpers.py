@@ -136,8 +136,8 @@ def capped_residual_expect(mean, cov, threshold: float) -> float:
 # --------------------------------------------------------------------------
 # Reference pointwise evaluators: one loop per quantity, the kernels
 # dispatched by type and every schedule looked up at ``t``.  The compiled
-# moment pass (``qmoments.solvers.moment_terms`` under ``pointwise_rate``)
-# and the public wrappers must agree with these exactly.
+# moment pass (``qmoments.solvers.moment_terms`` at zero covariance) and the
+# public wrappers must agree with these exactly.
 
 
 def reference_rates(model, t, x) -> list[float]:
@@ -263,25 +263,34 @@ def variant_models():
 # --------------------------------------------------------------------------
 # Reference closed pass: the kernels dispatched by type, every schedule looked
 # up at ``t``, a dense kernel gradient per transition.  The compiled moment
-# pass (``qmoments.solvers.moment_terms`` under ``closure.closed_rate``) must
-# agree with it exactly.
+# pass (``qmoments.solvers.moment_terms``) must agree with it exactly.  Where
+# every marginal spread a kernel reads is below ``SIGMA_FLOOR`` the reference
+# is the pointwise one above.
 
 
 def _reference_closed_rate(term, t, p: MomentPoint):
     """Expected rate and the dense mean-gradient of the expected kernel."""
     coeff = term.coefficient.value_at(t)
     kernel = term.kernel
-    grad = np.zeros(p.mean.shape[0])
+    d = p.mean.shape[0]
+    grad = np.zeros(d)
+    sd = np.sqrt(np.maximum(np.diag(p.cov), 0.0))
+    pointwise = (
+        coeff * kernel_value(kernel, t, p.mean),
+        _reference_pointwise_grad(kernel, t, p.mean, d),
+    )
     if isinstance(kernel, Constant):
         return coeff, grad
     if isinstance(kernel, Linear):
         grad[: len(kernel.weights)] = kernel.weights
-        return coeff * float(np.dot(kernel.weights, p.mean)), grad
+        return pointwise[0], grad  # the sequential sum
     if isinstance(kernel, (MinThreshold, PositivePart)):
         j = kernel.index
-        m, s = float(p.mean[j]), math.sqrt(max(float(p.cov[j, j]), 0.0))
+        m, s = float(p.mean[j]), float(sd[j])
         n = kernel.threshold.value_at(t)
-        below = (1.0 if m <= n else 0.0) if s < SIGMA_FLOOR else normal_cdf((n - m) / s)
+        if s < SIGMA_FLOOR:
+            return pointwise
+        below = normal_cdf((n - m) / s)
         if isinstance(kernel, MinThreshold):
             grad[kernel.index] = below
             return coeff * _min_threshold_expectation(m, s, n), grad
@@ -292,14 +301,15 @@ def _reference_closed_rate(term, t, p: MomentPoint):
         mj, mk = float(p.mean[j]), float(p.mean[k])
         theta = _pair_spread(p.cov.ravel().tolist(), len(p.mean), j, k)
         if theta < SIGMA_FLOOR:
-            grad[j if mj <= mk else k] = 1.0
-            return coeff * min(mj, mk), grad
+            return pointwise
         u = (mk - mj) / theta
         grad[j] = normal_cdf(u)
         grad[k] = normal_cdf(-u)
         value = mj * normal_cdf(u) + mk * normal_cdf(-u) - theta * normal_pdf(u)
         return coeff * value, grad
     if isinstance(kernel, CappedResidual):
+        if sd[kernel.index] < SIGMA_FLOOR and sd[kernel.other] < SIGMA_FLOOR:
+            return pointwise
         value, d_own, d_other = _capped_residual(
             *p.flat(), kernel.index, kernel.other, kernel.threshold.value_at(t)
         )

@@ -41,7 +41,7 @@ from qmoments import (
 )
 from qmoments.closure import _pair_spread
 from qmoments.model import compile_terms, model_breakpoints
-from qmoments.solvers import moment_terms, pointwise_rate
+from qmoments.solvers import moment_terms
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -307,7 +307,7 @@ def _switching_rows(model: NetworkModel, t: float) -> list[tuple[np.ndarray, flo
 
 def ivp_moments(model: NetworkModel, grid, tol: float = 1e-12):
     """Fluid means and measure-zero covariances at ``grid`` by DOP853
-    (``rtol = atol = tol``), RHS from ``moment_terms(pointwise_rate, ...)``.
+    (``rtol = atol = tol``), RHS from ``moment_terms`` at zero covariance.
 
     The integration restarts at every schedule breakpoint, sample time and
     switching surface (terminal events), so each call sees a smooth RHS.  A
@@ -316,6 +316,7 @@ def ivp_moments(model: NetworkModel, grid, tol: float = 1e-12):
     restart.
     """
     d = model.dimension
+    zero = [0.0] * (d * d)  # pointwise rates: the closed rate at zero covariance
     y = np.zeros(d + d * d)
     y[:d] = model.initial_state
     grid = [float(g) for g in grid]
@@ -329,7 +330,7 @@ def ivp_moments(model: NetworkModel, grid, tol: float = 1e-12):
 
             def rhs(_t, y, terms=terms):
                 c = y[d:].reshape(d, d)
-                drift, jac, diffusion = moment_terms(pointwise_rate, terms, y[:d].tolist(), d)
+                drift, jac, diffusion = moment_terms(terms, (y[:d].tolist(), zero), d)
                 return np.concatenate((drift, (jac @ c + c @ jac.T + diffusion).ravel()))
 
             t, a = a, b

@@ -40,11 +40,12 @@ def test_method_and_csv_spans_fire(tmp_path):
     spans = _load_spans()
     out = str(tmp_path / "run")
     with spans.installed(spans.Recorder(), layers=True) as rec:
-        argv = ["run", "--preset", "1", "--methods", "fluid,simulate", "--reps", "2",
+        argv = ["run", "--preset", "1", "--methods", "fluid,adjusted,simulate", "--reps", "2",
                 "--grid", "6:8:1", "--out", out]
         assert cli.main(argv) == 0
         assert cli.main(["report", "--in", out]) == 0
-    for name in ("cli.run_experiment", "method.fluid", "method.simulate",
-                 "simulate.chunk", "simulate.compile", "results.write", "results.read"):
+    for name in ("cli.run_experiment", "method.fluid", "method.adjusted", "method.simulate",
+                 "solvers.engine", "solvers.rhs.adjusted", "simulate.chunk", "simulate.compile",
+                 "results.write", "results.read"):
         assert name in rec.names, name
     assert rec.counts["results.csv_bytes"] > 0

@@ -453,6 +453,47 @@ def test_non_integral_document_fields_exit_2(tmp_path, capsys, path, value, name
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key, bad, whole",
+    [
+        ("preset", 7.9, 7.0),
+        ("reps", 2.5, 2.0),
+        ("seed", 1.5, 1.0),
+        ("caps", [30.7, 20], [30.0, 20]),
+    ],
+    ids=["preset", "reps", "seed", "caps"],
+)
+def test_non_integral_config_fields_exit_2(tmp_path, capsys, key, bad, whole):
+    """Config-file integers are not truncated: 7.9 is an error, 7.0 loads as 7."""
+    out = tmp_path / "o"
+    base = {"preset": 1, "methods": ["fluid"], "out": str(out), "caps": [30, 20]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**base, key: whole}))
+    cfg = parse_config(build_parser().parse_args(["run", "--config", str(path)]))
+    expected = tuple(map(int, whole)) if key == "caps" else int(whole)
+    assert repr(getattr(cfg, key)) == repr(expected)
+    path.write_text(json.dumps({**base, key: bad}))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: " in err and "is not an integer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "methods, dt",
+    [("simulate", "-1"), ("simulate", "nan"), ("simulate,fluid", "0")],
+    ids=["simulate-negative", "simulate-nan", "simulate-then-fluid-zero"],
+)
+def test_bad_dt_exits_2_before_any_method_runs(tmp_path, capsys, monkeypatch, methods, dt):
+    """``dt`` is checked with the arguments, even when no ODE method reads it."""
+    monkeypatch.setattr("qmoments.cli.simulate_ensemble", None)  # a method run would raise
+    out = tmp_path / "o"
+    argv = ["run", "--preset", "1", "--methods", methods, "--reps", "2", "--dt", dt]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "dt must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # sample grids that every method must reject with exit 2
 BAD_GRIDS = {
     "nan": [6, float("nan")],

@@ -35,7 +35,6 @@ from qmoments.solvers import (
     _Region,
     _solve_moments,
     moment_terms,
-    pointwise_rate,
 )
 
 
@@ -213,11 +212,17 @@ REFERENCE_MODELS = pytest.mark.parametrize(
 )
 
 
-def assert_matches_reference(model, t, x):
-    """The moment pass and the public wrappers equal the loop references."""
+def assert_matches_reference(model, t, x, var=0.0):
+    """The closed rates and the moment pass at covariance ``var * I``, and the
+    public wrappers, equal the pointwise loop references."""
     x = np.asarray(x, dtype=float)
-    got = moment_terms(pointwise_rate, compile_terms(model, t), x.tolist(), model.dimension)
+    d = model.dimension
+    state = (x.tolist(), (var * np.eye(d)).ravel().tolist())
+    terms = compile_terms(model, t)
+    got = moment_terms(terms, state, d)
     rates = reference_rates(model, t, x)
+    closed = [closed_rate(term, state)[0] for term in terms]
+    assert np.array_equal(closed, rates, equal_nan=True), (t, x, var, closed, rates)
     expected = (
         reference_drift(model, t, x),
         reference_drift_jacobian(model, t, x),
@@ -258,10 +263,12 @@ class TestPointwisePass:
         ],
     )
     def test_every_variant_and_tie_matches_reference(self, x):
+        """Also at zero covariance and at a spread below ``SIGMA_FLOOR``."""
         shifted = (x[0] - 1.5, x[1] - 1.5)  # the threshold and pair ties recur at n = 2.5
         for model in variant_models():
-            assert_matches_reference(model, 0.5, x)  # n = 4
-            assert_matches_reference(model, 1.0, shifted)
+            for var in (0.0, 1e-20):
+                assert_matches_reference(model, 0.5, x, var)  # n = 4
+                assert_matches_reference(model, 1.0, shifted, var)
 
     @pytest.mark.parametrize(
         "kernel, x, grad",
@@ -286,7 +293,7 @@ class TestPointwisePass:
 def assert_closed_matches_reference(model, t, p):
     """The moment pass under the closed rate, and the public wrappers, equal
     the type-dispatched loop bit for bit."""
-    got = moment_terms(closed_rate, compile_terms(model, t), p.flat(), model.dimension)
+    got = moment_terms(compile_terms(model, t), p.flat(), model.dimension)
     drift, jac, diffusion, noise = reference_closed_terms(model, t, p)
     nan = bool(np.isnan(p.mean).any())  # NaN outputs are expected only from a NaN mean
     for g, want in zip(got, (drift, jac, diffusion)):
@@ -336,11 +343,11 @@ class TestDiffusion:
             x = rng.uniform(-0.1 * scale, scale, d)
             p = random_moment_point(rng, d)
             terms = compile_terms(model, t)
-            for rate, state, b in (
-                (pointwise_rate, x.tolist(), qm.pointwise_noise_matrix(model, t, x)),
-                (closed_rate, p.flat(), qm.noise_matrix(model, t, p)),
+            for state, b in (
+                ((x.tolist(), [0.0] * (d * d)), qm.pointwise_noise_matrix(model, t, x)),
+                (p.flat(), qm.noise_matrix(model, t, p)),
             ):
-                q = moment_terms(rate, terms, state, d)[2]
+                q = moment_terms(terms, state, d)[2]
                 assert np.array_equal(q, q.T)
                 bound = 4 * eps * (np.abs(b) @ np.abs(b).T)
                 assert np.all(np.abs(q - b @ b.T) <= bound), (t, q, b @ b.T)
