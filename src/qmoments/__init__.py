@@ -26,7 +26,6 @@ from .model import (
     PositivePart,
     RateTerm,
     Transition,
-    ValidationReport,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -90,7 +89,6 @@ __all__ = [
     "TimeSchedule",
     "Transition",
     "UsageError",
-    "ValidationReport",
     "build_peer",
     "build_priority",
     "build_retrial",

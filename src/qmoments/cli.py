@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergenceError, NumericalError, UsageError
 from .kolmogorov import exact_transient_moments
-from .model import GRID_TOL, NetworkModel, _whole, checked_grid, load_model
+from .model import GRID_TOL, NetworkModel, _real, _whole, checked_grid, load_model
 from .results import (
     MomentTrajectory,
     read_long_csv,
@@ -137,7 +137,7 @@ def _parse_config(args: argparse.Namespace) -> ExperimentConfig:
     if isinstance(grid, str):
         grid = _parse_grid(grid)
     elif grid is not None:
-        grid = np.asarray(grid, dtype=float)
+        grid = np.array([_real(t, "grid") for t in grid])
     caps = pick(args.caps, "caps")
     if isinstance(caps, str):
         caps = tuple(int(c) for c in caps.split(","))
@@ -152,7 +152,7 @@ def _parse_config(args: argparse.Namespace) -> ExperimentConfig:
         model_path=model_path,
         reps=_whole(pick(args.reps, "reps", 1000), "reps"),
         seed=_whole(pick(args.seed, "seed", 0), "seed"),
-        dt=SolverConfig(dt=float(pick(args.dt, "dt", 0.01))).dt,
+        dt=SolverConfig(dt=_real(pick(args.dt, "dt", 0.01), "dt")).dt,
         grid=grid,
         caps=caps,
         workers=_default_workers(),

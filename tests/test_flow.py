@@ -133,6 +133,20 @@ def test_crossings_lie_on_their_surfaces():
     np.testing.assert_allclose(at.means[:, 0], 50.0, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "model, grid", [case[1:] for case in ORACLE_CASES[:12]], ids=[c[0] for c in ORACLE_CASES[:12]]
+)
+def test_crossing_list_does_not_depend_on_dt(model, grid):
+    """A positive part's rate = 0 lies on its own kink x_j = n; the two once
+    raced, so the list depended on which root came out first by rounding."""
+    lists = [qm.solve_fluid(model, SolverConfig(dt=dt, grid=grid)).crossings
+             for dt in (0.01, 0.1, 1.0, 0.001)]
+    for crossings in lists[1:]:
+        assert [c[1:] for c in crossings] == [c[1:] for c in lists[0]]
+        np.testing.assert_allclose([c[0] for c in crossings], [c[0] for c in lists[0]],
+                                   rtol=0.0, atol=1e-11)
+
+
 def test_circling_path_crosses_twice_a_period():
     """x0 - 100 is about 10 cos(50 t): 32 zeros before t = 2."""
     out = qm.solve_fluid(circling_model(), SolverConfig(grid=np.array([2.0])))

@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import qmoments as qm
+import qmoments.kolmogorov as kolmogorov
+import qmoments.simulate as simulate
+import qmoments.solvers as solvers
 from qmoments import (
     CappedResidual,
     Constant,
@@ -194,59 +199,91 @@ class TestKernelProperties:
 
 
 class TestValidation:
+    """Every model is checked once, when it is built: an invalid one raises."""
+
     def test_well_formed_model_is_clean(self):
         params, horizon, _ = qm.retrial_preset(7)
-        report = qm.validate_model(qm.build_retrial(params, horizon))
-        assert report.ok and report.issues == []
+        qm.validate_model(qm.build_retrial(params, horizon))  # returns without raising
 
     def test_schedule_coverage_gap_is_reported(self):
         short = TimeSchedule((0.0, 2.0), (1.0, 2.0), end=10.0)
-        model = NetworkModel(
-            1,
-            (Transition((1,), RateTerm(short, Constant())),),
-            (0,),
-            20.0,
-        )
-        report = qm.validate_model(model)
-        assert not report.ok
-        assert any("t=10" in issue for issue in report.issues)
+        with pytest.raises(UsageError, match="t=10"):
+            NetworkModel(1, (Transition((1,), RateTerm(short, Constant())),), (0,), 20.0)
 
     def test_index_violation_is_reported(self):
-        model = NetworkModel(
-            1,
-            (
-                Transition(
-                    (1,),
-                    RateTerm(
-                        TimeSchedule.constant(1.0),
-                        MinThreshold(1, TimeSchedule.constant(5)),
-                    ),
-                ),
-            ),
-            (0,),
-            1.0,
-        )
-        report = qm.validate_model(model)
-        assert any("out of range" in issue for issue in report.issues)
+        kernel = MinThreshold(1, TimeSchedule.constant(5))
+        with pytest.raises(UsageError, match="out of range"):
+            NetworkModel(
+                1, (Transition((1,), RateTerm(TimeSchedule.constant(1.0), kernel)),), (0,), 1.0
+            )
 
     def test_negative_coefficient_is_reported(self):
-        model = NetworkModel(
-            1,
-            (Transition((1,), RateTerm(TimeSchedule.constant(-1.0), Constant())),),
-            (0,),
-            1.0,
-        )
-        report = qm.validate_model(model)
-        assert any("negative coefficient" in issue for issue in report.issues)
+        with pytest.raises(UsageError, match="negative coefficient"):
+            NetworkModel(
+                1,
+                (Transition((1,), RateTerm(TimeSchedule.constant(-1.0), Constant())),),
+                (0,),
+                1.0,
+            )
 
     def test_zero_jump_is_reported(self):
-        model = NetworkModel(
-            1,
-            (Transition((0,), RateTerm(TimeSchedule.constant(1.0), Constant())),),
-            (0,),
-            1.0,
-        )
-        assert not qm.validate_model(model).ok
+        with pytest.raises(UsageError, match="jump vector is zero"):
+            NetworkModel(
+                1,
+                (Transition((0,), RateTerm(TimeSchedule.constant(1.0), Constant())),),
+                (0,),
+                1.0,
+            )
+
+    def test_every_issue_is_named_in_one_error(self):
+        rate = RateTerm(TimeSchedule.constant(-1.0), MinPair(0, 0))
+        with pytest.raises(UsageError, match="invalid model: ") as info:
+            NetworkModel(1, (Transition((0,), rate),), (-1,), 1.0)
+        for fragment in ("initial state must be nonnegative", "jump vector is zero",
+                         "negative coefficient", "two distinct components"):
+            assert fragment in str(info.value)
+
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_replacing_the_horizon_is_checked(self, horizon):
+        with pytest.raises(UsageError, match="horizon must be positive and finite"):
+            dataclasses.replace(mminf_model(), horizon=horizon)
+
+    def test_unknown_kernel_type_is_reported(self):
+        @dataclasses.dataclass(frozen=True)
+        class Spline:
+            index: int = 0
+
+        rate = RateTerm(TimeSchedule.constant(1.0), Spline())
+        with pytest.raises(UsageError, match="transition 0: unknown kernel type Spline"):
+            NetworkModel(1, (Transition((1,), rate),), (0,), 1.0)
+
+    def test_short_jump_is_reported_before_any_method_reads_it(self):
+        """A 1-D jump in a 2-D model once made ``drift`` return ``[1, 0]``."""
+        rate = RateTerm(TimeSchedule.constant(1.0), Constant())
+        with pytest.raises(UsageError, match="transition 0: jump has length 1, expected 2"):
+            NetworkModel(2, (Transition((1,), rate),), (0, 0), 1.0)
+
+    def test_invalid_document_is_an_invalid_model(self):
+        doc = qm.model_to_dict(mminf_model())
+        doc["transitions"][1]["kernel"]["weights"] = [-1.0]
+        with pytest.raises(UsageError, match="^invalid model: transition 1: negative linear"):
+            qm.model_from_dict(doc)
+
+    def test_methods_do_not_check_again(self, monkeypatch):
+        """The check runs once, in the constructor; no method calls it again."""
+        model = mminf_model()
+
+        def refuse(_model):
+            raise AssertionError("model checked again")
+
+        for module in (solvers, simulate, kolmogorov):
+            monkeypatch.setattr(module, "validate_model", refuse)
+        grid = [1.0, 2.0]
+        for method in ("fluid", "adjusted", "measure-zero"):
+            assert qm.solve(model, qm.SolverConfig(method=method, grid=grid)).means.shape == (2, 1)
+        assert qm.simulate_ensemble(model, 4, 0, grid).count == 4
+        assert qm.simulate_path(model, qm.RngStream(0), grid).shape == (2, 1)
+        assert qm.exact_transient_moments(model, (20,), grid).means.shape == (2, 1)
 
 
 class TestSerialization:

@@ -80,14 +80,13 @@ class TestFluid:
         assert np.all(np.abs(out.means[:, 0] - 50.0) < 6.0)
 
     def test_invalid_model_rejected(self):
-        bad = NetworkModel(
-            1,
-            (Transition((1,), RateTerm(TimeSchedule.constant(-1.0), Constant())),),
-            (0,),
-            1.0,
-        )
-        with pytest.raises(UsageError):
-            qm.solve_fluid(bad)
+        with pytest.raises(UsageError, match="negative coefficient"):
+            NetworkModel(
+                1,
+                (Transition((1,), RateTerm(TimeSchedule.constant(-1.0), Constant())),),
+                (0,),
+                1.0,
+            )
 
 
 class TestAdjusted:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ class TestRetrialBuilder:
         assert model.transitions[4].rate.coefficient.value_at(0.0) == pytest.approx(1.0)
         assert isinstance(model.transitions[2].rate.kernel, MinThreshold)
         assert isinstance(model.transitions[3].rate.kernel, PositivePart)
-        assert qm.validate_model(model).ok
 
     def test_retrial_loop_conserves_customers(self):
         """Pool entry and pool return move one customer between components."""
@@ -78,7 +79,7 @@ class TestPresets:
     def test_all_rows_build_valid_models(self):
         for preset_id in range(1, 11):
             params, horizon, _ = qm.retrial_preset(preset_id)
-            assert qm.validate_model(qm.build_retrial(params, horizon)).ok
+            qm.build_retrial(params, horizon)  # raises if the model check fails
 
     @pytest.mark.parametrize("bad_id", [0, 11, -3])
     def test_out_of_range_ids_rejected(self, bad_id):
@@ -100,7 +101,6 @@ class TestPriorityBuilder:
         assert params.arrival_1.value_at(0.0) == 120.0
         assert params.arrival_1.value_at(2.0) == 200.0
         assert params.arrival_2.value_at(9.0) == 20.0
-        assert qm.validate_model(model).ok
 
     def test_saturated_pool_starves_class_2(self):
         params, horizon = qm.reference_priority_params()
@@ -136,7 +136,6 @@ class TestPeerBuilder:
         assert jumps[4][1] + jumps[4][2] == 0
         assert isinstance(model.transitions[1].rate.kernel, MinPair)
         assert params.initial_state == (0, 10, 0)
-        assert qm.validate_model(model).ok
 
     def test_no_retirement_keeps_server_pool_growing(self):
         params, horizon = qm.reference_peer_params()
@@ -179,3 +178,32 @@ class TestPeerBuilder:
         )
         with pytest.raises(UsageError):
             qm.build_peer(bad, horizon)
+
+
+def _builders():
+    """Each builder with valid parameters, the probability fields left out."""
+    retrial, retrial_horizon, _ = qm.retrial_preset(7)
+    priority, priority_horizon = qm.reference_priority_params()
+    peer, peer_horizon = qm.reference_peer_params()
+    return {
+        "retrial": (qm.build_retrial, retrial, retrial_horizon,
+                    ("servers", "arrival", "service", "retrial_rate", "abandon")),
+        "priority": (qm.build_priority, priority, priority_horizon,
+                     ("servers", "arrival_1", "arrival_2", "service_1", "service_2")),
+        "peer": (qm.build_peer, peer, peer_horizon,
+                 ("arrival", "service", "retire", "reactivate")),
+    }
+
+
+@pytest.mark.parametrize("system", ["retrial", "priority", "peer"])
+def test_builders_reject_every_negative_field_through_the_model_check(system):
+    """The builders leave sign checks to the model: each negative schedule and
+    a negative initial state fail its construction."""
+    build, params, horizon, names = _builders()[system]
+    for name in names:
+        bad = dataclasses.replace(params, **{name: TimeSchedule.constant(-1.0)})
+        with pytest.raises(UsageError, match="invalid model: .*negative"):
+            build(bad, horizon)
+    start = (-1,) + params.initial_state[1:]
+    with pytest.raises(UsageError, match="initial state must be nonnegative"):
+        build(dataclasses.replace(params, initial_state=start), horizon)
