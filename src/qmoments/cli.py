@@ -116,10 +116,10 @@ def _parse_config(args: argparse.Namespace) -> ExperimentConfig:
         methods_raw = [m for m in methods_raw.split(",") if m]
     methods = []
     for m in methods_raw:
-        canon = m.strip().replace("_", "-")
+        canon = m.strip().replace("_", "-") if isinstance(m, str) else m
         if canon not in METHOD_ORDER:
             raise UsageError(
-                f"unknown method {m!r}; choose from {', '.join(METHOD_ORDER)}"
+                f"methods: unknown method {m!r}; choose from {', '.join(METHOD_ORDER)}"
             )
         if canon not in methods:
             methods.append(canon)

@@ -4,18 +4,19 @@ For small models the forward equations ``p' = p Q(t)`` are solved directly on
 the box ``{0..cap_0} x ... x {0..cap_{d-1}}``.  Jumps that would leave the box
 are disabled (reflecting truncation), which conserves probability mass and
 keeps the moment oracle well defined; choose caps so the boundary occupancy
-is negligible.  Within one segment of the model's compiled plan
-(:func:`~qmoments.model.compile_segments`, read once per solve) the generator
-is constant; each transition fills one rate vector over the whole lattice
-through the array kernel the simulator also runs
-(:func:`~qmoments.model.kernel_values`), so this module holds no kernel rule
-of its own.  An interval is advanced by uniformization:
-``exp(dt Q') p = sum_k w_k P^k p`` with ``P = I + Q'/rate``, ``rate`` the
-largest outflow and ``w`` the Poisson(rate dt) pmf, a sum of nonnegative
-terms.  ``w`` comes from the ratio recurrence outward
-from the mode (Fox & Glynn 1988), each tail cut where its geometric bound drops
-below ``_TAIL / 4`` of the kept sum, then normalised; per interval the L1 error
-is thus at most ``_TAIL`` (1e-16) plus about one machine epsilon per product
+is negligible.  The solve walks :func:`~qmoments.model.plan_steps` with no
+step limit, one interval from stop to stop (sample times and breakpoints).
+The generator is constant on a segment of the compiled plan
+(:func:`~qmoments.model.compile_segments`, read once per solve); each
+transition fills one rate vector over the whole lattice through the array
+kernel the simulator also runs (:func:`~qmoments.model.kernel_values`), so
+this module holds no kernel rule of its own.  An interval is advanced by
+uniformization: ``exp(dt Q') p = sum_k w_k P^k p`` with ``P = I + Q'/rate``,
+``rate`` the largest outflow and ``w`` the Poisson(rate dt) pmf, a sum of
+nonnegative terms.  ``w`` comes from the ratio recurrence outward from the
+mode (Fox & Glynn 1988), each tail cut where its geometric bound drops below
+``_TAIL / 4`` of the kept sum, then normalised; per interval the L1 error is
+thus at most ``_TAIL`` (1e-16) plus about one machine epsilon per product
 with ``P``.  Nothing is estimated or random, so repeated solves in one
 environment are bitwise equal.
 """
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.sparse import dia_matrix
 
 from .errors import NumericalError, UsageError
-from .model import NetworkModel, checked_grid, compile_segments, kernel_values
+from .model import NetworkModel, checked_grid, compile_segments, kernel_values, plan_steps
 from .model import validate_model  # noqa: F401  uncalled; perfbench/spans.py rebinds it
 from .results import MomentTrajectory
 
@@ -110,31 +111,24 @@ def state_distributions(model: NetworkModel, caps, grid):
     p = np.zeros(size)
     p[int(x0 @ strides)] = 1.0
 
-    # one generator per plan segment that starts before the last sample
-    plan = {a: terms for a, _, terms in compile_segments(model) if a < times[-1] or a == 0.0}
-    events = sorted(set(times.tolist()) | set(plan))
+    segments = compile_segments(model)
     probs = np.empty((len(times), size))
-    out_i = 0
-    t_now = 0.0
-    for t_event in events:  # events[0] is 0.0, which builds the first step
-        dt = t_event - t_now
-        if dt > 0:
-            p = expm_multiply(step, rate, dt, p)
-        t_now = t_event
-        while out_i < len(times) and times[out_i] <= t_now + 1e-12:
-            mass = p.sum()
-            if abs(1.0 - mass) > _MASS_TOL:
-                raise NumericalError(
-                    f"probability mass {mass} drifted beyond tolerance at t={t_now:g}"
-                )
-            probs[out_i] = p
-            out_i += 1
-        if t_event in plan:
-            step = _generator_transpose(plan[t_event], coords, strides, caps)
+    si = -1
+    for t0, t1, seg, gi in plan_steps(model, times):  # one step per gap, no dt
+        if seg != si:  # one generator per plan segment that a step enters
+            si, step = seg, _generator_transpose(segments[seg][2], coords, strides, caps)
             rate = float(-step.diagonal().min())
             if rate > 0.0:  # P = I + Q'/rate
                 step.data *= 1 / rate
                 step.data[list(step.offsets).index(0)] += 1.0
+        if t1 > t0:
+            p = expm_multiply(step, rate, t1 - t0, p)
+        if gi >= 0:
+            mass = p.sum()
+            if abs(1.0 - mass) > _MASS_TOL:
+                raise NumericalError(
+                    f"probability mass {mass} drifted beyond tolerance at t={t1:g}")
+            probs[gi] = p
     return times, coords, probs
 
 

@@ -117,7 +117,7 @@ class Transition:
     rate: RateTerm
 
     def __post_init__(self):
-        object.__setattr__(self, "jump", tuple(int(j) for j in self.jump))
+        object.__setattr__(self, "jump", tuple(map(_as_int, self.jump)))
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,9 @@ class NetworkModel:
     horizon: float
 
     def __post_init__(self):
+        object.__setattr__(self, "dimension", _as_int(self.dimension))
         object.__setattr__(self, "transitions", tuple(self.transitions))
-        object.__setattr__(
-            self, "initial_state", tuple(int(v) for v in self.initial_state)
-        )
+        object.__setattr__(self, "initial_state", tuple(map(_as_int, self.initial_state)))
         validate_model(self)
 
     @property
@@ -152,8 +151,8 @@ def compile_term(rate: RateTerm, jump: tuple[int, ...], t: float) -> tuple:
     threshold = getattr(kernel, "threshold", None)
     thr = 0.0 if threshold is None else threshold.value_at(t)
     moves = tuple((a, v) for a, v in enumerate(jump) if v)
-    return (code, rate.coefficient.value_at(t), getattr(kernel, "index", 0),
-            getattr(kernel, "other", 0), thr, getattr(kernel, "weights", None), jump, moves)
+    return (code, rate.coefficient.value_at(t), int(getattr(kernel, "index", 0)),
+            int(getattr(kernel, "other", 0)), thr, getattr(kernel, "weights", None), jump, moves)
 
 
 def kernel_values(term: tuple, thr, x: np.ndarray, out: np.ndarray) -> None:
@@ -196,13 +195,13 @@ def compile_segments(model: NetworkModel) -> list[tuple]:
     return [(a, b, compile_terms(model, a)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-GRID_TOL = 1e-9  # times this close to the horizon or a solver mesh node count as on it
+GRID_TOL = 1e-9  # times this close to a stop of plan_steps count as on it
 
 
 def checked_grid(model: NetworkModel, grid=None) -> np.ndarray:
     """The sample times every method reports at: ``grid`` as a non-empty 1-D
     float array, finite, each time more than ``GRID_TOL`` after the one before
-    (closer ones would share a mesh node) and inside
+    (closer ones would share a plan stop) and inside
     ``[0, horizon + GRID_TOL]``.  ``None`` means every whole time unit."""
     if grid is None:
         return np.arange(0.0, model.horizon + GRID_TOL, 1.0)
@@ -216,6 +215,42 @@ def checked_grid(model: NetworkModel, grid=None) -> np.ndarray:
             f"sample grid [{times[0]}, {times[-1]}] outside model horizon [0, {model.horizon}]"
         )
     return times
+
+
+def plan_steps(model: NetworkModel, grid: np.ndarray, dt: float = math.inf) -> list[tuple]:
+    """Every step of a deterministic method up to the last time of ``grid``
+    (from :func:`checked_grid`), as ``(t0, t1, segment, sample)``.
+
+    Sample times, schedule breakpoints and the horizon are hard stops; one
+    within ``GRID_TOL`` of the stop before it is merged into it.  The gap
+    between two stops is cut into equal steps of at most ``dt``.  ``segment``
+    indexes :func:`compile_segments` and ``sample`` is the grid index reported
+    at ``t1``, or -1; a leading ``(0, 0, 0, 0)`` step reports a sample at 0.
+    """
+    starts = [0.0] + model_breakpoints(model)
+    stops = [0.0]
+    for a in sorted([*starts, float(model.horizon), *grid.tolist()]):
+        if a - stops[-1] > GRID_TOL:
+            stops.append(a)
+    steps, gi, seg = [], 0, 0
+    if grid[0] <= GRID_TOL:
+        steps, gi = [(0.0, 0.0, 0, 0)], 1
+    for a, b in zip(stops, stops[1:]):
+        if gi == len(grid):
+            return steps
+        while seg + 1 < len(starts) and starts[seg + 1] <= 0.5 * (a + b):
+            seg += 1
+        try:
+            nodes = np.linspace(a, b, max(1, math.ceil((b - a) / dt - 1e-12)) + 1).tolist()
+        except (ValueError, OverflowError, MemoryError) as exc:
+            raise UsageError(f"dt={dt:g} needs too many steps from t={a:g} to {b:g}") from exc
+        steps.extend((t0, t1, seg, -1) for t0, t1 in zip(nodes[:-2], nodes[1:-1]))
+        sample = gi if abs(b - grid[gi]) <= GRID_TOL else -1
+        steps.append((nodes[-2], b, seg, sample))
+        gi += sample >= 0
+    if gi < len(grid):
+        raise UsageError("sample grid could not be aligned with the plan")
+    return steps
 
 
 def model_breakpoints(model: NetworkModel) -> list[float]:
@@ -234,19 +269,21 @@ def model_breakpoints(model: NetworkModel) -> list[float]:
 
 
 def validate_model(model: NetworkModel) -> None:
-    """Structural checks: schedule coverage, sign constraints, index ranges and
-    kernel types.  Raises one :class:`UsageError` naming every issue."""
-    issues = []
+    """Structural checks: whole numbers, schedule coverage, sign constraints, index
+    ranges and kernel types.  Raises one :class:`UsageError` naming every issue."""
     d = model.dimension
-    if d < 1:
-        issues.append(f"dimension must be >= 1, got {d}")
-    if not (math.isfinite(model.horizon) and model.horizon > 0):
+    if type(d) is not int or d < 1:  # every other check reads it
+        raise UsageError(f"invalid model: dimension must be an integer >= 1, got {d!r}")
+    issues = [f"initial state entry {v!r} is not an integer" for v in model.initial_state
+              if type(v) is not int]
+    horizon_ok = math.isfinite(model.horizon) and model.horizon > 0
+    if not horizon_ok:
         issues.append(f"horizon must be positive and finite, got {model.horizon}")
     if not model.transitions:
         issues.append("model needs at least one transition")
     if len(model.initial_state) != d:
         issues.append(f"initial state has length {len(model.initial_state)}, expected {d}")
-    if any(v < 0 for v in model.initial_state):
+    if any(v < 0 for v in model.initial_state if type(v) is int):
         issues.append("initial state must be nonnegative")
 
     for i, tr in enumerate(model.transitions):
@@ -258,18 +295,22 @@ def validate_model(model: NetworkModel) -> None:
         if len(tr.jump) != d:
             issues.append(f"{where}: jump has length {len(tr.jump)}, expected {d}")
             continue
+        issues += [f"{where}: jump entry {j!r} is not an integer" for j in tr.jump
+                   if type(j) is not int]
         if all(j == 0 for j in tr.jump):
             issues.append(f"{where}: jump vector is zero")
         threshold = getattr(kernel, "threshold", None)
         for name, s in (("coefficient", tr.rate.coefficient), ("threshold", threshold)):
             if s is not None and s.min_value() < 0:
                 issues.append(f"{where}: negative {name} value")
-            if s is not None and not s.covers(model.horizon):
+            if s is not None and horizon_ok and not s.covers(model.horizon):
                 issues.append(f"{where}: {name} schedule declared up to t={s.end}, "
                               f"model horizon is {model.horizon}")
-        indices = [getattr(kernel, name) for name in _INDEX_FIELDS if hasattr(kernel, name)]
+        indices = [_as_int(getattr(kernel, n)) for n in _INDEX_FIELDS if hasattr(kernel, n)]
         for idx in indices:
-            if not 0 <= idx < d:
+            if type(idx) is not int:
+                issues.append(f"{where}: kernel index {idx!r} is not an integer")
+            elif not 0 <= idx < d:
                 issues.append(f"{where}: kernel index {idx} out of range [0, {d})")
         if len(indices) == 2 and indices[0] == indices[1]:
             issues.append(f"{where}: kernel must reference two distinct components")
@@ -322,10 +363,19 @@ def _kernel_to_dict(kernel: Kernel) -> dict:
     return out
 
 
+def _as_int(value):
+    """``value`` as an int if it is a whole number other than a boolean (``2``,
+    ``2.0``, a numpy integer); anything else as it is, never truncated."""
+    try:
+        return int(value) if type(value) is not bool and int(value) == value else value
+    except (TypeError, ValueError, OverflowError):
+        return value
+
+
 def _whole(value, where: str) -> int:
     """An integral number as an int: ``2`` and ``2.0`` pass; ``2.5``, ``true``
     and ``"2"`` raise instead of truncating."""
-    if value is True or value is False or int(value) != value:
+    if type(_as_int(value)) is not int:
         raise UsageError(f"{where}: {value!r} is not an integer")
     return int(value)
 

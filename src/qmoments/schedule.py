@@ -50,6 +50,8 @@ class TimeSchedule:
             raise UsageError("schedule needs exactly one value per breakpoint")
         if not all(math.isfinite(v) for v in vals):
             raise UsageError("schedule values must be finite")
+        if self.end is not None and not math.isfinite(self.end):
+            raise UsageError(f"schedule end must be finite, got {self.end}")
 
     @classmethod
     def constant(cls, value: float) -> "TimeSchedule":

@@ -10,41 +10,40 @@
 
 The covariance methods solve ``dC/dt = A C + C A' + sum_i rate_i^+ J_i J_i'``
 (the diffusion term of Mandelbaum, Massey & Reiman 1998).  Every method
-compiles the model's plan once per solve (shared with the simulator,
-:func:`~qmoments.model.compile_segments`).
+compiles the model's plan once per solve (:func:`~qmoments.model.compile_segments`)
+and takes its steps from one walk, :func:`~qmoments.model.plan_steps`.
 
 **Adjusted** runs fixed-step RK4 on one flat state, the mean followed by the
 row-major covariance, with drift, ``A`` and the diffusion from one pass,
-:func:`moment_terms`, under :func:`~qmoments.closure.closed_rate`.  Freezing
-the schedule lookup at the step midpoint makes each step an exact RK4 step of
-an autonomous system, so integrating an alternating parameter is bitwise the
-same as chaining its constant segments.
+:func:`moment_terms`, under :func:`~qmoments.closure.closed_rate`.  Every
+stage reads the compiled terms of its step's plan segment, so each step is an
+exact RK4 step of an autonomous system and integrating an alternating
+parameter is bitwise the same as chaining its constant segments.
 
 **Fluid and measure-zero** follow the exact switched-affine flow.  Each kernel
 is affine in the state between its kinks and each schedule is constant between
 breakpoints, so inside a region (one branch per term: the gradient that
 :func:`~qmoments.closure.closed_rate` gives at zero covariance) the stacked
 state ``z = (x, 1, vec C)`` obeys ``z' = M z``, solved by ``expm(M h) z``
-(Van Loan 1978, IEEE TAC 23).  The mean is stepped from mesh node to mesh node
+(Van Loan 1978, IEEE TAC 23).  The mean is stepped along the walk's steps
 by the ``(x, 1)`` block alone, whose exponentials are cached per plan segment,
 region and step length within one solve, so measure-zero's mean is bitwise the
 fluid's.  The covariance rows of the full exponential are applied only where a
 covariance is read: at samples, crossings and breakpoints.  A region ends
 where the path crosses one of its linear switching functions: a kink surface
 of a term or the zero of an affine rate.  The side of every switching function
-is checked at each mesh node, so ``dt`` is the probe spacing: an excursion
+is checked at the end of each step, so ``dt`` is the probe spacing: an excursion
 across a surface and back within one probe interval is not seen.  A crossing
 is located by safeguarded Newton on the switching function along the flow and
 listed in the result's ``crossings``.
 
-The mesh ends at the last sample time, so a divergence after it is never
-reached, and steps never straddle a schedule breakpoint.
+The walk ends at the last sample time, so a divergence after it is never
+reached, and no step crosses a schedule breakpoint.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,6 @@ from .closure import MomentPoint, closed_rate
 from .errors import DivergenceError, NumericalError, UsageError
 from .model import (
     CAPPED,
-    GRID_TOL,
     MIN_PAIR,
     MIN_THRESHOLD,
     POSITIVE_PART,
@@ -62,7 +60,7 @@ from .model import (
     checked_grid,
     compile_segments,
     compile_terms,
-    model_breakpoints,
+    plan_steps,
     validate_model,  # noqa: F401  uncalled; perfbench/spans.py rebinds it
 )
 from .results import MomentTrajectory
@@ -91,52 +89,17 @@ class SolverConfig:
             raise UsageError(f"dt must be positive and finite, got {self.dt}")
 
 
-def _build_mesh(model: NetworkModel, cfg: SolverConfig, grid: np.ndarray):
-    """Integration nodes up to the last sample time: breakpoints and grid
-    times, gaps split to <= dt.  They are a prefix of the mesh that would run
-    to the horizon; no output reads a node past the last sample.
-
-    Returns the node times and, per node, the index into ``grid`` it reports
-    to (or -1).
-    """
-    anchors = [0.0, float(model.horizon)]
-    anchors.extend(model_breakpoints(model))
-    anchors.extend(float(g) for g in grid)
-    anchors.sort()
-    merged = [anchors[0]]
-    for a in anchors[1:]:
-        if a - merged[-1] > GRID_TOL:
-            merged.append(a)
-    nodes = [merged[0]]
-    for a, b in zip(merged[:-1], merged[1:]):
-        if a > grid[-1] + GRID_TOL:  # no later node can be a sample
-            break
-        try:
-            steps = max(1, int(np.ceil((b - a) / cfg.dt - 1e-12)))
-            nodes.extend(np.linspace(a, b, steps + 1)[1:].tolist())
-        except (ValueError, OverflowError, MemoryError) as exc:
-            raise UsageError(f"dt={cfg.dt:g} needs too many steps from t={a:g} to {b:g}") from exc
-    sample_of = [-1] * len(nodes)
-    gi = 0
-    for ni, t in enumerate(nodes):
-        if abs(t - grid[gi]) <= GRID_TOL:
-            sample_of[ni] = gi
-            gi += 1
-            if gi == len(grid):
-                return nodes[: ni + 1], sample_of[: ni + 1]
-    raise UsageError("sample grid could not be aligned with the mesh")
-
-
 def _poorly_conditioned(cov: np.ndarray) -> bool:
     trace = float(np.trace(cov))
     return trace > 0 and float(np.linalg.eigvalsh(cov)[0]) < -1e-4 * trace
 
 
 def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
-    """RK4 on the mean followed by the row-major covariance over the aligned
-    mesh.  ``rhs(t, y)`` returns the derivative of ``y``."""
+    """RK4 on the mean followed by the row-major covariance over
+    :func:`~qmoments.model.plan_steps`.  ``rhs(terms, y)`` returns the
+    derivative of ``y`` under the step's compiled ``terms``."""
     grid = checked_grid(model, cfg.grid)
-    nodes, sample_of = _build_mesh(model, cfg, grid)
+    segments = compile_segments(model)
     d = model.dimension
     y = np.zeros(d + d * d)
     y[:d] = model.initial_state
@@ -145,34 +108,28 @@ def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
     covs = np.zeros((len(grid), d, d))
     warnings: list[str] = []
 
-    def record(ni):
-        gi = sample_of[ni]
-        if gi >= 0:
-            means[gi] = y[:d]
-            covs[gi] = cov
-            if _poorly_conditioned(cov):
-                warnings.append(f"covariance poorly conditioned at t={grid[gi]:g}")
-
-    record(0)
     # overflow is an anticipated, detected condition here, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for ni in range(len(nodes) - 1):
-            t0, t1 = nodes[ni], nodes[ni + 1]
-            h = t1 - t0
-            tm = 0.5 * (t0 + t1)  # schedules are constant on the step
-            k1 = rhs(tm, y)
-            k2 = rhs(tm, y + 0.5 * h * k1)
-            k3 = rhs(tm, y + 0.5 * h * k2)
-            k4 = rhs(tm, y + h * k3)
-            y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            cov += cov.T
-            cov *= 0.5
-            if not np.isfinite(y).all():
-                raise DivergenceError(
-                    f"{method} solve diverged between t={t0:g} and t={t1:g}",
-                    last_time=float(t0),
-                )
-            record(ni + 1)
+        for t0, t1, seg, gi in plan_steps(model, grid, cfg.dt):
+            if t1 > t0:
+                h, terms = t1 - t0, segments[seg][2]
+                k1 = rhs(terms, y)
+                k2 = rhs(terms, y + 0.5 * h * k1)
+                k3 = rhs(terms, y + 0.5 * h * k2)
+                k4 = rhs(terms, y + h * k3)
+                y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                cov += cov.T
+                cov *= 0.5
+                if not np.isfinite(y).all():
+                    raise DivergenceError(
+                        f"{method} solve diverged between t={t0:g} and t={t1:g}",
+                        last_time=float(t0),
+                    )
+            if gi >= 0:
+                means[gi] = y[:d]
+                covs[gi] = cov
+                if _poorly_conditioned(cov):
+                    warnings.append(f"covariance poorly conditioned at t={grid[gi]:g}")
     return MomentTrajectory(method, grid.copy(), means, covs, warnings)
 
 
@@ -285,17 +242,16 @@ def _crossing_time(row, flow, xa, h: float, below: bool, f_end: float):
 
 
 def _solve_flow(model: NetworkModel, cfg: SolverConfig, method: str) -> MomentTrajectory:
-    """Fluid or measure-zero by the switched-affine flow over the aligned mesh.
+    """Fluid or measure-zero by the switched-affine flow over
+    :func:`~qmoments.model.plan_steps`.
 
-    The mean is stepped node to node by the cached ``(x, 1)`` exponentials.
-    The covariance is formed only where it is read, at samples, crossings and
-    breakpoints, from ``(x, 1, vec C)`` at the last such time."""
+    The mean is stepped by the cached ``(x, 1)`` exponentials.  The covariance
+    is formed only where it is read, at samples, crossings and breakpoints,
+    from ``(x, 1, vec C)`` at the last such time."""
     grid = checked_grid(model, cfg.grid)
-    nodes, sample_of = _build_mesh(model, cfg, grid)
     d = model.dimension
     with_cov = method == "measure-zero"
     segments = compile_segments(model)
-    starts = [seg[0] for seg in segments]
     jumps = np.array([tr.jump for tr in model.transitions], dtype=float)
     xa = np.array([*model.initial_state, 1.0])  # (x, 1)
     c = np.zeros(d * d)  # row-major covariance
@@ -334,26 +290,16 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig, method: str) -> MomentTr
             c = (0.5 * (cov + cov.T)).ravel()
             t_cov, z_cov = t, np.concatenate((xa, c))
 
-    def record(gi):
-        means[gi] = xa[:d]
-        covs[gi] = c.reshape(d, d)
-        if with_cov and _poorly_conditioned(covs[gi]):
-            warnings.append(f"covariance poorly conditioned at t={grid[gi]:g}")
-
     si = -1
-    if sample_of[0] == 0:
-        record(0)
     # overflow is an anticipated, detected condition here, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for ni in range(len(nodes) - 1):
-            t, t1 = nodes[ni], nodes[ni + 1]
-            seg = bisect_right(starts, 0.5 * (t + t1)) - 1
+        for t, t1, seg, gi in plan_steps(model, grid, cfg.dt):
             if seg != si:
                 if si >= 0:
                     carry(region, t)
                 si, crossed = seg, 0
                 key, region, sides = region_at(si, xa[:d].tolist())
-            while True:
+            while t1 > t:
                 xa1 = region.step(t1 - t) @ xa
                 if not np.isfinite(xa1).all():
                     raise DivergenceError(
@@ -362,6 +308,7 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig, method: str) -> MomentTr
                     )
                 sides1 = region.surfaces @ xa1 <= 0.0
                 if (sides1 == sides).all():
+                    xa = xa1
                     break
                 # the earliest switching function to change side sets the crossing
                 tau, xa, hit = min(
@@ -378,34 +325,26 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig, method: str) -> MomentTr
                 if crossed > CROSSING_CAP:
                     raise NumericalError(
                         f"{method} solve crossed switching surfaces more than {CROSSING_CAP} "
-                        f"times in the plan segment from t={starts[si]:g} (the path stays on or "
-                        f"circles a kink); last crossing at t={t:.12g}, x={xa[:d].tolist()}"
+                        f"times in the plan segment from t={segments[si][0]:g} (the path stays "
+                        f"on or circles a kink); last crossing at t={t:.12g}, x={xa[:d].tolist()}"
                     )
                 label, owners = region.labels[hit]
                 new_key, region, sides = region_at(si, xa[:d].tolist())
                 if new_key != key:
                     crossings.extend([t, i, label] for i in owners)
                 key = new_key
-            xa = xa1
-            gi = sample_of[ni + 1]
             if gi >= 0:
                 carry(region, t1)
-                record(gi)
+                means[gi] = xa[:d]
+                covs[gi] = c.reshape(d, d)
+                if with_cov and _poorly_conditioned(covs[gi]):
+                    warnings.append(f"covariance poorly conditioned at t={grid[gi]:g}")
     return MomentTrajectory(method, grid.copy(), means, covs, warnings, crossings=crossings)
 
 
 def solve_fluid(model: NetworkModel, cfg: SolverConfig | None = None) -> MomentTrajectory:
     """Deterministic large-population limit; covariance reported as zero."""
     return _solve_flow(model, cfg or SolverConfig(method="fluid"), "fluid")
-
-
-def _plan_at(model: NetworkModel):
-    """``plan(t)``: the compiled terms of the plan segment holding ``t``.
-    Steps never straddle a breakpoint, so a step's midpoint finds its segment.
-    """
-    segments = compile_segments(model)
-    starts = [seg[0] for seg in segments]
-    return lambda t: segments[bisect_right(starts, t) - 1][2]
 
 
 def solve_adjusted(
@@ -419,16 +358,15 @@ def solve_adjusted(
     mean and the row-major covariance as flat lists; the covariance obeys
     ``dC/dt = A C + C A' + Q`` and is symmetrized after each step.
     """
-    cfg = cfg or SolverConfig(method="adjusted")
-    plan, d = _plan_at(model), model.dimension
+    d = model.dimension
 
-    def rhs(t, y):
+    def rhs(terms, y):
         c = y[d:].reshape(d, d)
         state = (y[:d].tolist(), y[d:].tolist())
-        drift_m, a, q = moment_terms(plan(t), state, d)
+        drift_m, a, q = moment_terms(terms, state, d)
         return np.concatenate((drift_m, (a @ c + c @ a.T + q).ravel()))
 
-    return _solve_moments(model, cfg, rhs, "adjusted")
+    return _solve_moments(model, cfg or SolverConfig(method="adjusted"), rhs, "adjusted")
 
 
 def solve_measure_zero(

@@ -531,6 +531,20 @@ def test_non_integral_config_fields_exit_2(tmp_path, capsys, key, bad, whole):
 
 
 @pytest.mark.parametrize(
+    "methods", [[1], ["fluid", None], [["fluid"]]], ids=["int", "null", "list"]
+)
+def test_non_string_methods_exit_2(tmp_path, capsys, methods):
+    """A config file's ``methods`` holds method names; anything else is named."""
+    out = tmp_path / "o"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"methods": methods, "preset": 7, "out": str(out)}))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "methods: unknown method" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "methods, dt",
     [("simulate", "-1"), ("simulate", "nan"), ("simulate,fluid", "0")],
     ids=["simulate-negative", "simulate-nan", "simulate-then-fluid-zero"],
@@ -566,6 +580,7 @@ BAD_GRIDS = {
         (["--methods", "exact", "--caps", "a,b"], None),
         (["--methods", "exact", "--caps", "4294967295,4294967295"], None),
         (["--methods", "exact", "--caps", "9223372036854775807,1"], None),
+        (["--methods", "exact", "--caps", "5"], None),
         (["--seed", "-1"], None),
         (["--seed", str(2**64)], None),
         ([], "{not json"),
@@ -581,7 +596,7 @@ BAD_GRIDS = {
     ],
     ids=[
         "grid-nan", "grid-inf", "grid-huge", "dt-nan", "dt-inf", "dt-tiny", "caps-text",
-        "caps-product-wraps", "caps-int64-max",
+        "caps-product-wraps", "caps-int64-max", "caps-one-for-two-dimensions",
         "seed-negative", "seed-2**64",
         "config-not-json", "config-reps-text", "config-dt-list", "config-not-object",
         "config-grid-empty",

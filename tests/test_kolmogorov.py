@@ -192,6 +192,17 @@ def test_generator_entries_equal_pointwise_rates():
                 assert abs(qt[y @ strides, x @ strides] - rate) <= ulps * rate, (t, i, x)
 
 
+def test_sample_just_after_a_breakpoint_is_read_at_the_breakpoint():
+    """A sample within GRID_TOL after the t = 2 breakpoint shares the
+    breakpoint's stop, as in the ODE methods' plan: its moments and every
+    later sample's equal those of a grid that samples t = 2 itself."""
+    model = tiny_retrial(horizon=4.0)
+    near = qm.exact_transient_moments(model, (12, 12), [1.0, 2.0 + 5e-10, 3.0])
+    stop = qm.exact_transient_moments(model, (12, 12), [1.0, 2.0, 3.0])
+    assert np.array_equal(near.means, stop.means)
+    assert np.array_equal(near.covs, stop.covs)
+
+
 def test_empty_grid_rejected():
     for grid in ([], [[1.0, 2.0]], [6.0, float("nan")], [6.0, 6.0, 7.0], [-1e-10, 1.0],
                  [1.0, 1.0 + 1e-12]):

@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qmoments as qm
 import qmoments.kolmogorov as kolmogorov
@@ -22,9 +25,12 @@ from qmoments import (
 )
 from qmoments.model import (
     CAPPED,
+    GRID_TOL,
     MIN_THRESHOLD,
+    checked_grid,
     compile_segments,
     kernel_values,
+    plan_steps,
 )
 from helpers import variant_models
 from oracles import eval_rate, kernel_value
@@ -132,7 +138,59 @@ class TestDrift:
             np.testing.assert_allclose(qm.drift(model, t, x), expected, rtol=1e-12)
 
 
+@st.composite
+def plans(draw):
+    """A one-transition model with random breakpoints, a sample grid that
+    may sit within ``GRID_TOL`` of a breakpoint or the horizon, and a ``dt``."""
+    horizon = draw(st.floats(0.5, 20.0))
+    fractions = draw(st.lists(st.floats(0.01, 0.99), max_size=6, unique=True))
+    breakpoints = sorted({f * horizon for f in fractions})
+    near = st.sampled_from([0.0, *breakpoints, horizon])
+    nudge = st.floats(-2 * GRID_TOL, 2 * GRID_TOL)
+    times = draw(st.lists(st.floats(0.0, horizon) | st.builds(float.__add__, near, nudge),
+                          min_size=1, max_size=12))
+    grid = []
+    for t in sorted(min(max(t, 0.0), horizon + GRID_TOL) for t in times):
+        if not grid or t - grid[-1] > GRID_TOL:
+            grid.append(t)
+    coefficient = TimeSchedule((0.0, *breakpoints), tuple(range(1, len(breakpoints) + 2)))
+    model = NetworkModel(1, (Transition((1,), RateTerm(coefficient, Constant())),), (0,), horizon)
+    dt = draw(st.floats(0.01, 3.0) | st.just(math.inf))
+    return model, breakpoints, checked_grid(model, grid), dt
+
+
 class TestCompiledPlan:
+    @given(plans())
+    def test_plan_steps_stop_at_every_breakpoint_and_sample(self, plan):
+        model, breakpoints, grid, dt = plan
+        steps = plan_steps(model, grid, dt)
+        segments = compile_segments(model)
+        assert steps[0][0] == 0.0
+        for (_, t1, _, _), (t0, _, _, _) in zip(steps, steps[1:]):
+            assert t1 == t0  # contiguous
+        for t0, t1, seg, _ in steps:
+            assert t1 - t0 <= dt * (1 + 1e-12)
+            assert not any(t0 + GRID_TOL < b < t1 for b in breakpoints)
+            mid = 0.5 * (t0 + t1)  # the last segment holds past the horizon
+            assert segments[seg][0] <= mid and (mid <= segments[seg][1] or seg == len(segments) - 1)
+        samples = [(t1, gi) for _, t1, _, gi in steps if gi >= 0]
+        assert [gi for _, gi in samples] == list(range(len(grid)))
+        assert all(abs(t1 - grid[gi]) <= GRID_TOL for t1, gi in samples)
+        assert steps[-1][3] == len(grid) - 1  # the walk ends at the last sample
+        if dt == math.inf:  # one step per gap between the merged stops
+            stops = [0.0]
+            for a in sorted([*breakpoints, model.horizon, *grid]):
+                if a - stops[-1] > GRID_TOL:
+                    stops.append(a)
+            ends = [t1 for t0, t1, _, _ in steps if t1 > t0]
+            assert ends == stops[1 : len(ends) + 1]
+
+    def test_leading_step_reports_a_sample_at_zero(self):
+        model = mminf_model(horizon=2.0)
+        assert plan_steps(model, np.array([0.0, 2.0])) == [(0.0, 0.0, 0, 0), (0.0, 2.0, 0, 1)]
+        assert plan_steps(model, np.array([2.0]), 0.5) == [
+            (0.0, 0.5, 0, -1), (0.5, 1.0, 0, -1), (1.0, 1.5, 0, -1), (1.5, 2.0, 0, 0)]
+
     def test_segments_freeze_schedules_at_their_midpoints(self):
         horizon = 7.0
         rate = TimeSchedule.alternating(45.0, 55.0, 2.0, horizon)
@@ -247,6 +305,64 @@ class TestValidation:
     def test_replacing_the_horizon_is_checked(self, horizon):
         with pytest.raises(UsageError, match="horizon must be positive and finite"):
             dataclasses.replace(mminf_model(), horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_invalid_horizon_reports_no_coverage_gap(self, horizon):
+        """Preset 7's schedules end at t = 20; against a horizon that is not a
+        number no coverage gap is reported, only the horizon."""
+        preset = qm.build_retrial(*qm.retrial_preset(7)[:2])
+        with pytest.raises(UsageError) as info:
+            dataclasses.replace(preset, horizon=horizon)
+        message = f"invalid model: horizon must be positive and finite, got {horizon}"
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"jump": (0.5, 1)}, "transition 0: jump entry 0.5 is not an integer"),
+            ({"jump": (True, 0)}, "transition 0: jump entry True is not an integer"),
+            ({"initial": (1.7, 0)}, "initial state entry 1.7 is not an integer"),
+            ({"initial": (0, False)}, "initial state entry False is not an integer"),
+            ({"dimension": 2.5}, "dimension must be an integer >= 1, got 2.5"),
+            ({"dimension": True}, "dimension must be an integer >= 1, got True"),
+            ({"dimension": 0}, "dimension must be an integer >= 1, got 0"),
+            ({"kernel": MinThreshold(0.5, TimeSchedule.constant(3))},
+             "transition 0: kernel index 0.5 is not an integer"),
+            ({"kernel": MinPair(0, True)}, "transition 0: kernel index True is not an integer"),
+            ({"transitions": ()}, "model needs at least one transition"),
+            ({"kernel": Linear((1.0,))}, "transition 0: linear kernel has 1 weights, expected 2"),
+            ({"kernel": Linear((float("inf"), 0.0))},
+             "transition 0: linear kernel weights must be finite"),
+        ],
+        ids=["jump-fraction", "jump-bool", "initial-fraction", "initial-bool",
+             "dimension-fraction", "dimension-bool", "dimension-zero", "index-fraction",
+             "index-bool", "no-transition", "weights-length", "weights-infinite"],
+    )
+    def test_construction_names_the_issue_and_truncates_nothing(self, fields, message):
+        args = {"dimension": 2, "jump": (1, 0), "kernel": Constant(), "initial": (0, 0), **fields}
+        rate = RateTerm(TimeSchedule.constant(1.0), args["kernel"])
+        transitions = args.get("transitions", (Transition(args["jump"], rate),))
+        with pytest.raises(UsageError, match="^invalid model: .*" + message):
+            NetworkModel(args["dimension"], transitions, args["initial"], 1.0)
+
+    def test_whole_numbers_of_any_type_are_read_as_ints(self):
+        """``2.0`` and numpy integers are whole numbers: the model stores them
+        as ints, and a kernel index compiles to one."""
+        rate = TimeSchedule.constant(1.0)
+        model = NetworkModel(
+            2.0,
+            (
+                Transition((np.int64(1), 0.0), RateTerm(rate, Constant())),
+                Transition((-1, 0), RateTerm(rate, MinThreshold(1.0, TimeSchedule.constant(3)))),
+            ),
+            (np.int64(2), 1.0),
+            2.0,
+        )
+        assert type(model.dimension) is int
+        assert all(type(v) is int for v in (*model.initial_state, *model.transitions[0].jump))
+        index = compile_segments(model)[0][2][1][2]
+        assert type(index) is int and index == 1
+        assert qm.solve_fluid(model, qm.SolverConfig(grid=[1.0])).means.shape == (1, 2)
 
     def test_unknown_kernel_type_is_reported(self):
         @dataclasses.dataclass(frozen=True)

@@ -44,6 +44,12 @@ def test_malformed_schedules_rejected(breakpoints, values):
         TimeSchedule(breakpoints, values)
 
 
+@pytest.mark.parametrize("end", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_end_rejected(end):
+    with pytest.raises(UsageError, match="schedule end must be finite"):
+        TimeSchedule((0.0,), (1.0,), end=end)
+
+
 def test_alternating_builder_layout():
     s = TimeSchedule.alternating(45, 55, 2.0, 20.0)
     assert s.breakpoints == tuple(2.0 * k for k in range(10))

@@ -411,6 +411,27 @@ class TestStepping:
             qm.solve_fluid(exploding, SolverConfig(grid=np.array([10.0])))
         assert 0.0 <= err.value.last_time < 10.0
 
+    @pytest.mark.parametrize(
+        "method, last_time, between",
+        [("adjusted", 1.55, "t=1.55 and t=1.56"), ("measure-zero", 0.0, "t=0 and t=1")],
+    )
+    def test_divergence_names_the_last_finite_time(self, method, last_time, between):
+        """A birth process at rate 1000 x fed at rate 1e-300 overflows: the
+        RK4 state after t = 1.55, measure-zero's covariance when it is first
+        formed, at the t = 1 sample (its mean stays finite until t = 1.41)."""
+        model = NetworkModel(
+            1,
+            (
+                Transition((1,), RateTerm(TimeSchedule.constant(1e-300), Constant())),
+                Transition((1,), RateTerm(TimeSchedule.constant(1000.0), Linear((1.0,)))),
+            ),
+            (0,),
+            10.0,
+        )
+        with pytest.raises(DivergenceError, match=between) as err:
+            qm.solve(model, SolverConfig(method=method, grid=np.arange(0.0, 3.0)))
+        assert err.value.last_time == pytest.approx(last_time, rel=0.0, abs=1e-12)
+
     def test_divergence_after_last_sample_is_not_reached(self):
         exploding = NetworkModel(
             1,
@@ -432,17 +453,19 @@ class TestStepping:
 
     def test_rhs_runs_four_stages_per_step_up_to_last_sample(self):
         """The RK4 engine (adjusted only): 250 steps of 0.01 reach t = 2.5,
-        the last sample, of horizon 10, on the mean and covariance."""
+        the last sample, of horizon 10, on the mean and covariance; every
+        stage receives the one plan segment's compiled terms."""
         calls = []
 
-        def rhs(t, y):
-            calls.append((t, y.shape))
+        def rhs(terms, y):
+            calls.append((terms, y.shape))
             return np.zeros_like(y)
 
+        model = mminf(horizon=10.0)
         grid = np.array([1.0, 2.5])
-        _solve_moments(mminf(horizon=10.0), SolverConfig(grid=grid), rhs, "adjusted")
+        _solve_moments(model, SolverConfig(grid=grid), rhs, "adjusted")
         assert len(calls) == 4 * 250
-        assert max(t for t, _ in calls) < 2.5
+        assert all(terms == compile_terms(model, 0.0) for terms, _ in calls)
         assert {shape for _, shape in calls} == {(2,)}
 
     @pytest.mark.parametrize("method", FLOW_METHODS)
