@@ -50,9 +50,6 @@ from .solvers import (
     pointwise_drift_jacobian,
     pointwise_noise_matrix,
     solve,
-    solve_adjusted,
-    solve_fluid,
-    solve_measure_zero,
 )
 from .systems import (
     PeerParams,
@@ -115,9 +112,6 @@ __all__ = [
     "simulate_ensemble",
     "simulate_path",
     "solve",
-    "solve_adjusted",
-    "solve_fluid",
-    "solve_measure_zero",
     "stat_names",
     "state_distributions",
     "validate_model",

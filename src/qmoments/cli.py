@@ -150,15 +150,13 @@ def _parse_config(args: argparse.Namespace) -> ExperimentConfig:
         out_dir=out_dir,
         preset=_whole(preset, "preset") if preset is not None else None,
         model_path=model_path,
-        reps=_whole(pick(args.reps, "reps", 1000), "reps"),
+        reps=_whole(pick(args.reps, "reps", 1000), "reps", 1),
         seed=_whole(pick(args.seed, "seed", 0), "seed"),
-        dt=SolverConfig(dt=_real(pick(args.dt, "dt", 0.01), "dt")).dt,
+        dt=SolverConfig(dt=pick(args.dt, "dt", 0.01)).dt,
         grid=grid,
         caps=caps,
         workers=_default_workers(),
     )
-    if cfg.reps < 1:
-        raise UsageError(f"reps must be >= 1, got {cfg.reps}")
     if not 0 <= cfg.seed < 2**64:
         raise UsageError(f"seed must be in 0 .. 2**64 - 1, got {cfg.seed}")
     return cfg

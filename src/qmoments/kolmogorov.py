@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse import dia_matrix
 
 from .errors import NumericalError, UsageError
-from .model import NetworkModel, checked_grid, compile_segments, kernel_values, plan_steps
+from .model import NetworkModel, _whole, checked_grid, compile_segments, kernel_values, plan_steps
 from .model import validate_model  # noqa: F401  uncalled; perfbench/spans.py rebinds it
 from .results import MomentTrajectory
 
@@ -90,9 +90,9 @@ def state_distributions(model: NetworkModel, caps, grid):
     Returns ``(times, coords, probs)`` where ``coords`` is the (S, d) integer
     lattice and ``probs`` is (len(grid), S).
     """
-    caps = np.asarray([int(c) for c in caps])
-    if caps.shape != (model.dimension,) or np.any(caps < 0):
-        raise UsageError("need one nonnegative cap per state dimension")
+    caps = np.asarray([_whole(c, "caps", 0) for c in caps])
+    if caps.shape != (model.dimension,):
+        raise UsageError(f"caps: need one per state dimension, got {len(caps)}")
     shape = caps + 1
     size = int(np.prod(caps.astype(object) + 1))  # in Python ints, which cannot wrap
     if size > STATE_LIMIT:

@@ -372,11 +372,13 @@ def _as_int(value):
         return value
 
 
-def _whole(value, where: str) -> int:
-    """An integral number as an int: ``2`` and ``2.0`` pass; ``2.5``, ``true``
-    and ``"2"`` raise instead of truncating."""
+def _whole(value, where: str, low: float = -math.inf) -> int:
+    """An integral number ``>= low`` as an int: ``2`` and ``2.0`` pass; ``2.5``,
+    ``true`` and ``"2"`` raise instead of truncating."""
     if type(_as_int(value)) is not int:
         raise UsageError(f"{where}: {value!r} is not an integer")
+    if value < low:
+        raise UsageError(f"{where} must be >= {low}, got {value}")
     return int(value)
 
 

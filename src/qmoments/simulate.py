@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, UsageError
-from .model import NetworkModel, checked_grid, kernel_values
+from .errors import NumericalError
+from .model import NetworkModel, _whole, checked_grid, kernel_values
 # bound under these names because perfbench/spans.py rebinds them; validate_model is uncalled
 from .model import compile_segments as _compile_segments, validate_model  # noqa: F401
 from .results import MomentTrajectory
@@ -227,9 +227,10 @@ def simulate_ensemble(
     ``workers`` and the covariance is exactly symmetric.  The batch layout
     depends on ``workers`` alone; the pool runs no more processes than there
     are batches or CPUs.  The covariance is ``None`` for ``count == 1``.
+    ``count``, ``seed`` and ``workers`` are checked before any path runs.
     """
-    if count < 1:
-        raise UsageError(f"replication count must be >= 1, got {count}")
+    count, seed = _whole(count, "count", 1), _whole(seed, "seed", 0)
+    workers = _whole(workers, "workers", 1)
     times = checked_grid(model, sample_times)
     size = _CHUNK * min(_BATCH // _CHUNK, -(-count // (_CHUNK * workers)))
     batches = [(model, seed, lo, min(lo + size, count), times) for lo in range(0, count, size)]

@@ -1,12 +1,15 @@
 """Deterministic transient solvers for mean and covariance trajectories.
 
-* ``solve_fluid``        the pointwise drift's flow; covariance is zero.
-* ``solve_adjusted``     closes drift, Jacobian and diffusion on the running
-                         Gaussian surrogate and integrates mean and
-                         covariance simultaneously.
-* ``solve_measure_zero`` keeps the pointwise drift for the mean and
-                         propagates the covariance with one-sided derivatives
-                         of the kinked rates evaluated on the fluid path.
+:func:`solve` is the one entry point; ``SolverConfig.method`` picks the method:
+
+* ``fluid``        the large-population limit: the pointwise drift's flow,
+                   with the covariance reported as zero.
+* ``adjusted``     closes drift, Jacobian and diffusion on the running
+                   Gaussian surrogate and integrates mean and covariance
+                   simultaneously.
+* ``measure-zero`` the fluid mean, and the covariance propagated with
+                   one-sided derivatives of the kinked rates on the fluid
+                   path, which spends measure-zero time on the kinks.
 
 The covariance methods solve ``dC/dt = A C + C A' + sum_i rate_i^+ J_i J_i'``
 (the diffusion term of Mandelbaum, Massey & Reiman 1998).  Every method
@@ -14,8 +17,9 @@ compiles the model's plan once per solve (:func:`~qmoments.model.compile_segment
 and takes its steps from one walk, :func:`~qmoments.model.plan_steps`.
 
 **Adjusted** runs fixed-step RK4 on one flat state, the mean followed by the
-row-major covariance, with drift, ``A`` and the diffusion from one pass,
-:func:`moment_terms`, under :func:`~qmoments.closure.closed_rate`.  Every
+row-major covariance, symmetrized after each step.  Drift, ``A`` and the
+diffusion are re-closed at every stage in one pass, :func:`moment_terms`, under
+:func:`~qmoments.closure.closed_rate`, which reads that state as flat lists.  Every
 stage reads the compiled terms of its step's plan segment, so each step is an
 exact RK4 step of an autonomous system and integrating an alternating
 parameter is bitwise the same as chaining its constant segments.
@@ -35,7 +39,11 @@ of a term or the zero of an affine rate.  The side of every switching function
 is checked at the end of each step, so ``dt`` is the probe spacing: an excursion
 across a surface and back within one probe interval is not seen.  A crossing
 is located by safeguarded Newton on the switching function along the flow and
-listed in the result's ``crossings``.
+listed in the result's ``crossings``.  Measure-zero's Jacobian and diffusion
+are those of :func:`~qmoments.closure.closed_rate` at zero covariance (its tie
+conventions are stated in :mod:`qmoments.closure`); the flow takes the branch
+a kink leads into, so the convention only decides a path that starts on a
+kink and stays there.
 
 The walk ends at the last sample time, so a divergence after it is never
 reached, and no step crosses a schedule breakpoint.
@@ -57,6 +65,7 @@ from .model import (
     MIN_THRESHOLD,
     POSITIVE_PART,
     NetworkModel,
+    _real,
     checked_grid,
     compile_segments,
     compile_terms,
@@ -72,12 +81,14 @@ _PUSH = 1e-9  # the region past a crossing is read this far along the drift, in 
 _ROOT_TOL = 1e-13  # crossing times are located to this, in time units
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Step size (the probe spacing for fluid and measure-zero), method tag and
-    output grid for one solve.
+    """Step size (the probe spacing for fluid and measure-zero), method and
+    output grid for one solve; checked when built.
 
-    ``grid`` follows :func:`~qmoments.model.checked_grid`; ``None`` is every whole time unit.
+    ``method`` is one of :data:`METHODS` (``measure_zero`` reads as
+    ``measure-zero``).  ``grid`` follows :func:`~qmoments.model.checked_grid`;
+    ``None`` is every whole time unit.
     """
 
     dt: float = 0.01
@@ -85,8 +96,15 @@ class SolverConfig:
     grid: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dt", _real(self.dt, "dt"))
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise UsageError(f"dt must be positive and finite, got {self.dt}")
+        if self.method == "measure_zero":
+            object.__setattr__(self, "method", "measure-zero")
+        if self.method not in METHODS:
+            raise UsageError(
+                f"unknown solver method {self.method!r}; choose from {', '.join(METHODS)}"
+            )
 
 
 def _poorly_conditioned(cov: np.ndarray) -> bool:
@@ -241,15 +259,15 @@ def _crossing_time(row, flow, xa, h: float, below: bool, f_end: float):
     return tau, x
 
 
-def _solve_flow(model: NetworkModel, cfg: SolverConfig, method: str) -> MomentTrajectory:
-    """Fluid or measure-zero by the switched-affine flow over
+def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
+    """Fluid or measure-zero (``cfg.method``) by the switched-affine flow over
     :func:`~qmoments.model.plan_steps`.
 
     The mean is stepped by the cached ``(x, 1)`` exponentials.  The covariance
     is formed only where it is read, at samples, crossings and breakpoints,
     from ``(x, 1, vec C)`` at the last such time."""
     grid = checked_grid(model, cfg.grid)
-    d = model.dimension
+    d, method = model.dimension, cfg.method
     with_cov = method == "measure-zero"
     segments = compile_segments(model)
     jumps = np.array([tr.jump for tr in model.transitions], dtype=float)
@@ -342,59 +360,18 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig, method: str) -> MomentTr
     return MomentTrajectory(method, grid.copy(), means, covs, warnings, crossings=crossings)
 
 
-def solve_fluid(model: NetworkModel, cfg: SolverConfig | None = None) -> MomentTrajectory:
-    """Deterministic large-population limit; covariance reported as zero."""
-    return _solve_flow(model, cfg or SolverConfig(method="fluid"), "fluid")
-
-
-def solve_adjusted(
-    model: NetworkModel, cfg: SolverConfig | None = None
-) -> MomentTrajectory:
-    """Gaussian-closed mean and covariance, integrated simultaneously.
-
-    The drift, its Jacobian and the diffusion term are re-closed on the
-    running (mean, covariance) pair at every Runge-Kutta stage, from one
-    :func:`~qmoments.closure.closed_rate` per transition, which reads the
-    mean and the row-major covariance as flat lists; the covariance obeys
-    ``dC/dt = A C + C A' + Q`` and is symmetrized after each step.
-    """
+def solve(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
+    """The trajectory of ``cfg.method`` on ``cfg.grid``."""
+    if cfg.method != "adjusted":
+        return _solve_flow(model, cfg)
     d = model.dimension
 
     def rhs(terms, y):
         c = y[d:].reshape(d, d)
-        state = (y[:d].tolist(), y[d:].tolist())
-        drift_m, a, q = moment_terms(terms, state, d)
+        drift_m, a, q = moment_terms(terms, (y[:d].tolist(), y[d:].tolist()), d)
         return np.concatenate((drift_m, (a @ c + c @ a.T + q).ravel()))
 
-    return _solve_moments(model, cfg or SolverConfig(method="adjusted"), rhs, "adjusted")
-
-
-def solve_measure_zero(
-    model: NetworkModel, cfg: SolverConfig | None = None
-) -> MomentTrajectory:
-    """Smooth-case covariance propagation along the plain fluid path.
-
-    The rate kinks are ignored on the grounds that the fluid path spends
-    measure-zero time on them: the Jacobian uses fixed one-sided derivatives
-    evaluated at the fluid state, and the diffusion term uses the pointwise
-    rates there, both from :func:`~qmoments.closure.closed_rate` at zero
-    covariance (its tie conventions are stated in :mod:`qmoments.closure`).  The
-    flow takes the branch a kink leads into, so the convention only decides
-    a path that starts on a kink and stays there.
-    """
-    return _solve_flow(model, cfg or SolverConfig(method="measure-zero"), "measure-zero")
-
-
-def solve(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
-    """Dispatch on ``cfg.method`` (accepts both '-' and '_' spellings)."""
-    method = cfg.method.replace("_", "-")
-    if method == "fluid":
-        return solve_fluid(model, cfg)
-    if method == "adjusted":
-        return solve_adjusted(model, cfg)
-    if method == "measure-zero":
-        return solve_measure_zero(model, cfg)
-    raise UsageError(f"unknown solver method {cfg.method!r}")
+    return _solve_moments(model, cfg, rhs, "adjusted")
 
 
 def moment_terms(terms, state, d: int) -> tuple[np.ndarray, ...]:

@@ -7,6 +7,7 @@ the verdict lines on success.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,7 +77,8 @@ def preset7_dense():
     model = qm.build_retrial(params, horizon)
     dense = np.round(np.arange(0.0, 20.0001, 0.05), 10)
     cfg = qm.SolverConfig(grid=dense)
-    return dense, qm.solve_adjusted(model, cfg), qm.solve_measure_zero(model, cfg)
+    adjusted = qm.solve(model, replace(cfg, method="adjusted"))
+    return dense, adjusted, qm.solve(model, replace(cfg, method="measure-zero"))
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +87,8 @@ def priority_bundle():
     model = qm.build_priority(params, horizon)
     grid = np.arange(4.0, 21.0)
     cfg = qm.SolverConfig(grid=grid)
-    adjusted = qm.solve_adjusted(model, cfg)
-    measure_zero = qm.solve_measure_zero(model, cfg)
+    adjusted = qm.solve(model, replace(cfg, method="adjusted"))
+    measure_zero = qm.solve(model, replace(cfg, method="measure-zero"))
     sim = qm.simulate_ensemble(model, REPS, SEED, grid, workers=4)
     return grid, adjusted, measure_zero, sim
 
@@ -96,12 +98,12 @@ def peer_bundle():
     params, horizon = qm.reference_peer_params()
     model = qm.build_peer(params, horizon)
     grid = np.round(np.arange(0.5, horizon + 1e-9, 0.5), 10)
-    adjusted = qm.solve_adjusted(model, qm.SolverConfig(grid=grid))
+    adjusted = qm.solve(model, qm.SolverConfig(method="adjusted", grid=grid))
     sim = qm.simulate_ensemble(model, REPS, SEED, grid, workers=4)
     dense = np.round(np.arange(0.5, 5.0001, 0.02), 10)
     cfg = qm.SolverConfig(grid=dense)
-    adj_dense = qm.solve_adjusted(model, cfg)
-    mz_dense = qm.solve_measure_zero(model, cfg)
+    adj_dense = qm.solve(model, replace(cfg, method="adjusted"))
+    mz_dense = qm.solve(model, replace(cfg, method="measure-zero"))
     return grid, adjusted, sim, dense, adj_dense, mz_dense
 
 
@@ -212,8 +214,8 @@ def test_04_exactness_on_linear_models():
     )
     grid = np.array([0.5, 1.0, 2.0])
     cfg = qm.SolverConfig(grid=grid)
-    fluid = qm.solve_fluid(model, cfg)
-    adjusted = qm.solve_adjusted(model, cfg)
+    fluid = qm.solve(model, replace(cfg, method="fluid"))
+    adjusted = qm.solve(model, replace(cfg, method="adjusted"))
     law = 2.0 * (1.0 - np.exp(-grid))
     gap_means = float(np.max(np.abs(fluid.means - adjusted.means)))
     gap_mean_law = float(np.max(np.abs(adjusted.means[:, 0] - law)))

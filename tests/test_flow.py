@@ -3,6 +3,7 @@ against an adaptive integrator and a closed form, its repeatability, and the
 kink crossings it records."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,8 +82,8 @@ def test_flow_matches_adaptive_oracle(model, grid):
     rtol = atol = 1e-12 with terminal events at every switching surface."""
     means, covs = ivp_moments(model, grid)
     cfg = SolverConfig(grid=grid)
-    fluid = qm.solve_fluid(model, cfg)
-    measure_zero = qm.solve_measure_zero(model, cfg)
+    fluid = qm.solve(model, replace(cfg, method="fluid"))
+    measure_zero = qm.solve(model, replace(cfg, method="measure-zero"))
     for got, want in ((fluid.means, means), (measure_zero.means, means), (measure_zero.covs, covs)):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
     assert np.all(fluid.covs == 0.0)
@@ -102,8 +103,8 @@ def test_mminf_closed_form():
     )
     grid = np.linspace(0.0, 5.0, 11)
     expected = lam / mu * (1.0 - np.exp(-mu * grid))
-    fluid = qm.solve_fluid(model, SolverConfig(grid=grid))
-    measure_zero = qm.solve_measure_zero(model, SolverConfig(grid=grid))
+    fluid = qm.solve(model, SolverConfig(method="fluid", grid=grid))
+    measure_zero = qm.solve(model, SolverConfig(method="measure-zero", grid=grid))
     for got in (fluid.means[:, 0], measure_zero.means[:, 0], measure_zero.covs[:, 0, 0]):
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
@@ -122,14 +123,14 @@ def test_crossings_lie_on_their_surfaces():
     nothing else; a grid at the recorded times finds the path on the kink."""
     model = qm.build_retrial(*qm.retrial_preset(7)[:2])
     cfg = SolverConfig(grid=np.arange(6.0, 16.0))
-    fluid = qm.solve_fluid(model, cfg)
-    assert fluid.crossings == qm.solve_measure_zero(model, cfg).crossings
+    fluid = qm.solve(model, replace(cfg, method="fluid"))
+    assert fluid.crossings == qm.solve(model, replace(cfg, method="measure-zero")).crossings
     times = [t for t, _, _ in fluid.crossings]
     assert times == sorted(times) and times[-1] < 15.0
     assert {(i, surface) for _, i, surface in fluid.crossings} == {
         (2, "x0 = 50"), (3, "x0 = 50"), (4, "x0 = 50")
     }
-    at = qm.solve_fluid(model, SolverConfig(grid=np.array(sorted(set(times)))))
+    at = qm.solve(model, SolverConfig(method="fluid", grid=np.array(sorted(set(times)))))
     np.testing.assert_allclose(at.means[:, 0], 50.0, rtol=0.0, atol=1e-9)
 
 
@@ -139,7 +140,7 @@ def test_crossings_lie_on_their_surfaces():
 def test_crossing_list_does_not_depend_on_dt(model, grid):
     """A positive part's rate = 0 lies on its own kink x_j = n; the two once
     raced, so the list depended on which root came out first by rounding."""
-    lists = [qm.solve_fluid(model, SolverConfig(dt=dt, grid=grid)).crossings
+    lists = [qm.solve(model, SolverConfig(method="fluid", dt=dt, grid=grid)).crossings
              for dt in (0.01, 0.1, 1.0, 0.001)]
     for crossings in lists[1:]:
         assert [c[1:] for c in crossings] == [c[1:] for c in lists[0]]
@@ -149,7 +150,7 @@ def test_crossing_list_does_not_depend_on_dt(model, grid):
 
 def test_circling_path_crosses_twice_a_period():
     """x0 - 100 is about 10 cos(50 t): 32 zeros before t = 2."""
-    out = qm.solve_fluid(circling_model(), SolverConfig(grid=np.array([2.0])))
+    out = qm.solve(circling_model(), SolverConfig(method="fluid", grid=np.array([2.0])))
     assert len(out.crossings) == 32
     assert {(i, surface) for _, i, surface in out.crossings} == {(4, "x0 = 100")}
     zeros = (np.pi / 2 + np.pi * np.arange(32)) / 50.0

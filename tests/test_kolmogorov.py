@@ -215,6 +215,29 @@ def test_state_cap_guard():
         qm.exact_transient_moments(tiny_retrial(), (2000, 2000), [1.0])
 
 
+@pytest.mark.parametrize(
+    "caps, message",
+    [
+        ((True, 12), "caps: True is not an integer"),
+        ((12.7, 12), "caps: 12.7 is not an integer"),
+        (("12", 12), "caps: '12' is not an integer"),
+        ((-1, 12), "caps must be >= 0, got -1"),
+        ((12,), "caps: need one per state dimension, got 1"),
+    ],
+)
+def test_caps_are_read_whole_never_truncated(caps, message):
+    """A boolean cap once solved with cap 1 and 12.7 with cap 12."""
+    with pytest.raises(UsageError, match=message):
+        qm.exact_transient_moments(tiny_retrial(), caps, [1.0, 2.0])
+
+
+def test_whole_number_caps_of_other_types_are_accepted():
+    want = qm.exact_transient_moments(tiny_retrial(), (12, 12), [1.0, 2.0])
+    for caps in ((12.0, 12), (np.int64(12), np.float64(12.0)), np.array([12, 12])):
+        got = qm.exact_transient_moments(tiny_retrial(), caps, [1.0, 2.0])
+        assert qm.results_equal(got, want)
+
+
 def test_initial_state_outside_box_rejected():
     model = NetworkModel(
         1,

@@ -362,7 +362,7 @@ class TestValidation:
         assert all(type(v) is int for v in (*model.initial_state, *model.transitions[0].jump))
         index = compile_segments(model)[0][2][1][2]
         assert type(index) is int and index == 1
-        assert qm.solve_fluid(model, qm.SolverConfig(grid=[1.0])).means.shape == (1, 2)
+        assert qm.solve(model, qm.SolverConfig(method="fluid", grid=[1.0])).means.shape == (1, 2)
 
     def test_unknown_kernel_type_is_reported(self):
         @dataclasses.dataclass(frozen=True)

@@ -104,6 +104,38 @@ def test_replication_count_validated():
         qm.simulate_ensemble(mminf(), 0, 1, [1.0])
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2.5, 1, 1), "count: 2.5 is not an integer"),
+        ((True, 1, 1), "count: True is not an integer"),
+        ((-3, 1, 1), "count must be >= 1, got -3"),
+        ((4, -1, 1), "seed must be >= 0, got -1"),
+        ((4, 2.5, 1), "seed: 2.5 is not an integer"),
+        ((4, True, 1), "seed: True is not an integer"),
+        ((4, 1, 0), "workers must be >= 1, got 0"),
+        ((4, 1, -1), "workers must be >= 1, got -1"),
+        ((4, 1, 1.5), "workers: 1.5 is not an integer"),
+        ((4, 1, True), "workers: True is not an integer"),
+    ],
+)
+def test_ensemble_arguments_rejected_before_any_path_runs(monkeypatch, args, message):
+    def no_run(*_args, **_kwargs):
+        raise AssertionError("a pool started or a path ran")
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_run)
+    monkeypatch.setattr(simulate, "_batch_stats", no_run)
+    count, seed, workers = args
+    with pytest.raises(UsageError, match=message):
+        qm.simulate_ensemble(mminf(), count, seed, [1.0], workers=workers)
+
+
+def test_whole_number_ensemble_arguments_of_other_types_are_accepted():
+    want = qm.simulate_ensemble(mminf(), 3, 5, [1.0, 2.0])
+    got = qm.simulate_ensemble(mminf(), 3.0, np.int64(5), [1.0, 2.0], workers=1.0)
+    assert qm.results_equal(got, want) and got.count == 3
+
+
 def test_sample_times_validated():
     with pytest.raises(UsageError):
         qm.simulate_path(mminf(), RngStream(1, 0), [2.0, 1.0])

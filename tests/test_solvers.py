@@ -1,3 +1,6 @@
+import dataclasses
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -63,20 +66,20 @@ class TestFluid:
     def test_pure_birth_death_matches_analytic_solution(self):
         """dx/dt = lam - mu*x from 0 gives (lam/mu)(1 - exp(-mu t))."""
         grid = np.array([0.5, 1.0, 2.0])
-        out = qm.solve_fluid(mminf(), SolverConfig(grid=grid))
+        out = qm.solve(mminf(), SolverConfig(method="fluid", grid=grid))
         expected = 2.0 * (1.0 - np.exp(-grid))
         np.testing.assert_allclose(out.means[:, 0], expected, atol=1e-7)
         assert np.all(out.covs == 0.0)
 
     def test_zero_rate_model_is_constant(self):
-        out = qm.solve_fluid(zero_rate_model(), SolverConfig(grid=np.arange(0.0, 6.0)))
+        out = qm.solve(zero_rate_model(), SolverConfig(method="fluid", grid=np.arange(0.0, 6.0)))
         np.testing.assert_array_equal(out.means, np.tile([3.0, 4.0], (6, 1)))
 
     def test_preset_7_hovers_near_server_count(self):
         params, horizon, _ = qm.retrial_preset(7)
         model = qm.build_retrial(params, horizon)
         grid = np.arange(4.0, 21.0)
-        out = qm.solve_fluid(model, SolverConfig(grid=grid))
+        out = qm.solve(model, SolverConfig(method="fluid", grid=grid))
         assert np.all(np.abs(out.means[:, 0] - 50.0) < 6.0)
 
     def test_invalid_model_rejected(self):
@@ -93,7 +96,7 @@ class TestAdjusted:
     def test_linear_model_reproduces_poisson_transient(self):
         """Mean and variance both equal (lam/mu)(1 - exp(-mu t))."""
         grid = np.array([0.5, 1.0, 2.0])
-        out = qm.solve_adjusted(mminf(), SolverConfig(grid=grid))
+        out = qm.solve(mminf(), SolverConfig(method="adjusted", grid=grid))
         expected = 2.0 * (1.0 - np.exp(-grid))
         np.testing.assert_allclose(out.means[:, 0], expected, atol=1e-6)
         np.testing.assert_allclose(out.covs[:, 0, 0], expected, atol=1e-6)
@@ -101,8 +104,8 @@ class TestAdjusted:
     def test_mean_identical_to_fluid_on_linear_models(self):
         grid = np.linspace(0.0, 2.0, 9)
         cfg = SolverConfig(grid=grid)
-        fluid = qm.solve_fluid(mminf(), cfg)
-        adjusted = qm.solve_adjusted(mminf(), cfg)
+        fluid = qm.solve(mminf(), replace(cfg, method="fluid"))
+        adjusted = qm.solve(mminf(), replace(cfg, method="adjusted"))
         np.testing.assert_allclose(
             fluid.means, adjusted.means, rtol=0.0, atol=1e-10
         )
@@ -115,8 +118,8 @@ class TestAdjusted:
         ]
         for model in cases:
             grid = np.linspace(0.0, model.horizon, 21)
-            for solver in (qm.solve_adjusted, qm.solve_measure_zero):
-                out = solver(model, SolverConfig(grid=grid))
+            for method in ("adjusted", "measure-zero"):
+                out = qm.solve(model, SolverConfig(method=method, grid=grid))
                 for cov in out.covs:
                     np.testing.assert_allclose(cov, cov.T, atol=1e-12)
                     trace = np.trace(cov)
@@ -144,7 +147,7 @@ class TestAdjusted:
             horizon,
         )
         grid = np.arange(1.0, 11.0)
-        adjusted = qm.solve_adjusted(model, SolverConfig(grid=grid))
+        adjusted = qm.solve(model, SolverConfig(method="adjusted", grid=grid))
         oracle = qm.exact_transient_moments(model, (60,), grid)
         rel = np.abs(adjusted.means[:, 0] - oracle.means[:, 0]) / oracle.means[:, 0]
         assert rel.max() < 0.005
@@ -154,8 +157,8 @@ class TestMeasureZero:
     def test_identical_to_adjusted_on_linear_models(self):
         grid = np.linspace(0.0, 2.0, 9)
         cfg = SolverConfig(grid=grid)
-        adjusted = qm.solve_adjusted(mminf(), cfg)
-        measure_zero = qm.solve_measure_zero(mminf(), cfg)
+        adjusted = qm.solve(mminf(), replace(cfg, method="adjusted"))
+        measure_zero = qm.solve(mminf(), replace(cfg, method="measure-zero"))
         np.testing.assert_allclose(adjusted.means, measure_zero.means, atol=1e-10)
         np.testing.assert_allclose(adjusted.covs, measure_zero.covs, atol=1e-10)
 
@@ -163,8 +166,8 @@ class TestMeasureZero:
         params, horizon, grid = qm.retrial_preset(7)
         model = qm.build_retrial(params, horizon)
         cfg = SolverConfig(grid=grid)
-        fluid = qm.solve_fluid(model, cfg)
-        measure_zero = qm.solve_measure_zero(model, cfg)
+        fluid = qm.solve(model, replace(cfg, method="fluid"))
+        measure_zero = qm.solve(model, replace(cfg, method="measure-zero"))
         np.testing.assert_array_equal(fluid.means, measure_zero.means)
 
     def test_one_sided_jacobian_conventions(self):
@@ -356,8 +359,8 @@ class TestStepping:
     def test_step_halving_changes_little(self):
         params, horizon, grid = qm.retrial_preset(7)
         model = qm.build_retrial(params, horizon)
-        coarse = qm.solve_adjusted(model, SolverConfig(dt=0.02, grid=grid))
-        fine = qm.solve_adjusted(model, SolverConfig(dt=0.01, grid=grid))
+        coarse = qm.solve(model, SolverConfig(method="adjusted", dt=0.02, grid=grid))
+        fine = qm.solve(model, SolverConfig(method="adjusted", dt=0.01, grid=grid))
         rel = np.abs(coarse.means - fine.means) / np.maximum(np.abs(fine.means), 1.0)
         assert rel.max() < 1e-5
 
@@ -370,8 +373,8 @@ class TestStepping:
             horizon=horizon,
             arrival=TimeSchedule.alternating(45, 55, 2.0, horizon),
         )
-        whole = qm.solve_adjusted(
-            alternating, SolverConfig(grid=np.array([2.0, 4.0]))
+        whole = qm.solve(
+            alternating, SolverConfig(method="adjusted", grid=np.array([2.0, 4.0]))
         )
 
         def chain_segment(model, nodes, m, c):
@@ -408,7 +411,7 @@ class TestStepping:
             10.0,
         )
         with pytest.raises(DivergenceError) as err:
-            qm.solve_fluid(exploding, SolverConfig(grid=np.array([10.0])))
+            qm.solve(exploding, SolverConfig(method="fluid", grid=np.array([10.0])))
         assert 0.0 <= err.value.last_time < 10.0
 
     @pytest.mark.parametrize(
@@ -439,7 +442,7 @@ class TestStepping:
             (1,),
             10.0,
         )
-        out = qm.solve_fluid(exploding, SolverConfig(grid=np.array([0.0, 0.1])))
+        out = qm.solve(exploding, SolverConfig(method="fluid", grid=np.array([0.0, 0.1])))
         assert np.all(np.isfinite(out.means))
 
     @pytest.mark.parametrize("method", METHODS)
@@ -496,22 +499,54 @@ class TestStepping:
         """A last sample within GRID_TOL of a breakpoint (t = 2) or of the
         horizon (t = 4) reports the state at that node, as a longer grid does."""
         model = mminf(horizon=4.0, arrival=TimeSchedule.alternating(45, 55, 2.0, 4.0))
-        got = qm.solve_adjusted(model, SolverConfig(grid=np.array(short)))
-        want = qm.solve_adjusted(model, SolverConfig(grid=np.array(full)))
+        got = qm.solve(model, SolverConfig(method="adjusted", grid=np.array(short)))
+        want = qm.solve(model, SolverConfig(method="adjusted", grid=np.array(full)))
         assert np.array_equal(got.means, want.means[:2])
         assert np.array_equal(got.covs, want.covs[:2])
 
     def test_method_dispatch(self):
-        grid = np.array([1.0])
-        for method in ("fluid", "adjusted", "measure-zero", "measure_zero"):
-            out = qm.solve(mminf(), SolverConfig(method=method, grid=grid))
-            assert out.method in ("fluid", "adjusted", "measure-zero")
+        for method, canonical in (("fluid", "fluid"), ("adjusted", "adjusted"),
+                                  ("measure-zero", "measure-zero"),
+                                  ("measure_zero", "measure-zero")):
+            cfg = SolverConfig(method=method, grid=np.array([1.0]))
+            assert cfg.method == canonical
+            assert qm.solve(mminf(), cfg).method == canonical
+
+    @pytest.mark.parametrize("method", ["exact", "simulate", "nonsense", "", None, 1])
+    def test_unknown_method_rejected_at_construction(self, method):
+        with pytest.raises(UsageError, match="unknown solver method"):
+            SolverConfig(method=method)
+
+    @pytest.mark.parametrize(
+        "dt", [True, False, "0.1", None, 0, -0.1, float("nan"), float("inf"), [0.1]]
+    )
+    def test_bad_dt_rejected_at_construction(self, dt):
+        with pytest.raises(UsageError, match="dt"):
+            SolverConfig(dt=dt)
+
+    def test_whole_and_numpy_dt_read_as_float(self):
+        for dt in (1, np.float64(0.5)):
+            cfg = SolverConfig(dt=dt)
+            assert type(cfg.dt) is float and cfg.dt == dt
+
+    def test_config_cannot_be_made_invalid_after_construction(self):
+        cfg = SolverConfig(method="fluid")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.method = "nonsense"
         with pytest.raises(UsageError):
-            qm.solve(mminf(), SolverConfig(method="exact", grid=grid))
+            replace(cfg, dt=0)
+
+    def test_fluid_reports_zero_covariance(self):
+        """``solve`` runs fluid when asked, not the default adjusted method,
+        whose M/M/inf covariance is positive."""
+        model, grid = mminf(), np.array([0.5, 1.0, 2.0])
+        fluid = qm.solve(model, SolverConfig(method="fluid", grid=grid))
+        assert fluid.method == "fluid" and np.all(fluid.covs == 0.0)
+        assert np.all(qm.solve(model, SolverConfig(grid=grid)).covs[:, 0, 0] > 0.0)
 
     def test_grid_outside_horizon_rejected(self):
         with pytest.raises(UsageError):
-            qm.solve_fluid(mminf(horizon=2.0), SolverConfig(grid=np.array([3.0])))
+            qm.solve(mminf(horizon=2.0), SolverConfig(method="fluid", grid=np.array([3.0])))
 
     @pytest.mark.parametrize(
         "grid",
@@ -523,4 +558,4 @@ class TestStepping:
     )
     def test_empty_or_2d_grid_rejected(self, grid):
         with pytest.raises(UsageError):
-            qm.solve_fluid(mminf(horizon=10.0), SolverConfig(grid=grid))
+            qm.solve(mminf(horizon=10.0), SolverConfig(method="fluid", grid=grid))

@@ -120,7 +120,7 @@ class TestPriorityBuilder:
             initial_state=(0, 0),
         )
         model = qm.build_priority(params, horizon)
-        out = qm.solve_fluid(model, qm.SolverConfig(grid=np.arange(0.0, 21.0)))
+        out = qm.solve(model, qm.SolverConfig(method="fluid", grid=np.arange(0.0, 21.0)))
         np.testing.assert_array_equal(out.means[:, 1], 0.0)
 
 
@@ -148,7 +148,7 @@ class TestPeerBuilder:
             initial_state=params.initial_state,
         )
         model = qm.build_peer(params, horizon)
-        out = qm.solve_fluid(model, qm.SolverConfig(grid=np.linspace(0.0, 8.0, 17)))
+        out = qm.solve(model, qm.SolverConfig(method="fluid", grid=np.linspace(0.0, 8.0, 17)))
         assert np.all(np.diff(out.means[:, 1]) >= -1e-9)
 
     def test_certain_stay_with_no_reactivation_absorbs_servers(self):
@@ -164,7 +164,7 @@ class TestPeerBuilder:
         model = qm.build_peer(params, horizon)
         # the leave transition is disabled and the inactive pool only grows
         assert all(v == 0.0 for v in model.transitions[3].rate.coefficient.values)
-        out = qm.solve_fluid(model, qm.SolverConfig(grid=np.linspace(0.0, 8.0, 17)))
+        out = qm.solve(model, qm.SolverConfig(method="fluid", grid=np.linspace(0.0, 8.0, 17)))
         assert np.all(np.diff(out.means[:, 2]) >= -1e-9)
 
     def test_negative_rate_rejected(self):
