@@ -139,9 +139,12 @@ def _parse_config(args: argparse.Namespace) -> ExperimentConfig:
     elif grid is not None:
         grid = np.array([_real(t, "grid") for t in grid])
     caps = pick(args.caps, "caps")
-    if isinstance(caps, str):
-        caps = tuple(int(c) for c in caps.split(","))
-    elif caps is not None:
+    if isinstance(caps, str):  # read as a JSON list, so "12.7" is not truncated
+        try:
+            caps = json.loads(f"[{caps}]")
+        except ValueError as exc:
+            raise UsageError(f"caps: {caps!r} is not a comma list of integers") from exc
+    if caps is not None:
         caps = tuple(_whole(c, "caps") for c in caps)
     if "exact" in methods and caps is None:
         raise UsageError("missing required field: caps (needed by method 'exact')")
@@ -327,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--reps", type=int, help="simulation replications")
     run.add_argument("--seed", type=int, help="master seed")
     run.add_argument(
-        "--dt", type=float, help="RK4 step of adjusted; kink-probe spacing of fluid, measure-zero"
+        "--dt", type=float, help="kink-probe spacing of fluid, measure-zero (adjusted ignores it)"
     )
     run.add_argument("--grid", help="sample times t0:t1:step")
     run.add_argument("--out", help="output directory")

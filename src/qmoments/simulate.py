@@ -189,6 +189,8 @@ def simulate_path(model: NetworkModel, rng: RngStream, sample_times) -> np.ndarr
     event on a 2-core x86_64 VM; :func:`simulate_ensemble` advances up to 512
     paths per numpy step and is the fast way to many paths.
     """
+    _whole(rng.seed, "seed", 0)
+    _whole(rng.stream, "stream", 0)
     times = checked_grid(model, sample_times)
     segments = _compile_segments(model)
     return _run_path(segments, model.initial_state, times, [rng.generator()])[0]

@@ -16,13 +16,15 @@ The covariance methods solve ``dC/dt = A C + C A' + sum_i rate_i^+ J_i J_i'``
 compiles the model's plan once per solve (:func:`~qmoments.model.compile_segments`)
 and takes its steps from one walk, :func:`~qmoments.model.plan_steps`.
 
-**Adjusted** runs fixed-step RK4 on one flat state, the mean followed by the
-row-major covariance, symmetrized after each step.  Drift, ``A`` and the
-diffusion are re-closed at every stage in one pass, :func:`moment_terms`, under
-:func:`~qmoments.closure.closed_rate`, which reads that state as flat lists.  Every
-stage reads the compiled terms of its step's plan segment, so each step is an
-exact RK4 step of an autonomous system and integrating an alternating
-parameter is bitwise the same as chaining its constant segments.
+**Adjusted** integrates one flat state, the mean followed by the row-major
+covariance, by error-controlled DOP853 (scipy's ``solve_ivp``; Hairer, Norsett
+& Wanner, *Solving ODEs I*, II.10), one solve per gap of the walk from stop to
+stop (``dt`` is not read), symmetrized and reported at the gap's end.  A step
+passes when the RMS of ``err / (atol + RTOL |y|)`` is at most 1, where per gap
+``atol`` is ``RTOL`` times each block's (mean, covariance) largest |value| or,
+if more, the gap length times its largest |derivative| at the gap's start, and
+at least 1e-300.  Drift, ``A`` and the diffusion are re-closed at every stage
+in one pass, :func:`moment_terms`, under :func:`~qmoments.closure.closed_rate`.
 
 **Fluid and measure-zero** follow the exact switched-affine flow.  Each kernel
 is affine in the state between its kinks and each schedule is constant between
@@ -55,6 +57,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .closure import MomentPoint, closed_rate
@@ -79,12 +82,13 @@ FLOW_METHODS = ("fluid", "measure-zero")
 CROSSING_CAP = 100  # crossings per plan segment; more means the path chatters on a kink
 _PUSH = 1e-9  # the region past a crossing is read this far along the drift, in time units
 _ROOT_TOL = 1e-13  # crossing times are located to this, in time units
+RTOL = 3e-11  # adjusted's DOP853 tolerance: within 1e-10 of a dt -> 0 reference
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step size (the probe spacing for fluid and measure-zero), method and
-    output grid for one solve; checked when built.
+    """Probe spacing of fluid and measure-zero (adjusted does not read it),
+    method and output grid for one solve; checked when built.
 
     ``method`` is one of :data:`METHODS` (``measure_zero`` reads as
     ``measure-zero``).  ``grid`` follows :func:`~qmoments.model.checked_grid`;
@@ -113,40 +117,41 @@ def _poorly_conditioned(cov: np.ndarray) -> bool:
 
 
 def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
-    """RK4 on the mean followed by the row-major covariance over
-    :func:`~qmoments.model.plan_steps`.  ``rhs(terms, y)`` returns the
-    derivative of ``y`` under the step's compiled ``terms``."""
+    """DOP853 on the mean and row-major covariance, one solve per gap of
+    :func:`~qmoments.model.plan_steps`; ``rhs(terms, y)`` is the derivative of
+    ``y`` under the gap's compiled ``terms``."""
     grid = checked_grid(model, cfg.grid)
     segments = compile_segments(model)
     d = model.dimension
     y = np.zeros(d + d * d)
     y[:d] = model.initial_state
-    cov = y[d:].reshape(d, d)  # a view, updated in place
     means = np.zeros((len(grid), d))
     covs = np.zeros((len(grid), d, d))
     warnings: list[str] = []
 
     # overflow is an anticipated, detected condition here, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for t0, t1, seg, gi in plan_steps(model, grid, cfg.dt):
+        for t0, t1, seg, gi in plan_steps(model, grid):
             if t1 > t0:
-                h, terms = t1 - t0, segments[seg][2]
-                k1 = rhs(terms, y)
-                k2 = rhs(terms, y + 0.5 * h * k1)
-                k3 = rhs(terms, y + 0.5 * h * k2)
-                k4 = rhs(terms, y + h * k3)
-                y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                cov += cov.T
-                cov *= 0.5
-                if not np.isfinite(y).all():
+                terms = segments[seg][2]
+                f, atol = rhs(terms, y), np.empty_like(y)
+                for k in (slice(0, d), slice(d, None)):
+                    scale = max(np.abs(y[k]).max(), (t1 - t0) * np.abs(f[k]).max())
+                    atol[k] = max(RTOL * scale, 1e-300)
+                sol = solve_ivp(lambda _t, z: rhs(terms, z), (t0, t1), y, "DOP853",
+                                rtol=RTOL, atol=atol)
+                if sol.status or not np.isfinite(sol.y[:, -1]).all():
+                    last = float(sol.t[np.isfinite(sol.y).all(0)][-1])
                     raise DivergenceError(
-                        f"{method} solve diverged between t={t0:g} and t={t1:g}",
-                        last_time=float(t0),
+                        f"{method} solve diverged between t={last:g} and t={t1:g}",
+                        last_time=last,
                     )
+                cov = sol.y[d:, -1].reshape(d, d)
+                y = np.concatenate((sol.y[:d, -1], (0.5 * (cov + cov.T)).ravel()))
             if gi >= 0:
                 means[gi] = y[:d]
-                covs[gi] = cov
-                if _poorly_conditioned(cov):
+                covs[gi] = y[d:].reshape(d, d)
+                if _poorly_conditioned(covs[gi]):
                     warnings.append(f"covariance poorly conditioned at t={grid[gi]:g}")
     return MomentTrajectory(method, grid.copy(), means, covs, warnings)
 

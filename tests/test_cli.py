@@ -187,8 +187,9 @@ class TestRunAndReport:
     def test_divergent_method_exits_3_but_writes_others(self, tmp_path):
         # a birth process at rate 1000 x fed from x = 0 at rate 1e-300: the
         # fluid, 1e-303 (exp(1000 t) - 1), overflows near t = 1.41 under any
-        # method, inside the sampled window (ODE methods stop at the last
-        # sample), while a simulated path almost surely stays at 0
+        # method, and adjusted's variance near t = 0.70, inside the sampled
+        # window (ODE methods stop at the last sample), while a simulated path
+        # almost surely stays at 0
         model = qm.NetworkModel(
             1,
             (
@@ -208,7 +209,7 @@ class TestRunAndReport:
             [
                 "run",
                 "--model", str(path),
-                "--methods", "fluid,simulate",
+                "--methods", "fluid,adjusted,simulate",
                 "--reps", "2",
                 "--grid", "0:2:1",
                 "--out", str(out),
@@ -216,7 +217,7 @@ class TestRunAndReport:
         )
         assert code == 3
         manifest = json.loads((out / "run.json").read_text())
-        assert "fluid" in manifest["errors"]
+        assert "fluid" in manifest["errors"] and "adjusted" in manifest["errors"]
         assert (out / "simulate.csv").exists()
 
     def test_report_without_simulation_is_usage_error(self, tmp_path):
@@ -527,6 +528,23 @@ def test_non_integral_config_fields_exit_2(tmp_path, capsys, key, bad, whole):
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"{key}: " in err and "is not an integer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "caps, named",
+    [("12.7,12", "caps: 12.7 is not an integer"), ("true,12", "caps: True is not an integer"),
+     ("a,b", "caps: 'a,b' is not a comma list of integers")],
+    ids=["fraction", "boolean", "text"],
+)
+def test_non_integral_caps_flag_exits_2_naming_caps(tmp_path, capsys, caps, named):
+    """The --caps string reads each part as the config list does: 12.7 is an
+    error, never truncated, and 12.0 reads as 12."""
+    out = tmp_path / "o"
+    argv = ["run", "--preset", "1", "--methods", "exact", "--out", str(out), "--caps"]
+    assert parse_config(build_parser().parse_args([*argv, "12.0,12"])).caps == (12, 12)
+    assert main([*argv, caps]) == 2
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -130,6 +130,16 @@ def test_ensemble_arguments_rejected_before_any_path_runs(monkeypatch, args, mes
         qm.simulate_ensemble(mminf(), count, seed, [1.0], workers=workers)
 
 
+@pytest.mark.parametrize(
+    "rng, message",
+    [(RngStream(-1), "seed must be >= 0, got -1"), (RngStream(1.5), "seed: 1.5 is not an integer"),
+     (RngStream(1, -2), "stream must be >= 0, got -2")],
+)
+def test_simulate_path_rejects_a_bad_stream_by_name(rng, message):
+    with pytest.raises(UsageError, match=message):
+        qm.simulate_path(mminf(), rng, [1.0])
+
+
 def test_whole_number_ensemble_arguments_of_other_types_are_accepted():
     want = qm.simulate_ensemble(mminf(), 3, 5, [1.0, 2.0])
     got = qm.simulate_ensemble(mminf(), 3.0, np.int64(5), [1.0, 2.0], workers=1.0)

@@ -1,10 +1,12 @@
 import dataclasses
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import qmoments as qm
+import qmoments.solvers as solvers
 from helpers import (
     random_moment_point,
     reference_closed_terms,
@@ -13,8 +15,10 @@ from helpers import (
     reference_drift_jacobian,
     reference_noise_matrix,
     reference_rates,
+    tiny_retrial_model,
     variant_models,
 )
+from oracles import lsoda_adjusted
 from qmoments import (
     CappedResidual,
     Constant,
@@ -50,6 +54,21 @@ def mminf(lam=2.0, mu=1.0, horizon=2.0, arrival=None):
         ),
         (0,),
         horizon,
+    )
+
+
+def fed_birth_model():
+    """A birth process at rate 1000 x fed at rate 1e-300: its variance
+    ``(eps / lam) e^(2 lam t) (1 - e^(-lam t))`` (eps = 1e-300, lam = 1000)
+    overflows near t = 0.704, its mean near t = 1.41."""
+    return NetworkModel(
+        1,
+        (
+            Transition((1,), RateTerm(TimeSchedule.constant(1e-300), Constant())),
+            Transition((1,), RateTerm(TimeSchedule.constant(1000.0), Linear((1.0,)))),
+        ),
+        (0,),
+        10.0,
     )
 
 
@@ -355,14 +374,39 @@ class TestDiffusion:
                 assert np.all(np.abs(q - b @ b.T) <= bound), (t, q, b @ b.T)
 
 
+ADJUSTED_CASES = [
+    *(
+        (f"preset{i}", qm.build_retrial(*qm.retrial_preset(i)[:2]), np.arange(6.0, 16.0))
+        for i in range(1, 11)
+    ),
+    ("priority", qm.build_priority(*qm.reference_priority_params()), np.arange(4.0, 21.0)),
+    ("peer", qm.build_peer(*qm.reference_peer_params()), np.arange(0.5, 8.25, 0.5)),
+    ("tiny", tiny_retrial_model(), np.arange(1.0, 11.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "model, grid", [case[1:] for case in ADJUSTED_CASES], ids=[case[0] for case in ADJUSTED_CASES]
+)
+def test_adjusted_matches_multistep_oracle(model, grid):
+    """Within 1e-10 of the largest |mean| or |cov| of LSODA at
+    rtol = atol = 1e-13, a dt -> 0 reference from another method family."""
+    means, covs = lsoda_adjusted(model, grid)
+    out = qm.solve(model, SolverConfig(method="adjusted", grid=grid))
+    for got, want in ((out.means, means), (out.covs, covs)):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
 class TestStepping:
     def test_step_halving_changes_little(self):
+        """Adjusted steps from stop to stop under its own error control and
+        does not read ``dt``: halving it changes no bit."""
         params, horizon, grid = qm.retrial_preset(7)
         model = qm.build_retrial(params, horizon)
         coarse = qm.solve(model, SolverConfig(method="adjusted", dt=0.02, grid=grid))
         fine = qm.solve(model, SolverConfig(method="adjusted", dt=0.01, grid=grid))
-        rel = np.abs(coarse.means - fine.means) / np.maximum(np.abs(fine.means), 1.0)
-        assert rel.max() < 1e-5
+        assert np.array_equal(coarse.means, fine.means)
+        assert np.array_equal(coarse.covs, fine.covs)
 
     def test_alternating_schedule_equals_chained_constant_segments(self):
         """Integrating across a rate switch = chaining the constant segments."""
@@ -414,26 +458,25 @@ class TestStepping:
             qm.solve(exploding, SolverConfig(method="fluid", grid=np.array([10.0])))
         assert 0.0 <= err.value.last_time < 10.0
 
-    @pytest.mark.parametrize(
-        "method, last_time, between",
-        [("adjusted", 1.55, "t=1.55 and t=1.56"), ("measure-zero", 0.0, "t=0 and t=1")],
-    )
+    @pytest.mark.parametrize("method, last_time, between", [("measure-zero", 0.0, "t=0 and t=1")])
     def test_divergence_names_the_last_finite_time(self, method, last_time, between):
-        """A birth process at rate 1000 x fed at rate 1e-300 overflows: the
-        RK4 state after t = 1.55, measure-zero's covariance when it is first
-        formed, at the t = 1 sample (its mean stays finite until t = 1.41)."""
-        model = NetworkModel(
-            1,
-            (
-                Transition((1,), RateTerm(TimeSchedule.constant(1e-300), Constant())),
-                Transition((1,), RateTerm(TimeSchedule.constant(1000.0), Linear((1.0,)))),
-            ),
-            (0,),
-            10.0,
-        )
+        """Measure-zero's covariance of the fed birth process overflows when it
+        is first formed, at the t = 1 sample (its mean stays finite until
+        t = 1.41)."""
         with pytest.raises(DivergenceError, match=between) as err:
-            qm.solve(model, SolverConfig(method=method, grid=np.arange(0.0, 3.0)))
+            qm.solve(fed_birth_model(), SolverConfig(method=method, grid=np.arange(0.0, 3.0)))
         assert err.value.last_time == pytest.approx(last_time, rel=0.0, abs=1e-12)
+
+    def test_adjusted_divergence_names_the_last_accepted_time(self):
+        """Adjusted's variance of the fed birth process overflows where its
+        closed form, about ``(eps / lam) e^(2 lam t)``, passes the largest
+        float; the last accepted DOP853 time is named, within 0.01 of that."""
+        eps, lam = 1e-300, 1000.0
+        overflow = (math.log(np.finfo(float).max) + math.log(lam / eps)) / (2.0 * lam)
+        with pytest.raises(DivergenceError, match="adjusted solve diverged between") as err:
+            qm.solve(fed_birth_model(), SolverConfig(method="adjusted", grid=np.arange(0.0, 3.0)))
+        assert abs(err.value.last_time - overflow) <= 0.01
+        assert f"between t={err.value.last_time:g} and t=1" in str(err.value)
 
     def test_divergence_after_last_sample_is_not_reached(self):
         exploding = NetworkModel(
@@ -454,22 +497,32 @@ class TestStepping:
         assert np.array_equal(short.means, full.means[:10])
         assert np.array_equal(short.covs, full.covs[:10])
 
-    def test_rhs_runs_four_stages_per_step_up_to_last_sample(self):
-        """The RK4 engine (adjusted only): 250 steps of 0.01 reach t = 2.5,
-        the last sample, of horizon 10, on the mean and covariance; every
-        stage receives the one plan segment's compiled terms."""
-        calls = []
+    def test_engine_solves_each_gap_under_its_terms_up_to_last_sample(self, monkeypatch):
+        """The DOP853 engine (adjusted only) runs one solve per gap of the plan
+        walk, from stop to stop up to t = 2.5, the last sample, of horizon 10,
+        on the mean and covariance.  Every RHS call receives its gap's compiled
+        terms: integrating the arrival rate, 45 before the breakpoint at t = 2
+        and 55 after it, reports its integral at each sample."""
+        spans, calls = [], []
+        solve_ivp = solvers.solve_ivp
+
+        def spy(fun, span, *args, **kwargs):
+            spans.append(span)
+            return solve_ivp(fun, span, *args, **kwargs)
 
         def rhs(terms, y):
             calls.append((terms, y.shape))
-            return np.zeros_like(y)
+            return np.full_like(y, terms[0][1])
 
-        model = mminf(horizon=10.0)
-        grid = np.array([1.0, 2.5])
-        _solve_moments(model, SolverConfig(grid=grid), rhs, "adjusted")
-        assert len(calls) == 4 * 250
-        assert all(terms == compile_terms(model, 0.0) for terms, _ in calls)
+        monkeypatch.setattr(solvers, "solve_ivp", spy)
+        model = mminf(horizon=10.0, arrival=TimeSchedule.alternating(45, 55, 2.0, 10.0))
+        out = _solve_moments(model, SolverConfig(grid=np.array([1.0, 2.5])), rhs, "adjusted")
+        assert spans == [(0.0, 1.0), (1.0, 2.0), (2.0, 2.5)]
         assert {shape for _, shape in calls} == {(2,)}
+        segments = [compile_terms(model, 0.0), compile_terms(model, 2.0)]
+        assert all(terms in segments for terms, _ in calls)
+        np.testing.assert_allclose(out.means[:, 0], [45.0, 117.5], rtol=1e-13)
+        np.testing.assert_allclose(out.covs[:, 0, 0], [45.0, 117.5], rtol=1e-13)
 
     @pytest.mark.parametrize("method", FLOW_METHODS)
     def test_flow_probes_every_node_up_to_last_sample(self, method, monkeypatch):
