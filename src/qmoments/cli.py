@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--reps", type=int, help="simulation replications")
     run.add_argument("--seed", type=int, help="master seed")
     run.add_argument(
-        "--dt", type=float, help="kink-probe spacing of fluid, measure-zero (adjusted ignores it)"
+        "--dt", type=float, help="checked, but read by no method: all step from stop to stop"
     )
     run.add_argument("--grid", help="sample times t0:t1:step")
     run.add_argument("--out", help="output directory")

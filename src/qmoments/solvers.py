@@ -31,21 +31,31 @@ is affine in the state between its kinks and each schedule is constant between
 breakpoints, so inside a region (one branch per term: the gradient that
 :func:`~qmoments.closure.closed_rate` gives at zero covariance) the stacked
 state ``z = (x, 1, vec C)`` obeys ``z' = M z``, solved by ``expm(M h) z``
-(Van Loan 1978, IEEE TAC 23).  The mean is stepped along the walk's steps
-by the ``(x, 1)`` block alone, whose exponentials are cached per plan segment,
-region and step length within one solve, so measure-zero's mean is bitwise the
-fluid's.  The covariance rows of the full exponential are applied only where a
-covariance is read: at samples, crossings and breakpoints.  A region ends
-where the path crosses one of its linear switching functions: a kink surface
-of a term or the zero of an affine rate.  The side of every switching function
-is checked at the end of each step, so ``dt`` is the probe spacing: an excursion
-across a surface and back within one probe interval is not seen.  A crossing
-is located by safeguarded Newton on the switching function along the flow and
-listed in the result's ``crossings``.  Measure-zero's Jacobian and diffusion
-are those of :func:`~qmoments.closure.closed_rate` at zero covariance (its tie
+(Van Loan 1978, IEEE TAC 23).  A region ends where the path crosses one of
+its linear switching functions ``s = r . (x, 1)``: a kink surface of a term or
+the zero of an affine rate.  The walk goes from stop to stop (``dt`` is not
+read) and splits a step only where a certificate on the exact flow fails
+(:func:`_certify`).  The ends of a step give ``s``, ``s'`` and ``s''`` exactly,
+and ``|s'''| <= |w A^2| expm(P h) |x'(0)|`` entrywise, where ``A`` is the
+flow's state block, ``w`` the state part of ``r`` and ``P`` is ``|A|`` with its
+negative diagonal raised to 0, which keeps ``A``'s zero pattern.  A switching
+function that keeps its side at both ends is certified not to leave it in
+between; one that changes side must be certified to cross exactly once, and
+safeguarded Newton then finds that first crossing, listed in the result's
+``crossings``.  A failing step is retried at ``gap / 2**k``, with ``k`` from the
+bound, so its exponentials, cached per region and step length, are reused.
+Splits stop at ``gap / 2**30``, where the step ends' sides decide.  On
+presets 1-10 a solve takes 30-41 exponential steps (4-8 of them retries),
+priority 30, peer 22 and the tiny retrial model 36, where a probe every 0.01
+took about 1,500.  The mean is stepped by the ``(x, 1)`` block alone, so
+measure-zero's mean is bitwise the fluid's; the covariance rows of the full
+exponential are applied only where a covariance is read: at samples,
+crossings and breakpoints.  Measure-zero's Jacobian and diffusion are those
+of :func:`~qmoments.closure.closed_rate` at zero covariance (its tie
 conventions are stated in :mod:`qmoments.closure`); the flow takes the branch
 a kink leads into, so the convention only decides a path that starts on a
-kink and stays there.
+kink and stays there.  A flow that overflows is halved until its last finite
+time is known to within 0.01.
 
 The walk ends at the last sample time, so a divergence after it is never
 reached, and no step crosses a schedule breakpoint.
@@ -82,13 +92,17 @@ FLOW_METHODS = ("fluid", "measure-zero")
 CROSSING_CAP = 100  # crossings per plan segment; more means the path chatters on a kink
 _PUSH = 1e-9  # the region past a crossing is read this far along the drift, in time units
 _ROOT_TOL = 1e-13  # crossing times are located to this, in time units
+_ON_SURFACE = 64 * np.finfo(float).eps  # |s| within this of |row| . |(x, 1)| is on the surface
+_SPLITS = 30  # a gap is split down to gap / 2**_SPLITS at most; then the step ends decide
+_DIVERGENCE_TOL = 0.01  # a divergence of the flow is located to this, in time units
 RTOL = 3e-11  # adjusted's DOP853 tolerance: within 1e-10 of a dt -> 0 reference
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Probe spacing of fluid and measure-zero (adjusted does not read it),
-    method and output grid for one solve; checked when built.
+    """Method and output grid for one solve, checked when built.  ``dt`` is
+    still checked (positive and finite), but no method reads it: adjusted and
+    the flow of fluid and measure-zero step from stop to stop.
 
     ``method`` is one of :data:`METHODS` (``measure_zero`` reads as
     ``measure-zero``).  ``grid`` follows :func:`~qmoments.model.checked_grid`;
@@ -227,14 +241,62 @@ class _Region:
             self.full[d + 1 :, :d] = outer.T @ beta
             self.full[d + 1 :, d] = outer.T @ alpha
             self.full[d + 1 :, d + 1 :] = np.kron(a, eye) + np.kron(eye, a)
-        self.steps: dict[float, np.ndarray] = {}
+        # s = rows[:n] . (x, 1); s' and s'' are the next n rows each; |s'''| = |w A^2 x'|
+        slopes = self.surfaces @ self.flow
+        self.rows = np.vstack((self.surfaces, slopes, slopes @ self.flow))
+        self.jerks = np.abs(self.surfaces[:, :d] @ a @ a)
+        # |expm(A tau)| <= expm(P tau) <= expm(P h) for 0 <= tau <= h, entrywise:
+        # P is |A| with each negative diagonal entry raised to 0
+        self.majorant = np.abs(a)
+        np.fill_diagonal(self.majorant, np.maximum(np.diagonal(a), 0.0))
+        self.steps: dict[float, tuple] = {}
 
-    def step(self, h: float) -> np.ndarray:
-        """``expm(flow h)``, cached."""
+    def step(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``expm(flow h)``, its entrywise absolute value and ``expm(P h)``, cached."""
         out = self.steps.get(h)
         if out is None:
-            out = self.steps[h] = expm(self.flow * h)
+            e = expm(self.flow * h)
+            out = self.steps[h] = (e, np.abs(e), expm(self.majorant * h))
         return out
+
+
+def _certify(region, step, xa, xa1, h: float, sign):
+    """Which switching functions are certified to keep their side over the
+    step of length ``h`` from ``xa`` to ``xa1`` (``kept``) and which to cross
+    it exactly once (``crossing``), and a step length for a retry; ``step``
+    is ``region.step(h)``.
+
+    With ``s`` signed (``sign``) so that its side is ``s <= 0``, ``s''`` over the
+    step lies within ``B h / 2`` of the mean of its end values, where ``B``
+    bounds ``|s'''|``.  So ``s`` lies below the parabola ``s + s' tau + K tau^2
+    / 2`` drawn from either end, with ``K >= max(s'', 0)``, and its largest value
+    is at an end or where the two parabolas meet.  It keeps its side where
+    that bound is within rounding of the surface: the side at the step's start
+    is the one :func:`_solve_flow`'s ``region_at`` gave, so a path that sits on
+    a surface keeps it.  It crosses once where it ends on the other side and
+    the same bounds keep ``s'`` positive.  The retry keeps a failing ``s``
+    below the parabola from the start, or ``s''`` negative."""
+    n = len(sign)
+    _, flow_abs, growth = step
+    scale = np.abs(xa).max()  # every test is homogeneous in (x, 1)
+    xa, xa1 = xa / scale, xa1 / scale
+    ends = (region.rows @ np.column_stack((xa, xa1))).reshape(3, n, 2) * sign[:, None]
+    (s0, s1), (d0, d1), (c0, c1) = ends.transpose(0, 2, 1)
+    s0 = np.minimum(s0, 0.0)
+    jerk = region.jerks @ (growth @ np.abs(region.flow[:-1] @ xa))
+    mid, half = 0.5 * (c0 + c1), 0.5 * h * jerk
+    hi, lo = np.maximum(mid + half, 0.0), np.minimum(mid - half, 0.0)  # bounds of s''
+    tol = _ON_SURFACE * (np.abs(region.surfaces) @ (flow_abs @ np.abs(xa)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = (s1 - s0 - d1 * h + 0.5 * hi * h * h) / (d0 - d1 + hi * h)
+        meet = np.where((tau > 0.0) & (tau < h), s0 + tau * (d0 + 0.5 * hi * tau), -math.inf)
+        kept = (np.maximum(np.maximum(s0, s1), meet) <= tol) & np.isfinite(jerk)
+        tau = np.clip(np.where(hi > lo, (d0 - d1 + hi * h) / (hi - lo), 0.0), 0.0, h)  # least s'
+        rising = np.maximum(d0 + lo * tau, d1 - hi * (h - tau)) > 0.0
+        crossing = ~kept & (s1 > tol) & rising & np.isfinite(jerk)
+        retry = np.maximum((np.sqrt(d0 * d0 - 2.0 * hi * s0) - d0) / hi, -c0 / jerk)
+    retry = np.where((retry > 0.0) & (retry < h), retry, 0.5 * h)[~(kept | crossing)]
+    return kept, crossing, float(retry.min(initial=h))
 
 
 def _crossing_time(row, flow, xa, h: float, below: bool, f_end: float):
@@ -266,7 +328,8 @@ def _crossing_time(row, flow, xa, h: float, below: bool, f_end: float):
 
 def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
     """Fluid or measure-zero (``cfg.method``) by the switched-affine flow over
-    :func:`~qmoments.model.plan_steps`.
+    :func:`~qmoments.model.plan_steps`, from stop to stop, each gap split only
+    where :func:`_certify` cannot vouch for a step.
 
     The mean is stepped by the cached ``(x, 1)`` exponentials.  The covariance
     is formed only where it is read, at samples, crossings and breakpoints,
@@ -285,20 +348,24 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
     crossings: list[list] = []
     regions: dict = {}
     zero_cov = [0.0] * (d * d)  # under which closed_rate is the pointwise rate
+    # segments with equal terms (a schedule that alternates) share their regions
+    firsts: dict = {}
+    same = [firsts.setdefault(tuple(terms), i) for i, (_, _, terms) in enumerate(segments)]
 
     def region_at(si, xs: list):
-        """The region just past ``xs`` along the drift, and its sides there."""
+        """The region just past ``xs`` along the drift, and the sign of each
+        of its switching functions that is negative on the side there."""
         terms = segments[si][2]
         rates = [closed_rate(term, (xs, zero_cov)) for term in terms]
         drift_x = jumps.T @ np.array([r for r, _ in rates])
         ahead = (np.array(xs) + _PUSH * drift_x).tolist()
         rates = [closed_rate(term, (ahead, zero_cov)) for term in terms]
-        key = (si, *(g for _, g in rates), *(r >= 0.0 for r, _ in rates))
+        key = (same[si], *(g for _, g in rates), *(r >= 0.0 for r, _ in rates))
         region = regions.get(key)
         if region is None:
             kinks = _kink_surfaces(terms, d)
             region = regions[key] = _Region(terms, kinks, jumps, rates, ahead, with_cov)
-        return key, region, region.surfaces @ np.array([*ahead, 1.0]) <= 0.0
+        return key, region, np.where(region.surfaces @ np.array([*ahead, 1.0]) <= 0.0, 1.0, -1.0)
 
     def carry(region, t: float):
         """Form the covariance at ``t`` (where the mean is ``xa``) through ``region``."""
@@ -316,29 +383,42 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
     si = -1
     # overflow is an anticipated, detected condition here, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, t1, seg, gi in plan_steps(model, grid, cfg.dt):
+        for t, t1, seg, gi in plan_steps(model, grid):
             if seg != si:
                 if si >= 0:
                     carry(region, t)
                 si, crossed = seg, 0
-                key, region, sides = region_at(si, xa[:d].tolist())
+                key, region, sign = region_at(si, xa[:d].tolist())
+            # a step is gap / 2**level long, or what is left of the gap
+            gap, level = t1 - t, 0
             while t1 > t:
-                xa1 = region.step(t1 - t) @ xa
+                h = min(t1 - t, gap * 0.5**level)
+                step = region.step(h)
+                xa1 = step[0] @ xa
                 if not np.isfinite(xa1).all():
+                    if h > _DIVERGENCE_TOL:
+                        level = _level(gap, 0.5 * h)
+                        continue
                     raise DivergenceError(
-                        f"{method} solve diverged between t={t:g} and t={t1:g}",
+                        f"{method} solve diverged between t={t:g} and t={t + h:g}",
                         last_time=float(t),
                     )
-                sides1 = region.surfaces @ xa1 <= 0.0
-                if (sides1 == sides).all():
-                    xa = xa1
-                    break
+                kept, crossing, retry = _certify(region, step, xa, xa1, h, sign)
+                if not (kept | crossing).all():
+                    if h > gap * 0.5**_SPLITS:
+                        level = max(level + 1, _level(gap, retry))
+                        continue
+                    # too short to split further: the step ends' sides decide
+                    crossing = ~kept & ((region.surfaces @ xa1 <= 0.0) != (sign > 0.0))
+                if not crossing.any():
+                    t, xa, level = t + h, xa1, max(level - 1, 0)
+                    continue
                 # the earliest switching function to change side sets the crossing
                 tau, xa, hit = min(
                     (
-                        (*_crossing_time(region.surfaces[i], region.flow, xa, t1 - t, sides[i],
+                        (*_crossing_time(region.surfaces[i], region.flow, xa, h, sign[i] > 0.0,
                                          float(region.surfaces[i] @ xa1)), i)
-                        for i in np.flatnonzero(sides1 != sides)
+                        for i in np.flatnonzero(crossing)
                     ),
                     key=lambda found: found[0],
                 )
@@ -352,7 +432,7 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
                         f"on or circles a kink); last crossing at t={t:.12g}, x={xa[:d].tolist()}"
                     )
                 label, owners = region.labels[hit]
-                new_key, region, sides = region_at(si, xa[:d].tolist())
+                new_key, region, sign = region_at(si, xa[:d].tolist())
                 if new_key != key:
                     crossings.extend([t, i, label] for i in owners)
                 key = new_key
@@ -363,6 +443,11 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
                 if with_cov and _poorly_conditioned(covs[gi]):
                     warnings.append(f"covariance poorly conditioned at t={grid[gi]:g}")
     return MomentTrajectory(method, grid.copy(), means, covs, warnings, crossings=crossings)
+
+
+def _level(gap: float, length: float) -> int:
+    """The least level whose step ``gap / 2**level`` is at most ``0 < length <= gap``."""
+    return math.ceil(math.log2(gap / length))
 
 
 def solve(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:

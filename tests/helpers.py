@@ -260,6 +260,23 @@ def variant_models():
     return singles + [NetworkModel(2, every, (2, 1), horizon)]
 
 
+def excursion_model():
+    """x0 drains into x1 at rate 1000 x0, x1 leaves at 500 x1 and passes on to
+    x2 at 50 (x1 - 45)^+: from (100, 0, 0), x1 rises above 45 for about 1.3e-3
+    time units only, and x2(1) = 0.2092157... is what that excursion left."""
+    c = TimeSchedule.constant
+    return NetworkModel(
+        3,
+        (
+            Transition((-1, 1, 0), RateTerm(c(1000.0), Linear((1.0, 0.0, 0.0)))),
+            Transition((0, -1, 0), RateTerm(c(500.0), Linear((0.0, 1.0, 0.0)))),
+            Transition((0, -1, 1), RateTerm(c(50.0), PositivePart(1, c(45.0)))),
+        ),
+        (100, 0, 0),
+        1.0,
+    )
+
+
 # --------------------------------------------------------------------------
 # Reference closed pass: the kernels dispatched by type, every schedule looked
 # up at ``t``, a dense kernel gradient per transition.  The compiled moment

@@ -594,7 +594,6 @@ BAD_GRIDS = {
         (["--grid", "0:1e12:1"], None),
         (["--dt", "nan"], None),
         (["--dt", "inf"], None),
-        (["--dt", "1e-300"], None),
         (["--methods", "exact", "--caps", "a,b"], None),
         (["--methods", "exact", "--caps", "4294967295,4294967295"], None),
         (["--methods", "exact", "--caps", "9223372036854775807,1"], None),
@@ -613,7 +612,7 @@ BAD_GRIDS = {
         ],
     ],
     ids=[
-        "grid-nan", "grid-inf", "grid-huge", "dt-nan", "dt-inf", "dt-tiny", "caps-text",
+        "grid-nan", "grid-inf", "grid-huge", "dt-nan", "dt-inf", "caps-text",
         "caps-product-wraps", "caps-int64-max", "caps-one-for-two-dimensions",
         "seed-negative", "seed-2**64",
         "config-not-json", "config-reps-text", "config-dt-list", "config-not-object",
@@ -628,6 +627,17 @@ def test_bad_run_arguments_exit_2(tmp_path, argv, config):
         path.write_text(config)
         base += ["--config", str(path)]
     assert main([*base, *argv]) == 2
+
+
+def test_dt_is_accepted_but_changes_no_flow_csv(tmp_path):
+    """``--dt 1e-300`` once could not be allocated; fluid and measure-zero now
+    step from stop to stop, so it writes the same bytes as ``--dt 1``."""
+    outs = [tmp_path / "tiny", tmp_path / "one"]
+    for dt, out in zip(("1e-300", "1"), outs):
+        argv = ["run", "--preset", "7", "--methods", "fluid,measure-zero", "--grid", "6:15:1"]
+        assert main([*argv, "--dt", dt, "--out", str(out)]) == 0
+    for name in ("fluid.csv", "measure-zero.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def _truncate(run_dir):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qmoments as qm
-from helpers import tiny_retrial_model, variant_models
+from helpers import excursion_model, tiny_retrial_model, variant_models
 from oracles import ivp_moments
 from qmoments import (
     Constant,
@@ -71,7 +71,10 @@ ORACLE_CASES = [
     ("tiny", tiny_retrial_model(), np.arange(1.0, 11.0)),
     ("drained", drained_model(), np.arange(1.0, 7.0)),
     ("all-variants", variant_models()[-1], np.arange(0.5, 4.25, 0.5)),
+    ("excursion", excursion_model(), np.array([0.5, 1.0])),
 ]
+# the presets, priority, peer and the short excursion
+DT_CASES = ORACLE_CASES[:12] + ORACLE_CASES[-1:]
 
 
 @pytest.mark.parametrize(
@@ -135,17 +138,42 @@ def test_crossings_lie_on_their_surfaces():
 
 
 @pytest.mark.parametrize(
-    "model, grid", [case[1:] for case in ORACLE_CASES[:12]], ids=[c[0] for c in ORACLE_CASES[:12]]
+    "model, grid", [case[1:] for case in DT_CASES], ids=[c[0] for c in DT_CASES]
 )
 def test_crossing_list_does_not_depend_on_dt(model, grid):
     """A positive part's rate = 0 lies on its own kink x_j = n; the two once
-    raced, so the list depended on which root came out first by rounding."""
-    lists = [qm.solve(model, SolverConfig(method="fluid", dt=dt, grid=grid)).crossings
-             for dt in (0.01, 0.1, 1.0, 0.001)]
-    for crossings in lists[1:]:
-        assert [c[1:] for c in crossings] == [c[1:] for c in lists[0]]
-        np.testing.assert_allclose([c[0] for c in crossings], [c[0] for c in lists[0]],
+    raced, so the list depended on which root came out first by rounding.
+    Fluid and measure-zero moments are bitwise equal at every ``dt``."""
+    runs = [
+        [qm.solve(model, SolverConfig(method=method, dt=dt, grid=grid)) for method in FLOW_METHODS]
+        for dt in (0.01, 0.1, 1.0, 0.001)
+    ]
+    first = runs[0][0].crossings
+    for fluid, measure_zero in runs[1:]:
+        assert [c[1:] for c in fluid.crossings] == [c[1:] for c in first]
+        np.testing.assert_allclose([c[0] for c in fluid.crossings], [c[0] for c in first],
                                    rtol=0.0, atol=1e-11)
+        assert qm.results_equal(fluid, runs[0][0])
+        assert qm.results_equal(measure_zero, runs[0][1])
+
+
+def test_short_excursion_is_found():
+    """x1 stays above 45 for about 1.3e-3 time units, between two recorded
+    crossings of its kink that a grid at their times finds x1 on; x2(1) is
+    what the excursion left, and measure-zero carries its variance.  A probe
+    every 0.01 saw neither crossing and reported x2(1) = 0."""
+    cfg = SolverConfig(dt=0.01, grid=np.array([0.5, 1.0]))
+    fluid = qm.solve(excursion_model(), replace(cfg, method="fluid"))
+    measure_zero = qm.solve(excursion_model(), replace(cfg, method="measure-zero"))
+    assert fluid.crossings == measure_zero.crossings
+    assert [c[1:] for c in fluid.crossings] == [[2, "x1 = 45"], [2, "x1 = 45"]]
+    (t_in, *_), (t_out, *_) = fluid.crossings
+    assert 0.0 < t_in < t_out < 0.003
+    assert fluid.means[-1, 2] == pytest.approx(0.2092157, rel=0.0, abs=5e-8)
+    assert measure_zero.means[-1, 2] == fluid.means[-1, 2]
+    assert measure_zero.covs[-1, 2, 2] == pytest.approx(0.2623, rel=0.0, abs=5e-5)
+    at = qm.solve(excursion_model(), SolverConfig(method="fluid", grid=np.array([t_in, t_out])))
+    np.testing.assert_allclose(at.means[:, 1], 45.0, rtol=0.0, atol=1e-8)  # |x1'| is about 1e4
 
 
 def test_circling_path_crosses_twice_a_period():
@@ -155,6 +183,19 @@ def test_circling_path_crosses_twice_a_period():
     assert {(i, surface) for _, i, surface in out.crossings} == {(4, "x0 = 100")}
     zeros = (np.pi / 2 + np.pi * np.arange(32)) / 50.0
     np.testing.assert_allclose([t for t, _, _ in out.crossings], zeros, atol=1e-4)
+
+
+def test_circling_path_records_every_crossing_of_one_long_gap():
+    """From t = 0 to the one sample at t = 6 the walk has a single gap, which
+    the path crosses x0 = 100 95 times in; each crossing is the first root of
+    its step, so none is skipped and the state at t = 6 matches the oracle."""
+    model, grid = circling_model(), np.array([6.0])
+    out = qm.solve(model, SolverConfig(method="measure-zero", grid=grid))
+    zeros = (np.pi / 2 + np.pi * np.arange(95)) / 50.0
+    np.testing.assert_allclose([t for t, _, _ in out.crossings], zeros, atol=1e-4)
+    means, covs = ivp_moments(model, grid)
+    assert np.abs(out.means - means).max() <= 1e-10 * np.abs(means).max()
+    assert np.abs(out.covs - covs).max() <= 1e-10 * np.abs(covs).max()
 
 
 @pytest.mark.parametrize("method", FLOW_METHODS)

@@ -456,7 +456,10 @@ class TestStepping:
         )
         with pytest.raises(DivergenceError) as err:
             qm.solve(exploding, SolverConfig(method="fluid", grid=np.array([10.0])))
-        assert 0.0 <= err.value.last_time < 10.0
+        # x = e^(100 t) passes the largest float at ln(DBL_MAX) / 100, about 7.0978
+        overflow = math.log(np.finfo(float).max) / 100.0
+        assert abs(err.value.last_time - overflow) <= 0.01
+        assert f"between t={err.value.last_time:g} and t=" in str(err.value)
 
     @pytest.mark.parametrize("method, last_time, between", [("measure-zero", 0.0, "t=0 and t=1")])
     def test_divergence_names_the_last_finite_time(self, method, last_time, between):
@@ -525,23 +528,30 @@ class TestStepping:
         np.testing.assert_allclose(out.covs[:, 0, 0], [45.0, 117.5], rtol=1e-13)
 
     @pytest.mark.parametrize("method", FLOW_METHODS)
-    def test_flow_probes_every_node_up_to_last_sample(self, method, monkeypatch):
-        """Fluid and measure-zero take one cached exponential step per probe
-        node: 250 steps of 0.01 reach t = 2.5, the last sample, of horizon 10,
-        and M/M/inf crosses no switching surface."""
-        steps = []
+    @pytest.mark.parametrize(
+        "model, grid, most",
+        [
+            (mminf(horizon=10.0), np.array([1.0, 2.5]), 2),
+            (qm.build_retrial(*qm.retrial_preset(7)[:2]), np.arange(6.0, 16.0), 40),
+        ],
+        ids=["mminf", "preset7"],
+    )
+    def test_flow_work_does_not_depend_on_dt(self, method, model, grid, most, monkeypatch):
+        """Fluid and measure-zero step from stop to stop: M/M/inf takes one
+        exponential step per gap up to t = 2.5, the last sample, of horizon 10,
+        and preset 7 at most 40 (34 when measured), at every ``dt``."""
+        counts = []
         step = _Region.step
 
         def counted(region, h):
-            steps.append(h)
+            counts[-1] += 1
             return step(region, h)
 
         monkeypatch.setattr(_Region, "step", counted)
-        grid = np.array([1.0, 2.5])
-        out = qm.solve(mminf(horizon=10.0), SolverConfig(method=method, grid=grid))
-        assert len(steps) == 250
-        assert sum(steps) == pytest.approx(2.5, rel=0.0, abs=1e-12)
-        assert out.crossings == []
+        for dt in (0.001, 0.01, 1.0):
+            counts.append(0)
+            qm.solve(model, SolverConfig(method=method, dt=dt, grid=grid))
+        assert counts[0] == counts[1] == counts[2] <= most
 
     @pytest.mark.parametrize(
         "short, full",
