@@ -8,12 +8,7 @@ truncated forward-equation oracle for small models, builders for reference
 systems, and a CSV-producing command-line interface.
 """
 
-from .closure import (
-    MomentPoint,
-    expected_kernel,
-    normal_cdf,
-    normal_pdf,
-)
+from .closure import MomentPoint, expected_kernel
 from .errors import DivergenceError, NumericalError, UsageError
 from .kolmogorov import exact_transient_moments, state_distributions
 from .model import (
@@ -30,15 +25,8 @@ from .model import (
     model_from_dict,
     model_to_dict,
     save_model,
-    validate_model,
 )
-from .results import (
-    MomentTrajectory,
-    read_long_csv,
-    results_equal,
-    stat_names,
-    write_long_csv,
-)
+from .results import MomentTrajectory, read_long_csv, write_long_csv
 from .schedule import TimeSchedule, merge_schedules
 from .simulate import RngStream, simulate_ensemble, simulate_path
 from .solvers import (
@@ -99,21 +87,16 @@ __all__ = [
     "model_from_dict",
     "model_to_dict",
     "noise_matrix",
-    "normal_cdf",
-    "normal_pdf",
     "pointwise_drift_jacobian",
     "pointwise_noise_matrix",
     "read_long_csv",
     "reference_peer_params",
     "reference_priority_params",
-    "results_equal",
     "retrial_preset",
     "save_model",
     "simulate_ensemble",
     "simulate_path",
     "solve",
-    "stat_names",
     "state_distributions",
-    "validate_model",
     "write_long_csv",
 ]

@@ -53,7 +53,6 @@ class ExperimentConfig:
     model_path: str | None = None
     reps: int = 1000
     seed: int = 0
-    dt: float = 0.01
     grid: np.ndarray | None = None
     caps: tuple[int, ...] | None = None
     workers: int = 1
@@ -78,9 +77,10 @@ def _parse_grid(text: str) -> np.ndarray:
 def _default_workers() -> int:
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
         raise UsageError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
+    return _whole(workers, WORKERS_ENV, 1)
 
 
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -148,6 +148,9 @@ def _parse_config(args: argparse.Namespace) -> ExperimentConfig:
         caps = tuple(_whole(c, "caps") for c in caps)
     if "exact" in methods and caps is None:
         raise UsageError("missing required field: caps (needed by method 'exact')")
+    dt = _real(pick(args.dt, "dt", 0.01), "dt")  # checked, then dropped: see --dt
+    if not (math.isfinite(dt) and dt > 0):
+        raise UsageError(f"dt must be positive and finite, got {dt}")
     cfg = ExperimentConfig(
         methods=methods,
         out_dir=out_dir,
@@ -155,7 +158,6 @@ def _parse_config(args: argparse.Namespace) -> ExperimentConfig:
         model_path=model_path,
         reps=_whole(pick(args.reps, "reps", 1000), "reps", 1),
         seed=_whole(pick(args.seed, "seed", 0), "seed"),
-        dt=SolverConfig(dt=pick(args.dt, "dt", 0.01)).dt,
         grid=grid,
         caps=caps,
         workers=_default_workers(),
@@ -197,8 +199,7 @@ def run_experiment(cfg: ExperimentConfig):
             elif method == "exact":
                 results[method] = exact_transient_moments(model, cfg.caps, grid)
             else:
-                solver_cfg = SolverConfig(dt=cfg.dt, method=method, grid=grid)
-                results[method] = solve(model, solver_cfg)
+                results[method] = solve(model, SolverConfig(method=method, grid=grid))
         except (DivergenceError, NumericalError) as exc:
             errors[method] = str(exc)
 
@@ -215,7 +216,6 @@ def run_experiment(cfg: ExperimentConfig):
         "methods": cfg.methods,
         "reps": cfg.reps,
         "seed": cfg.seed,
-        "dt": cfg.dt,
         "errors": errors,
         "warnings": {m: results[m].warnings for m in ordered if m in ODE_METHODS},
         "crossings": {m: results[m].crossings for m in ordered if m in FLOW_METHODS},
@@ -329,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--reps", type=int, help="simulation replications")
     run.add_argument("--seed", type=int, help="master seed")
-    run.add_argument(
-        "--dt", type=float, help="checked, but read by no method: all step from stop to stop"
+    run.add_argument(  # kept so that older command lines still run; read by nothing
+        "--dt", type=float, help="ignored once checked: every method steps from stop to stop"
     )
     run.add_argument("--grid", help="sample times t0:t1:step")
     run.add_argument("--out", help="output directory")

@@ -4,8 +4,8 @@ For small models the forward equations ``p' = p Q(t)`` are solved directly on
 the box ``{0..cap_0} x ... x {0..cap_{d-1}}``.  Jumps that would leave the box
 are disabled (reflecting truncation), which conserves probability mass and
 keeps the moment oracle well defined; choose caps so the boundary occupancy
-is negligible.  The solve walks :func:`~qmoments.model.plan_steps` with no
-step limit, one interval from stop to stop (sample times and breakpoints).
+is negligible.  The solve walks :func:`~qmoments.model.plan_steps`, one
+interval from stop to stop (sample times and breakpoints).
 The generator is constant on a segment of the compiled plan
 (:func:`~qmoments.model.compile_segments`, read once per solve); each
 transition fills one rate vector over the whole lattice through the array
@@ -114,7 +114,7 @@ def state_distributions(model: NetworkModel, caps, grid):
     segments = compile_segments(model)
     probs = np.empty((len(times), size))
     si = -1
-    for t0, t1, seg, gi in plan_steps(model, times):  # one step per gap, no dt
+    for t0, t1, seg, gi in plan_steps(model, times):
         if seg != si:  # one generator per plan segment that a step enters
             si, step = seg, _generator_transpose(segments[seg][2], coords, strides, caps)
             rate = float(-step.diagonal().min())

@@ -217,15 +217,15 @@ def checked_grid(model: NetworkModel, grid=None) -> np.ndarray:
     return times
 
 
-def plan_steps(model: NetworkModel, grid: np.ndarray, dt: float = math.inf) -> list[tuple]:
+def plan_steps(model: NetworkModel, grid: np.ndarray) -> list[tuple]:
     """Every step of a deterministic method up to the last time of ``grid``
     (from :func:`checked_grid`), as ``(t0, t1, segment, sample)``.
 
     Sample times, schedule breakpoints and the horizon are hard stops; one
-    within ``GRID_TOL`` of the stop before it is merged into it.  The gap
-    between two stops is cut into equal steps of at most ``dt``.  ``segment``
-    indexes :func:`compile_segments` and ``sample`` is the grid index reported
-    at ``t1``, or -1; a leading ``(0, 0, 0, 0)`` step reports a sample at 0.
+    within ``GRID_TOL`` of the stop before it is merged into it.  Each gap
+    between two stops is one step.  ``segment`` indexes :func:`compile_segments`
+    and ``sample`` is the grid index reported at ``t1``, or -1; a leading
+    ``(0, 0, 0, 0)`` step reports a sample at 0.
     """
     starts = [0.0] + model_breakpoints(model)
     stops = [0.0]
@@ -240,13 +240,8 @@ def plan_steps(model: NetworkModel, grid: np.ndarray, dt: float = math.inf) -> l
             return steps
         while seg + 1 < len(starts) and starts[seg + 1] <= 0.5 * (a + b):
             seg += 1
-        try:
-            nodes = np.linspace(a, b, max(1, math.ceil((b - a) / dt - 1e-12)) + 1).tolist()
-        except (ValueError, OverflowError, MemoryError) as exc:
-            raise UsageError(f"dt={dt:g} needs too many steps from t={a:g} to {b:g}") from exc
-        steps.extend((t0, t1, seg, -1) for t0, t1 in zip(nodes[:-2], nodes[1:-1]))
         sample = gi if abs(b - grid[gi]) <= GRID_TOL else -1
-        steps.append((nodes[-2], b, seg, sample))
+        steps.append((a, b, seg, sample))
         gi += sample >= 0
     if gi < len(grid):
         raise UsageError("sample grid could not be aligned with the plan")

@@ -57,10 +57,6 @@ def stat_positions(dimension: int, with_cov: bool = True) -> dict[str, tuple[int
     return means | {f"cov_{i}{j}": (i, j) for i, j in pairs}
 
 
-def stat_names(dimension: int) -> list[str]:
-    return list(stat_positions(dimension))
-
-
 def stat_values(result: MomentTrajectory, positions) -> list[list[float]]:
     """Per sample time, the values of ``result`` at ``positions`` in their order."""
     columns = [
@@ -127,14 +123,3 @@ def read_long_csv(path) -> list[MomentTrajectory]:
         return results
     except (ValueError, KeyError, csv.Error) as exc:  # a short row, a bad number, a missing cell
         raise UsageError(f"malformed results CSV {path}: {exc!r}") from exc
-
-
-def results_equal(a: MomentTrajectory, b: MomentTrajectory) -> bool:
-    """Equality of the numeric payload (method, grid, moments, count)."""
-    if a.method != b.method or a.count != b.count or (a.covs is None) != (b.covs is None):
-        return False
-    return (
-        np.array_equal(a.times, b.times)
-        and np.array_equal(a.means, b.means)
-        and (a.covs is None or np.array_equal(a.covs, b.covs))
-    )

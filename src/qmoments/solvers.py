@@ -19,11 +19,11 @@ and takes its steps from one walk, :func:`~qmoments.model.plan_steps`.
 **Adjusted** integrates one flat state, the mean followed by the row-major
 covariance, by error-controlled DOP853 (scipy's ``solve_ivp``; Hairer, Norsett
 & Wanner, *Solving ODEs I*, II.10), one solve per gap of the walk from stop to
-stop (``dt`` is not read), symmetrized and reported at the gap's end.  A step
-passes when the RMS of ``err / (atol + RTOL |y|)`` is at most 1, where per gap
-``atol`` is ``RTOL`` times each block's (mean, covariance) largest |value| or,
-if more, the gap length times its largest |derivative| at the gap's start, and
-at least 1e-300.  Drift, ``A`` and the diffusion are re-closed at every stage
+stop, symmetrized and reported at the gap's end.  A step passes when the RMS
+of ``err / (atol + RTOL |y|)`` is at most 1, where per gap ``atol`` is
+``RTOL`` times each block's (mean, covariance) largest |value| or, if more,
+the gap length times its largest |derivative| at the gap's start, and at
+least 1e-300.  Drift, ``A`` and the diffusion are re-closed at every stage
 in one pass, :func:`moment_terms`, under :func:`~qmoments.closure.closed_rate`.
 
 **Fluid and measure-zero** follow the exact switched-affine flow.  Each kernel
@@ -33,9 +33,8 @@ breakpoints, so inside a region (one branch per term: the gradient that
 state ``z = (x, 1, vec C)`` obeys ``z' = M z``, solved by ``expm(M h) z``
 (Van Loan 1978, IEEE TAC 23).  A region ends where the path crosses one of
 its linear switching functions ``s = r . (x, 1)``: a kink surface of a term or
-the zero of an affine rate.  The walk goes from stop to stop (``dt`` is not
-read) and splits a step only where a certificate on the exact flow fails
-(:func:`_certify`).  The ends of a step give ``s``, ``s'`` and ``s''`` exactly,
+the zero of an affine rate.  The walk goes from stop to stop and splits a
+step only where a certificate on the exact flow fails (:func:`_certify`).  The ends of a step give ``s``, ``s'`` and ``s''`` exactly,
 and ``|s'''| <= |w A^2| expm(P h) |x'(0)|`` entrywise, where ``A`` is the
 flow's state block, ``w`` the state part of ``r`` and ``P`` is ``|A|`` with its
 negative diagonal raised to 0, which keeps ``A``'s zero pattern.  A switching
@@ -78,7 +77,6 @@ from .model import (
     MIN_THRESHOLD,
     POSITIVE_PART,
     NetworkModel,
-    _real,
     checked_grid,
     compile_segments,
     compile_terms,
@@ -95,28 +93,23 @@ _ROOT_TOL = 1e-13  # crossing times are located to this, in time units
 _ON_SURFACE = 64 * np.finfo(float).eps  # |s| within this of |row| . |(x, 1)| is on the surface
 _SPLITS = 30  # a gap is split down to gap / 2**_SPLITS at most; then the step ends decide
 _DIVERGENCE_TOL = 0.01  # a divergence of the flow is located to this, in time units
-RTOL = 3e-11  # adjusted's DOP853 tolerance: within 1e-10 of a dt -> 0 reference
+RTOL = 3e-11  # adjusted's DOP853 tolerance: within 1e-10 of a step -> 0 reference
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Method and output grid for one solve, checked when built.  ``dt`` is
-    still checked (positive and finite), but no method reads it: adjusted and
-    the flow of fluid and measure-zero step from stop to stop.
+    """Method and output grid for one solve, checked when built.  Every method
+    steps from stop to stop of :func:`~qmoments.model.plan_steps`.
 
     ``method`` is one of :data:`METHODS` (``measure_zero`` reads as
     ``measure-zero``).  ``grid`` follows :func:`~qmoments.model.checked_grid`;
     ``None`` is every whole time unit.
     """
 
-    dt: float = 0.01
     method: str = "adjusted"
     grid: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dt", _real(self.dt, "dt"))
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise UsageError(f"dt must be positive and finite, got {self.dt}")
         if self.method == "measure_zero":
             object.__setattr__(self, "method", "measure-zero")
         if self.method not in METHODS:

@@ -363,3 +363,14 @@ def expected_kernel_grad_mean(term, t, p: MomentPoint) -> np.ndarray:
     for b, g in closed_rate(compiled, p.flat())[1]:
         grad[b] = compiled[1] * g
     return grad
+
+
+def results_equal(a, b) -> bool:
+    """Equality of two results' numeric payload (method, grid, moments, count)."""
+    if a.method != b.method or a.count != b.count or (a.covs is None) != (b.covs is None):
+        return False
+    return (
+        np.array_equal(a.times, b.times)
+        and np.array_equal(a.means, b.means)
+        and (a.covs is None or np.array_equal(a.covs, b.covs))
+    )

@@ -56,7 +56,6 @@ def preset7_runs(tmp_path_factory):
             preset=7,
             reps=REPS,
             seed=SEED,
-            dt=0.01,
             grid=REPORT_GRID.copy(),
             workers=workers,
         )

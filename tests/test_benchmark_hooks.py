@@ -1,5 +1,6 @@
 """The benchmark's span hooks (``perfbench/spans.py``) rebind names in the
-program's modules; a rename there must fail here, not in a traced run."""
+program's modules, and its jobs (``perfbench/workloads.py``) call the CLI; a
+rename or a new argument check there must fail here, not in a measured run."""
 
 import importlib.util
 from pathlib import Path
@@ -10,7 +11,8 @@ import qmoments.kolmogorov as kolmogorov
 import qmoments.simulate as simulate
 import qmoments.solvers as solvers
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 OWNERS = (cli, closure, kolmogorov, simulate, solvers, simulate.RngStream)
 
 
@@ -50,3 +52,16 @@ def test_method_and_csv_spans_fire(tmp_path):
                  "results.write", "results.read"):
         assert name in rec.names, name
     assert rec.counts["results.csv_bytes"] > 0
+
+
+def test_benchmark_command_lines_parse(monkeypatch):
+    """Every job of every workload, and the warm-up, is a valid ``qmoments run``."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    jobs = [workloads.WARMUP]
+    for workload in workloads.WORKLOADS.values():
+        jobs += [*workload.jobs, *workload.resample]
+    assert len(jobs) > len(workloads.WORKLOADS)  # each workload has jobs
+    for job in jobs:
+        cli.parse_config(cli.build_parser().parse_args(job.argv("m", "o", 7)))

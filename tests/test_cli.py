@@ -18,6 +18,7 @@ from qmoments.cli import (
     parse_config,
     run_experiment,
 )
+from helpers import results_equal
 
 
 def tiny_model_file(tmp_path, horizon=4.0):
@@ -57,13 +58,6 @@ class TestParsing:
         assert cfg.preset == 7 and cfg.model_path is None
         assert cfg.methods == ["adjusted", "measure-zero", "simulate"]
         assert cfg.reps == 5000 and cfg.seed == 42
-        assert cfg.dt == 0.01
-
-    def test_dt_override(self):
-        cfg = parse_run(
-            ["--preset", "7", "--methods", "fluid", "--out", "o", "--dt", "0.005"]
-        )
-        assert cfg.dt == 0.005
 
     def test_missing_methods_is_usage_error(self):
         with pytest.raises(UsageError, match="methods"):
@@ -314,8 +308,8 @@ class TestDiffReport:
         )
         qm.write_long_csv([adjusted, simulated], tmp_path / "combined.csv")
         back = {r.method: r for r in read_long_csv(tmp_path / "combined.csv")}
-        assert qm.results_equal(back["adjusted"], adjusted)
-        assert qm.results_equal(back["simulate"], simulated)
+        assert results_equal(back["adjusted"], adjusted)
+        assert results_equal(back["simulate"], simulated)
 
         assert main(["report", "--in", str(tmp_path)]) == 0
         with open(tmp_path / "diff_report.csv", encoding="utf-8") as fh:
@@ -562,13 +556,23 @@ def test_non_string_methods_exit_2(tmp_path, capsys, methods):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raw", ["0", "-3", "2.5"])
+def test_bad_worker_count_exits_2(tmp_path, capsys, monkeypatch, raw):
+    """``QMOMENTS_WORKERS`` below 1 is an error, not a silent single worker."""
+    monkeypatch.setenv("QMOMENTS_WORKERS", raw)
+    out = tmp_path / "o"
+    assert main(["run", "--preset", "1", "--methods", "fluid", "--out", str(out)]) == 2
+    assert "QMOMENTS_WORKERS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "methods, dt",
     [("simulate", "-1"), ("simulate", "nan"), ("simulate,fluid", "0")],
     ids=["simulate-negative", "simulate-nan", "simulate-then-fluid-zero"],
 )
 def test_bad_dt_exits_2_before_any_method_runs(tmp_path, capsys, monkeypatch, methods, dt):
-    """``dt`` is checked with the arguments, even when no ODE method reads it."""
+    """``dt`` is checked with the arguments, though no method reads it."""
     monkeypatch.setattr("qmoments.cli.simulate_ensemble", None)  # a method run would raise
     out = tmp_path / "o"
     argv = ["run", "--preset", "1", "--methods", methods, "--reps", "2", "--dt", dt]
@@ -630,14 +634,30 @@ def test_bad_run_arguments_exit_2(tmp_path, argv, config):
 
 
 def test_dt_is_accepted_but_changes_no_flow_csv(tmp_path):
-    """``--dt 1e-300`` once could not be allocated; fluid and measure-zero now
-    step from stop to stop, so it writes the same bytes as ``--dt 1``."""
-    outs = [tmp_path / "tiny", tmp_path / "one"]
-    for dt, out in zip(("1e-300", "1"), outs):
-        argv = ["run", "--preset", "7", "--methods", "fluid,measure-zero", "--grid", "6:15:1"]
-        assert main([*argv, "--dt", dt, "--out", str(out)]) == 0
-    for name in ("fluid.csv", "measure-zero.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    """Every method steps from stop to stop, so a ``dt`` from the command line
+    or a config file is checked and then dropped: ``--dt 1e-300`` (once too
+    many steps to allocate), ``--dt 1`` and a config file's ``"dt": 0.5`` write
+    the bytes of a run without one, ``run.json`` included."""
+    config = {"preset": 7, "methods": "fluid,adjusted,measure-zero,exact", "grid": "6:15:1",
+              "caps": "130,60"}
+    plain, with_dt = tmp_path / "plain.json", tmp_path / "with_dt.json"
+    plain.write_text(json.dumps(config))
+    with_dt.write_text(json.dumps({**config, "dt": 0.5}))
+    runs = {
+        "none": ["--config", str(plain)],
+        "tiny": ["--config", str(plain), "--dt", "1e-300"],
+        "one": ["--config", str(plain), "--dt", "1"],
+        "config": ["--config", str(with_dt)],
+    }
+    written = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(["run", *argv, "--out", str(out)]) == 0
+        written[name] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert "dt" not in json.loads(written["none"]["run.json"])
+    assert {"exact.csv", "measure-zero.csv", "run.json"} <= set(written["none"])
+    for name in runs:
+        assert written[name] == written["none"], name
 
 
 def _truncate(run_dir):

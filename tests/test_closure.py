@@ -15,6 +15,7 @@ from qmoments import (
     RateTerm,
     TimeSchedule,
 )
+from qmoments.closure import normal_cdf, normal_pdf
 
 from helpers import (
     capped_residual_expect,
@@ -41,19 +42,19 @@ def point2(m1, m2, s1, s2, rho=0.0):
 
 class TestNormalFunctions:
     def test_pdf_at_zero(self):
-        assert qm.normal_pdf(0.0) == pytest.approx(0.3989422804014327, abs=1e-15)
+        assert normal_pdf(0.0) == pytest.approx(0.3989422804014327, abs=1e-15)
 
     def test_cdf_symmetry_point(self):
-        assert qm.normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
+        assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_cdf_at_1_96(self):
         # 0.97500210485177956586 to 20 digits (high-precision erf evaluation)
-        assert qm.normal_cdf(1.96) == pytest.approx(0.9750021048517796, abs=1e-12)
+        assert normal_cdf(1.96) == pytest.approx(0.9750021048517796, abs=1e-12)
 
     def test_cdf_matches_erf_identity_on_grid(self):
         for z in np.linspace(-8, 8, 33):
             expected = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-            assert qm.normal_cdf(z) == pytest.approx(expected, abs=1e-12)
+            assert normal_cdf(z) == pytest.approx(expected, abs=1e-12)
 
 
 class TestExpectedKernel:

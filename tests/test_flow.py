@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qmoments as qm
-from helpers import excursion_model, tiny_retrial_model, variant_models
+from helpers import excursion_model, results_equal, tiny_retrial_model, variant_models
 from oracles import ivp_moments
 from qmoments import (
     Constant,
@@ -74,7 +74,7 @@ ORACLE_CASES = [
     ("excursion", excursion_model(), np.array([0.5, 1.0])),
 ]
 # the presets, priority, peer and the short excursion
-DT_CASES = ORACLE_CASES[:12] + ORACLE_CASES[-1:]
+CROSSING_CASES = ORACLE_CASES[:12] + ORACLE_CASES[-1:]
 
 
 @pytest.mark.parametrize(
@@ -117,7 +117,7 @@ def test_repeated_solves_are_bitwise_equal(method):
     model = qm.build_priority(*qm.reference_priority_params())
     cfg = SolverConfig(method=method, grid=np.arange(4.0, 21.0))
     first, second = qm.solve(model, cfg), qm.solve(model, cfg)
-    assert qm.results_equal(first, second)
+    assert results_equal(first, second)
     assert first.crossings == second.crossings
 
 
@@ -138,23 +138,25 @@ def test_crossings_lie_on_their_surfaces():
 
 
 @pytest.mark.parametrize(
-    "model, grid", [case[1:] for case in DT_CASES], ids=[c[0] for c in DT_CASES]
+    "model, grid", [case[1:] for case in CROSSING_CASES], ids=[c[0] for c in CROSSING_CASES]
 )
 def test_crossing_list_does_not_depend_on_dt(model, grid):
     """A positive part's rate = 0 lies on its own kink x_j = n; the two once
-    raced, so the list depended on which root came out first by rounding.
-    Fluid and measure-zero moments are bitwise equal at every ``dt``."""
-    runs = [
-        [qm.solve(model, SolverConfig(method=method, dt=dt, grid=grid)) for method in FLOW_METHODS]
-        for dt in (0.01, 0.1, 1.0, 0.001)
-    ]
-    first = runs[0][0].crossings
-    for fluid, measure_zero in runs[1:]:
-        assert [c[1:] for c in fluid.crossings] == [c[1:] for c in first]
-        np.testing.assert_allclose([c[0] for c in fluid.crossings], [c[0] for c in first],
-                                   rtol=0.0, atol=1e-11)
-        assert qm.results_equal(fluid, runs[0][0])
-        assert qm.results_equal(measure_zero, runs[0][1])
+    raced, so the list depended on which root came out first by rounding,
+    and so on how the walk was cut.  A sample time in the middle of every gap
+    cuts it differently and leaves the list as it was.  Both flow methods
+    walk one path: they record the same list, and their means are bitwise
+    equal."""
+    fluid, measure_zero = (
+        qm.solve(model, SolverConfig(method=method, grid=grid)) for method in FLOW_METHODS
+    )
+    assert fluid.crossings == measure_zero.crossings
+    assert np.array_equal(fluid.means, measure_zero.means)
+    mids = (np.concatenate([[0.0], grid[:-1]]) + grid) / 2
+    cut = qm.solve(model, SolverConfig(method="fluid", grid=np.union1d(grid, mids)))
+    assert [c[1:] for c in cut.crossings] == [c[1:] for c in fluid.crossings]
+    np.testing.assert_allclose([c[0] for c in cut.crossings], [c[0] for c in fluid.crossings],
+                               rtol=0.0, atol=1e-11)
 
 
 def test_short_excursion_is_found():
@@ -162,7 +164,7 @@ def test_short_excursion_is_found():
     crossings of its kink that a grid at their times finds x1 on; x2(1) is
     what the excursion left, and measure-zero carries its variance.  A probe
     every 0.01 saw neither crossing and reported x2(1) = 0."""
-    cfg = SolverConfig(dt=0.01, grid=np.array([0.5, 1.0]))
+    cfg = SolverConfig(grid=np.array([0.5, 1.0]))
     fluid = qm.solve(excursion_model(), replace(cfg, method="fluid"))
     measure_zero = qm.solve(excursion_model(), replace(cfg, method="measure-zero"))
     assert fluid.crossings == measure_zero.crossings

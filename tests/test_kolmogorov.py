@@ -15,7 +15,7 @@ from qmoments import (
     UsageError,
 )
 from qmoments.model import compile_terms, model_breakpoints
-from helpers import variant_models
+from helpers import results_equal, variant_models
 from oracles import eval_rate
 from qmoments.systems import RetrialParams
 
@@ -235,7 +235,7 @@ def test_whole_number_caps_of_other_types_are_accepted():
     want = qm.exact_transient_moments(tiny_retrial(), (12, 12), [1.0, 2.0])
     for caps in ((12.0, 12), (np.int64(12), np.float64(12.0)), np.array([12, 12])):
         got = qm.exact_transient_moments(tiny_retrial(), caps, [1.0, 2.0])
-        assert qm.results_equal(got, want)
+        assert results_equal(got, want)
 
 
 def test_initial_state_outside_box_rejected():

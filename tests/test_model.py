@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from qmoments.model import (
     compile_segments,
     kernel_values,
     plan_steps,
+    validate_model,
 )
 from helpers import variant_models
 from oracles import eval_rate, kernel_value
@@ -141,7 +141,7 @@ class TestDrift:
 @st.composite
 def plans(draw):
     """A one-transition model with random breakpoints, a sample grid that
-    may sit within ``GRID_TOL`` of a breakpoint or the horizon, and a ``dt``."""
+    may sit within ``GRID_TOL`` of a breakpoint or the horizon."""
     horizon = draw(st.floats(0.5, 20.0))
     fractions = draw(st.lists(st.floats(0.01, 0.99), max_size=6, unique=True))
     breakpoints = sorted({f * horizon for f in fractions})
@@ -155,21 +155,19 @@ def plans(draw):
             grid.append(t)
     coefficient = TimeSchedule((0.0, *breakpoints), tuple(range(1, len(breakpoints) + 2)))
     model = NetworkModel(1, (Transition((1,), RateTerm(coefficient, Constant())),), (0,), horizon)
-    dt = draw(st.floats(0.01, 3.0) | st.just(math.inf))
-    return model, breakpoints, checked_grid(model, grid), dt
+    return model, breakpoints, checked_grid(model, grid)
 
 
 class TestCompiledPlan:
     @given(plans())
     def test_plan_steps_stop_at_every_breakpoint_and_sample(self, plan):
-        model, breakpoints, grid, dt = plan
-        steps = plan_steps(model, grid, dt)
+        model, breakpoints, grid = plan
+        steps = plan_steps(model, grid)
         segments = compile_segments(model)
         assert steps[0][0] == 0.0
         for (_, t1, _, _), (t0, _, _, _) in zip(steps, steps[1:]):
             assert t1 == t0  # contiguous
         for t0, t1, seg, _ in steps:
-            assert t1 - t0 <= dt * (1 + 1e-12)
             assert not any(t0 + GRID_TOL < b < t1 for b in breakpoints)
             mid = 0.5 * (t0 + t1)  # the last segment holds past the horizon
             assert segments[seg][0] <= mid and (mid <= segments[seg][1] or seg == len(segments) - 1)
@@ -177,19 +175,16 @@ class TestCompiledPlan:
         assert [gi for _, gi in samples] == list(range(len(grid)))
         assert all(abs(t1 - grid[gi]) <= GRID_TOL for t1, gi in samples)
         assert steps[-1][3] == len(grid) - 1  # the walk ends at the last sample
-        if dt == math.inf:  # one step per gap between the merged stops
-            stops = [0.0]
-            for a in sorted([*breakpoints, model.horizon, *grid]):
-                if a - stops[-1] > GRID_TOL:
-                    stops.append(a)
-            ends = [t1 for t0, t1, _, _ in steps if t1 > t0]
-            assert ends == stops[1 : len(ends) + 1]
+        stops = [0.0]  # one step per gap between the merged stops
+        for a in sorted([*breakpoints, model.horizon, *grid]):
+            if a - stops[-1] > GRID_TOL:
+                stops.append(a)
+        ends = [t1 for t0, t1, _, _ in steps if t1 > t0]
+        assert ends == stops[1 : len(ends) + 1]
 
     def test_leading_step_reports_a_sample_at_zero(self):
         model = mminf_model(horizon=2.0)
         assert plan_steps(model, np.array([0.0, 2.0])) == [(0.0, 0.0, 0, 0), (0.0, 2.0, 0, 1)]
-        assert plan_steps(model, np.array([2.0]), 0.5) == [
-            (0.0, 0.5, 0, -1), (0.5, 1.0, 0, -1), (1.0, 1.5, 0, -1), (1.5, 2.0, 0, 0)]
 
     def test_segments_freeze_schedules_at_their_midpoints(self):
         horizon = 7.0
@@ -261,7 +256,7 @@ class TestValidation:
 
     def test_well_formed_model_is_clean(self):
         params, horizon, _ = qm.retrial_preset(7)
-        qm.validate_model(qm.build_retrial(params, horizon))  # returns without raising
+        validate_model(qm.build_retrial(params, horizon))  # returns without raising
 
     def test_schedule_coverage_gap_is_reported(self):
         short = TimeSchedule((0.0, 2.0), (1.0, 2.0), end=10.0)

@@ -5,11 +5,10 @@ from qmoments import (
     MomentTrajectory,
     UsageError,
     read_long_csv,
-    results_equal,
-    stat_names,
     write_long_csv,
 )
 from qmoments.results import stat_positions
+from helpers import results_equal
 
 
 def sample_trajectory(method="adjusted"):
@@ -44,7 +43,7 @@ COUNTS = [None, 1, 100]
 
 
 def test_stat_names_order():
-    assert stat_names(2) == ["mean_0", "mean_1", "cov_00", "cov_01", "cov_11"]
+    assert list(stat_positions(2)) == ["mean_0", "mean_1", "cov_00", "cov_01", "cov_11"]
     assert stat_positions(2) == {
         "mean_0": (0,), "mean_1": (1,), "cov_00": (0, 0), "cov_01": (0, 1), "cov_11": (1, 1)
     }

@@ -19,7 +19,7 @@ from qmoments import (
 )
 from qmoments.cli import main
 
-from helpers import tiny_retrial_model, variant_models
+from helpers import results_equal, tiny_retrial_model, variant_models
 from oracles import reference_path, sample_moments
 
 
@@ -143,7 +143,7 @@ def test_simulate_path_rejects_a_bad_stream_by_name(rng, message):
 def test_whole_number_ensemble_arguments_of_other_types_are_accepted():
     want = qm.simulate_ensemble(mminf(), 3, 5, [1.0, 2.0])
     got = qm.simulate_ensemble(mminf(), 3.0, np.int64(5), [1.0, 2.0], workers=1.0)
-    assert qm.results_equal(got, want) and got.count == 3
+    assert results_equal(got, want) and got.count == 3
 
 
 def test_sample_times_validated():
@@ -306,7 +306,7 @@ def test_pool_is_sized_to_the_batches(monkeypatch):
     assert sizes == [3]
     serial = qm.simulate_ensemble(model, 130, 5, times, workers=1)
     assert sizes == [3]
-    assert qm.results_equal(wide, serial)
+    assert results_equal(wide, serial)
 
 
 def _bursting(value):

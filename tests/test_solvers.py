@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from dataclasses import replace
 
@@ -34,6 +35,7 @@ from qmoments import (
     Transition,
     UsageError,
 )
+from qmoments.cli import build_parser, parse_config
 from qmoments.closure import MomentPoint, closed_rate
 from qmoments.model import compile_terms
 from qmoments.solvers import (
@@ -398,16 +400,6 @@ def test_adjusted_matches_multistep_oracle(model, grid):
 
 
 class TestStepping:
-    def test_step_halving_changes_little(self):
-        """Adjusted steps from stop to stop under its own error control and
-        does not read ``dt``: halving it changes no bit."""
-        params, horizon, grid = qm.retrial_preset(7)
-        model = qm.build_retrial(params, horizon)
-        coarse = qm.solve(model, SolverConfig(method="adjusted", dt=0.02, grid=grid))
-        fine = qm.solve(model, SolverConfig(method="adjusted", dt=0.01, grid=grid))
-        assert np.array_equal(coarse.means, fine.means)
-        assert np.array_equal(coarse.covs, fine.covs)
-
     def test_alternating_schedule_equals_chained_constant_segments(self):
         """Integrating across a rate switch = chaining the constant segments."""
         from qmoments.closure import MomentPoint
@@ -539,19 +531,18 @@ class TestStepping:
     def test_flow_work_does_not_depend_on_dt(self, method, model, grid, most, monkeypatch):
         """Fluid and measure-zero step from stop to stop: M/M/inf takes one
         exponential step per gap up to t = 2.5, the last sample, of horizon 10,
-        and preset 7 at most 40 (34 when measured), at every ``dt``."""
-        counts = []
+        and preset 7 at most 40 (34 when measured)."""
+        count = 0
         step = _Region.step
 
         def counted(region, h):
-            counts[-1] += 1
+            nonlocal count
+            count += 1
             return step(region, h)
 
         monkeypatch.setattr(_Region, "step", counted)
-        for dt in (0.001, 0.01, 1.0):
-            counts.append(0)
-            qm.solve(model, SolverConfig(method=method, dt=dt, grid=grid))
-        assert counts[0] == counts[1] == counts[2] <= most
+        qm.solve(model, SolverConfig(method=method, grid=grid))
+        assert 0 < count <= most
 
     @pytest.mark.parametrize(
         "short, full",
@@ -583,21 +574,23 @@ class TestStepping:
     @pytest.mark.parametrize(
         "dt", [True, False, "0.1", None, 0, -0.1, float("nan"), float("inf"), [0.1]]
     )
-    def test_bad_dt_rejected_at_construction(self, dt):
+    def test_bad_dt_rejected_at_construction(self, dt, tmp_path):
+        """No solver reads ``dt``; the command line still checks it, from a
+        config file here, when it builds the experiment's configuration."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dt": dt}))
+        args = build_parser().parse_args(
+            ["run", "--preset", "1", "--methods", "fluid", "--out", "o", "--config", str(config)]
+        )
         with pytest.raises(UsageError, match="dt"):
-            SolverConfig(dt=dt)
-
-    def test_whole_and_numpy_dt_read_as_float(self):
-        for dt in (1, np.float64(0.5)):
-            cfg = SolverConfig(dt=dt)
-            assert type(cfg.dt) is float and cfg.dt == dt
+            parse_config(args)
 
     def test_config_cannot_be_made_invalid_after_construction(self):
         cfg = SolverConfig(method="fluid")
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.method = "nonsense"
         with pytest.raises(UsageError):
-            replace(cfg, dt=0)
+            replace(cfg, method="nonsense")
 
     def test_fluid_reports_zero_covariance(self):
         """``solve`` runs fluid when asked, not the default adjusted method,
