@@ -11,23 +11,24 @@ Exit codes: 0 success, 2 usage error, 3 numerical/divergence error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError, NumericalError, UsageError
 from .kolmogorov import exact_transient_moments
 from .model import GRID_TOL, NetworkModel, _real, _whole, checked_grid, load_model
+from .model import read_json, write_json
 from .results import (
     MomentTrajectory,
     read_long_csv,
     stat_positions,
     stat_values,
+    write_csv,
     write_long_csv,
 )
 from .simulate import simulate_ensemble
@@ -41,6 +42,7 @@ GRID_LIMIT = 1_000_000  # sample times from --grid; each writes rows to every me
 COMBINED_CSV = "combined.csv"
 MANIFEST = "run.json"
 DIFF_CSV = "diff_report.csv"
+DIFF_HEADER = ["experiment", "method", "stat", "t", "value", "simulation", "difference"]
 
 
 @dataclass
@@ -94,15 +96,7 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _parse_config(args: argparse.Namespace) -> ExperimentConfig:
-    file_values: dict = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except FileNotFoundError as exc:
-            raise UsageError(f"config file not found: {args.config}") from exc
-        if not isinstance(file_values, dict):
-            raise UsageError(f"config file must hold a JSON object: {args.config}")
+    file_values = read_json(args.config, "config file") if getattr(args, "config", None) else {}
 
     def pick(flag, key, default=None):
         if flag is not None:
@@ -174,10 +168,7 @@ def _resolve_model(cfg: ExperimentConfig) -> tuple[NetworkModel, np.ndarray]:
         model = build_retrial(params, horizon)
         grid = preset_grid if grid is None else grid
     else:
-        try:
-            model = load_model(cfg.model_path)
-        except FileNotFoundError as exc:
-            raise UsageError(f"model file not found: {cfg.model_path}") from exc
+        model = load_model(cfg.model_path)
     return model, checked_grid(model, grid)
 
 
@@ -188,6 +179,10 @@ def run_experiment(cfg: ExperimentConfig):
     name to the error message for methods that failed numerically.
     """
     model, grid = _resolve_model(cfg)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"out: cannot create {cfg.out_dir}: {exc.strerror or exc}") from exc
     results: dict[str, MomentTrajectory] = {}
     errors: dict[str, str] = {}
     for method in cfg.methods:
@@ -203,7 +198,6 @@ def run_experiment(cfg: ExperimentConfig):
         except (DivergenceError, NumericalError) as exc:
             errors[method] = str(exc)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     ordered = [m for m in METHOD_ORDER if m in results]
     for method in ordered:
         write_long_csv([results[method]], os.path.join(cfg.out_dir, f"{method}.csv"))
@@ -220,64 +214,39 @@ def run_experiment(cfg: ExperimentConfig):
         "warnings": {m: results[m].warnings for m in ordered if m in ODE_METHODS},
         "crossings": {m: results[m].crossings for m in ordered if m in FLOW_METHODS},
     }
-    with open(os.path.join(cfg.out_dir, MANIFEST), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, os.path.join(cfg.out_dir, MANIFEST))
     return results, errors
 
 
-@dataclass
-class DiffReport:
-    """Per-statistic differences of each method against the simulation."""
-
-    rows: list[tuple] = field(default_factory=list)
-    # row layout: (experiment, method, stat, t, value, simulation, difference)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["experiment", "method", "stat", "t", "value", "simulation", "difference"]
-            )
-            for row in self.rows:
-                writer.writerow(
-                    [row[0], row[1], row[2], repr(row[3]), repr(row[4]), repr(row[5]), repr(row[6])]
-                )
-
-
-def diff_report(results: dict, reference: str = "simulate", experiment: str = "") -> DiffReport:
-    """Differences method - reference on the shared grid.
+def diff_report(results: dict, experiment: str = "") -> list[tuple]:
+    """Rows ``(experiment, method, stat, t, value, simulation, difference)``:
+    each method minus ``simulate`` on the shared grid, in the layout of
+    :data:`DIFF_HEADER`.
 
     Covers the mean of every component, every variance, and every pairwise
-    covariance.  Swapping a method with the reference negates its rows.
+    covariance.  Swapping a method with the simulation negates its rows.
     """
-    if reference not in results:
-        raise UsageError(f"no {reference!r} result to compare against")
-    ref = results[reference]
-    report = DiffReport()
-    for method in (m for m in METHOD_ORDER if m in results):
-        if method == reference:
-            continue
+    if "simulate" not in results:
+        raise UsageError("no 'simulate' result to compare against")
+    ref = results["simulate"]
+    report = []
+    for method in (m for m in METHOD_ORDER if m in results and m != "simulate"):
         res = results[method]
         if len(res.times) != len(ref.times) or not np.allclose(
             res.times, ref.times, rtol=0.0, atol=GRID_TOL
         ):
-            raise UsageError(
-                f"method {method!r} grid does not match the {reference!r} grid"
-            )
+            raise UsageError(f"method {method!r} grid does not match the 'simulate' grid")
         if res.dimension != ref.dimension:
             raise UsageError(
                 f"method {method!r} has dimension {res.dimension}, "
-                f"the {reference!r} result has {ref.dimension}"
+                f"the 'simulate' result has {ref.dimension}"
             )
         with_cov = ref.covs is not None and res.covs is not None
         positions = stat_positions(ref.dimension, with_cov)
         rows = zip(ref.times.tolist(), stat_values(res, positions), stat_values(ref, positions))
         for t, values, ref_values in rows:
             for stat, value, ref_value in zip(positions, values, ref_values):
-                report.rows.append(
-                    (experiment, method, stat, t, value, ref_value, value - ref_value)
-                )
+                report.append((experiment, method, stat, t, value, ref_value, value - ref_value))
     return report
 
 
@@ -291,24 +260,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_report(args) -> int:
     run_dir = args.in_dir
-    combined = os.path.join(run_dir, COMBINED_CSV)
-    if not os.path.exists(combined):
-        raise UsageError(f"no {COMBINED_CSV} in {run_dir}")
     experiment = ""
     manifest_path = os.path.join(run_dir, MANIFEST)
     if os.path.exists(manifest_path):
-        with open(manifest_path, encoding="utf-8") as fh:
-            try:
-                manifest = json.load(fh)
-            except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-                raise UsageError(f"{manifest_path} is not valid JSON: {exc}") from exc
-        if not isinstance(manifest, dict):
-            raise UsageError(f"{manifest_path} must hold a JSON object")
+        manifest = read_json(manifest_path, "run manifest")
         experiment = str(manifest.get("preset") or manifest.get("model") or "")
-    results = {r.method: r for r in read_long_csv(combined)}
+    results = {r.method: r for r in read_long_csv(os.path.join(run_dir, COMBINED_CSV))}
     report = diff_report(results, experiment=experiment)
     out_path = os.path.join(run_dir, DIFF_CSV)
-    report.write_csv(out_path)
+    write_csv(out_path, DIFF_HEADER, ([*row[:3], *map(repr, row[3:])] for row in report))
     print(out_path)
     return 0
 

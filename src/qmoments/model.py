@@ -438,12 +438,32 @@ def model_from_dict(data: dict) -> NetworkModel:
     return NetworkModel(dimension, transitions, initial_state, horizon)
 
 
-def save_model(model: NetworkModel, path) -> None:
+def read_json(path, what: str) -> dict:
+    """The JSON object in the file at ``path``.  A file that cannot be read, is
+    not UTF-8 JSON or holds anything but an object raises :class:`UsageError`
+    naming ``what`` and ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise UsageError(f"malformed {what} {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"malformed {what} {path}: not a JSON object")
+    return data
+
+
+def write_json(data: dict, path) -> None:
+    """``data`` as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def save_model(model: NetworkModel, path) -> None:
+    write_json(model_to_dict(model), path)
+
+
 def load_model(path) -> NetworkModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json(path, "model document"))

@@ -66,19 +66,26 @@ def stat_values(result: MomentTrajectory, positions) -> list[list[float]]:
     return np.stack(columns, axis=1).tolist()
 
 
-def write_long_csv(results: list[MomentTrajectory], path) -> None:
-    """Write results in the shared long format (deterministic byte output)."""
+def write_csv(path, header: list[str], rows) -> None:
+    """``header``, then ``rows``, as CSV with LF line ends (deterministic bytes)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for result in results:
-            positions = stat_positions(result.dimension, result.covs is not None)
-            count = "" if result.count is None else result.count
-            for t, row in zip(result.times.tolist(), stat_values(result, positions)):
-                writer.writerows(
-                    [repr(t), result.method, stat, repr(value), count]
-                    for stat, value in zip(positions, row)
-                )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _long_rows(results: list[MomentTrajectory]):
+    for result in results:
+        positions = stat_positions(result.dimension, result.covs is not None)
+        count = "" if result.count is None else result.count
+        for t, row in zip(result.times.tolist(), stat_values(result, positions)):
+            for stat, value in zip(positions, row):
+                yield [repr(t), result.method, stat, repr(value), count]
+
+
+def write_long_csv(results: list[MomentTrajectory], path) -> None:
+    """Write results in the shared long format (deterministic byte output)."""
+    write_csv(path, CSV_HEADER, _long_rows(results))
 
 
 def read_long_csv(path) -> list[MomentTrajectory]:
@@ -121,5 +128,7 @@ def read_long_csv(path) -> list[MomentTrajectory]:
                 )
             )
         return results
+    except OSError as exc:
+        raise UsageError(f"cannot read results CSV {path}: {exc.strerror or exc}") from exc
     except (ValueError, KeyError, csv.Error) as exc:  # a short row, a bad number, a missing cell
         raise UsageError(f"malformed results CSV {path}: {exc!r}") from exc

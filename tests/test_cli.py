@@ -1,6 +1,10 @@
 import copy
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,7 +249,7 @@ class TestDiffReport:
         results = self._results(tmp_path)
         doctored = {"simulate": results["simulate"], "adjusted": results["simulate"]}
         report = diff_report(doctored)
-        assert all(row[6] == 0.0 for row in report.rows)
+        assert all(row[6] == 0.0 for row in report)
 
     def test_swapping_reference_negates_differences(self, tmp_path):
         results = self._results(tmp_path)
@@ -255,7 +259,7 @@ class TestDiffReport:
         backward = diff_report(
             {"simulate": results["adjusted"], "adjusted": results["simulate"]}
         )
-        for row_f, row_b in zip(forward.rows, backward.rows):
+        for row_f, row_b in zip(forward, backward):
             assert row_f[6] == pytest.approx(-row_b[6], abs=1e-12)
 
     def test_grid_mismatch_rejected(self, tmp_path):
@@ -293,7 +297,7 @@ class TestDiffReport:
         results = self._results(tmp_path)
         report = diff_report(results)
         # 2 methods x 5 grid points x (2 means + 3 covariance entries)
-        assert len(report.rows) == 2 * 5 * 5
+        assert len(report) == 2 * 5 * 5
 
     def test_report_resolves_two_digit_covariance_names(self, tmp_path):
         """With d = 11, cov_010 is entry (0, 10), not (0, 1)."""
@@ -660,6 +664,18 @@ def test_dt_is_accepted_but_changes_no_flow_csv(tmp_path):
         assert written[name] == written["none"], name
 
 
+def _run_dir(base):
+    """A run directory that ``report`` accepts: ``combined.csv`` and ``run.json``."""
+    times = np.arange(3.0)
+    adjusted = qm.MomentTrajectory("adjusted", times, np.ones((3, 2)), np.ones((3, 2, 2)))
+    simulated = qm.MomentTrajectory(
+        "simulate", times, np.zeros((3, 2)), np.zeros((3, 2, 2)), count=10
+    )
+    qm.write_long_csv([adjusted, simulated], base / "combined.csv")
+    (base / "run.json").write_text(json.dumps({"preset": 1}))
+    return base
+
+
 def _truncate(run_dir):
     combined = run_dir / "combined.csv"
     combined.write_text(combined.read_text()[:-10])
@@ -683,18 +699,83 @@ def _manifest_not_json(run_dir):
     ids=["csv-truncated", "csv-value-not-numeric", "manifest-not-json"],
 )
 def test_malformed_run_directory_exits_2(tmp_path, capsys, corrupt):
-    times = np.arange(3.0)
-    adjusted = qm.MomentTrajectory("adjusted", times, np.ones((3, 2)), np.ones((3, 2, 2)))
-    simulated = qm.MomentTrajectory(
-        "simulate", times, np.zeros((3, 2)), np.zeros((3, 2, 2)), count=10
-    )
-    qm.write_long_csv([adjusted, simulated], tmp_path / "combined.csv")
-    (tmp_path / "run.json").write_text(json.dumps({"preset": 1}))
+    _run_dir(tmp_path)
     assert main(["report", "--in", str(tmp_path)]) == 0
     corrupt(tmp_path)
     capsys.readouterr()
     assert main(["report", "--in", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+MISSING = object()
+
+
+def _place(path, content):
+    """``content`` at ``path``: text, bytes, a directory for ``None`` or
+    nothing for ``MISSING``, in place of what was there."""
+    path.unlink(missing_ok=True)
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not MISSING:
+        path.write_text(content)
+    return str(path)
+
+
+# name: (file replaced, its content, expected error text)
+UNREADABLE_INPUTS = {
+    "model-not-json": ("model.json", "{not json", "malformed model document"),
+    "model-not-utf8": ("model.json", b'{"dimension": "\xff"}', "malformed model document"),
+    "model-directory": ("model.json", None, "cannot read model document"),
+    "model-list": ("model.json", "[]", "malformed model document"),
+    "config-directory": ("cfg.json", None, "cannot read config file"),
+    "config-not-json": ("cfg.json", "{not json", "malformed config file"),
+    "manifest-directory": ("run.json", None, "cannot read run manifest"),
+    "manifest-list": ("run.json", "[1]", "malformed run manifest"),
+    "combined-directory": ("combined.csv", None, "cannot read results CSV"),
+    "combined-missing": ("combined.csv", MISSING, "cannot read results CSV"),
+    "out-under-a-file": ("blocker", "", "out: cannot create"),
+}
+
+
+def _unreadable_argv(tmp_path, name):
+    filename, content, _ = UNREADABLE_INPUTS[name]
+    path = _place(_run_dir(tmp_path) / filename, content)
+    run = ["run", "--methods", "fluid", "--out", str(tmp_path / "o")]
+    if filename == "model.json":
+        return [*run, "--model", path]
+    if filename == "cfg.json":
+        return [*run, "--preset", "1", "--config", path]
+    if filename == "blocker":
+        return ["run", "--methods", "fluid", "--preset", "1", "--out", os.path.join(path, "o")]
+    return ["report", "--in", str(tmp_path)]
+
+
+@pytest.mark.parametrize("name", UNREADABLE_INPUTS)
+def test_unreadable_inputs_exit_2_from_the_entry_point(tmp_path, name):
+    """``python -m qmoments.cli`` on a file it cannot read or write: exit 2
+    with one ``error:`` line naming the file, and no traceback."""
+    path = [str(Path(qm.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmoments.cli", *_unreadable_argv(tmp_path, name)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert UNREADABLE_INPUTS[name][2] in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+def test_unusable_out_exits_2_before_any_method_runs(tmp_path, capsys, monkeypatch, under):
+    monkeypatch.setattr("qmoments.cli.solve", None)  # a method run would raise TypeError
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "o" if under else blocker
+    assert main(["run", "--preset", "1", "--methods", "fluid", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: out: cannot create {out}: ")
 
 
 def test_report_on_mismatched_dimensions_exits_2(tmp_path, capsys):

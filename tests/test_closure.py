@@ -15,7 +15,7 @@ from qmoments import (
     RateTerm,
     TimeSchedule,
 )
-from qmoments.closure import normal_cdf, normal_pdf
+from qmoments.closure import _bvn_cdf, normal_cdf, normal_pdf
 
 from helpers import (
     capped_residual_expect,
@@ -228,6 +228,35 @@ class TestCappedResidual:
         value, grad = self.closed(MomentPoint(np.array([5.0, 6.0]), cov), 10.0)
         assert np.all(np.isfinite(grad))
         assert value == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("m_other", [10.0, 12.5])
+    def test_fixed_other_at_or_past_the_threshold(self, m_other):
+        """Var X_1 = 0 and m_1 >= n leave no residual: the kernel is min(X_0, 0),
+        and each truncated term is the zero of its empty event V < n."""
+        p = point2(1.5, m_other, 2.0, 0.0)
+        value, _ = self.closed(p, 10.0)
+        kernel = CappedResidual(0, 1, TimeSchedule.constant(10.0))
+        assert value == pytest.approx(quad_expected_kernel(term(kernel), 0.0, p), abs=1e-12)
+
+
+class TestBivariateNormal:
+    """``P(Z1 <= h, Z2 <= k)`` where h or k is 0."""
+
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.5, 0.99])
+    def test_origin_is_sheppards_formula(self, rho):
+        expected = 0.25 + math.asin(rho) / (2.0 * math.pi)
+        assert _bvn_cdf(0.0, 0.0, rho) == pytest.approx(expected, rel=0.0, abs=1e-16)
+
+    @pytest.mark.parametrize("rho", [-0.6, 0.4])
+    @pytest.mark.parametrize("h, k", [(0.0, -1.5), (0.0, 0.7), (-1.5, 0.0), (0.7, 0.0)])
+    def test_one_zero_argument_against_mpmath(self, h, k, rho):
+        """Owen's T(0, a) is its limit 1/4 sign(a) there."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            r = mpmath.sqrt(1 - mpmath.mpf(rho) ** 2)
+            density = lambda z: mpmath.npdf(z) * mpmath.ncdf((k - rho * z) / r)  # noqa: E731
+            expected = float(mpmath.quad(density, [-mpmath.inf, h]))
+        assert _bvn_cdf(h, k, rho) == pytest.approx(expected, rel=0.0, abs=1e-15)
 
 
 class TestGradients:

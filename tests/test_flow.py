@@ -17,13 +17,14 @@ from qmoments import (
     MinThreshold,
     NetworkModel,
     NumericalError,
+    PositivePart,
     RateTerm,
     SolverConfig,
     TimeSchedule,
     Transition,
 )
 from qmoments.cli import main
-from qmoments.solvers import CROSSING_CAP, FLOW_METHODS
+from qmoments.solvers import _SPLITS, CROSSING_CAP, FLOW_METHODS
 
 
 def drained_model():
@@ -61,6 +62,27 @@ def circling_model(omega=50.0, k=100.0):
     )
 
 
+def three_root_model():
+    """Below the kink x2 = 20 of the drain (transition 5), x0' = 12,
+    x1' = x0 - 40 and x2' = x1 - 40 make x2 - 20 = 2 (t - 1)(t - 2)(t - 3.5).
+    So the first step of the one gap [0, 4] ends above the kink with three
+    roots inside, where Newton from its regula falsi guess would find the last."""
+    c = TimeSchedule.constant
+    return NetworkModel(
+        3,
+        (
+            Transition((1, 0, 0), RateTerm(c(12.0), Constant())),
+            Transition((0, 1, 0), RateTerm(c(1.0), PositivePart(0, c(0.0)))),
+            Transition((0, -1, 0), RateTerm(c(40.0), Constant())),
+            Transition((0, 0, 1), RateTerm(c(1.0), PositivePart(1, c(0.0)))),
+            Transition((0, 0, -1), RateTerm(c(40.0), Constant())),
+            Transition((0, 0, -1), RateTerm(c(1.0), PositivePart(2, c(20.0)))),
+        ),
+        (14, 65, 6),
+        4.0,
+    )
+
+
 ORACLE_CASES = [
     *(
         (f"preset{i}", qm.build_retrial(*qm.retrial_preset(i)[:2]), np.arange(6.0, 16.0))
@@ -71,6 +93,7 @@ ORACLE_CASES = [
     ("tiny", tiny_retrial_model(), np.arange(1.0, 11.0)),
     ("drained", drained_model(), np.arange(1.0, 7.0)),
     ("all-variants", variant_models()[-1], np.arange(0.5, 4.25, 0.5)),
+    ("three-roots", three_root_model(), np.array([4.0])),
     ("excursion", excursion_model(), np.array([0.5, 1.0])),
 ]
 # the presets, priority, peer and the short excursion
@@ -198,6 +221,34 @@ def test_circling_path_records_every_crossing_of_one_long_gap():
     means, covs = ivp_moments(model, grid)
     assert np.abs(out.means - means).max() <= 1e-10 * np.abs(means).max()
     assert np.abs(out.covs - covs).max() <= 1e-10 * np.abs(covs).max()
+
+
+def test_three_roots_in_one_step_cross_at_the_first():
+    """A step that ends across a kink counts as one crossing only where s' is
+    certified positive over it; the gap of ``three_root_model`` is split, and
+    the path leaves the kink at t = 1, returns and leaves again."""
+    out = qm.solve(three_root_model(), SolverConfig(method="fluid", grid=np.array([4.0])))
+    assert [c[1:] for c in out.crossings] == [[5, "x2 = 20"]] * 3
+    assert out.crossings[0][0] == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
+def test_floor_steps_find_a_short_excursion_in_a_long_gap():
+    """In one gap of 2**20 a step no longer than gap / 2**_SPLITS = 2**-10
+    that the certificate cannot vouch for is not split again: its ends'
+    sides decide.  The 1.3e-3 excursion of x1 above its kink is met at that
+    scale.  Both crossings are found where the short solve finds them, and
+    nothing moves x2 after the excursion: its mean and variance at t = 2**20
+    are the oracle's at t = 1."""
+    horizon = 2.0 ** (_SPLITS - 10)
+    model, grid = replace(excursion_model(), horizon=horizon), np.array([horizon])
+    out = qm.solve(model, SolverConfig(method="measure-zero", grid=grid))
+    short = qm.solve(excursion_model(), SolverConfig(method="fluid", grid=np.array([1.0])))
+    assert [c[1:] for c in out.crossings] == [[2, "x1 = 45"]] * 2
+    np.testing.assert_allclose([c[0] for c in out.crossings], [c[0] for c in short.crossings],
+                               rtol=0.0, atol=1e-9)
+    means, covs = ivp_moments(excursion_model(), [1.0])
+    assert out.means[-1, 2] == pytest.approx(means[-1, 2], rel=1e-10)
+    assert out.covs[-1, 2, 2] == pytest.approx(covs[-1, 2, 2], rel=1e-10)
 
 
 @pytest.mark.parametrize("method", FLOW_METHODS)

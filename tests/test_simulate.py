@@ -270,8 +270,8 @@ def test_batch_rows_do_not_depend_on_the_batch():
 
 
 def test_ensemble_is_bitwise_equal_across_worker_counts():
-    """1100 paths in one, two or three batches, the last of them ragged
-    (not a multiple of 64 paths); integer sums make the split irrelevant."""
+    """1100 paths in batches of 512, 512 and 76 (one and two workers) or of
+    367, 367 and 366 (three); integer sums make the split irrelevant."""
     model, times = tiny_retrial_model(), grid(1.0, 10.0, 1.0)
     runs = [qm.simulate_ensemble(model, 1100, 17, times, workers=w) for w in (1, 2, 3)]
     for other in runs[1:]:
@@ -281,9 +281,10 @@ def test_ensemble_is_bitwise_equal_across_worker_counts():
 
 
 def test_pool_is_sized_to_the_batches(monkeypatch):
-    """``workers`` far above the batch count opens a pool of one process per
-    batch, and the batch layout alone fixes the result.  The stand-in pool
-    maps in this process, so no process starts."""
+    """``workers`` far above the path count makes one batch per path and
+    opens a pool of one process per batch, and the batch layout alone fixes
+    the result.  The stand-in pool maps in this process, so no process
+    starts."""
     sizes = []
 
     class SerialPool:
@@ -300,12 +301,12 @@ def test_pool_is_sized_to_the_batches(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 1000)
     model, times = tiny_retrial_model(), grid(1.0, 10.0, 1.0)
-    wide = qm.simulate_ensemble(model, 130, 5, times, workers=10**6)  # 3 batches
-    assert sizes == [3]
+    wide = qm.simulate_ensemble(model, 130, 5, times, workers=10**6)  # 130 batches
+    assert sizes == [130]
     serial = qm.simulate_ensemble(model, 130, 5, times, workers=1)
-    assert sizes == [3]
+    assert sizes == [130]
     assert results_equal(wide, serial)
 
 
