@@ -27,18 +27,9 @@ from .model import (
     save_model,
 )
 from .results import MomentTrajectory, read_long_csv, write_long_csv
-from .schedule import TimeSchedule, merge_schedules
+from .schedule import TimeSchedule
 from .simulate import RngStream, simulate_ensemble, simulate_path
-from .solvers import (
-    SolverConfig,
-    closed_drift,
-    closed_drift_jacobian,
-    drift,
-    noise_matrix,
-    pointwise_drift_jacobian,
-    pointwise_noise_matrix,
-    solve,
-)
+from .solvers import SolverConfig, solve
 from .systems import (
     PeerParams,
     PriorityParams,
@@ -77,18 +68,11 @@ __all__ = [
     "build_peer",
     "build_priority",
     "build_retrial",
-    "closed_drift",
-    "closed_drift_jacobian",
-    "drift",
     "exact_transient_moments",
     "expected_kernel",
     "load_model",
-    "merge_schedules",
     "model_from_dict",
     "model_to_dict",
-    "noise_matrix",
-    "pointwise_drift_jacobian",
-    "pointwise_noise_matrix",
     "read_long_csv",
     "reference_peer_params",
     "reference_priority_params",

@@ -5,10 +5,12 @@ the box ``{0..cap_0} x ... x {0..cap_{d-1}}``.  Jumps that would leave the box
 are disabled (reflecting truncation), which conserves probability mass and
 keeps the moment oracle well defined; choose caps so the boundary occupancy
 is negligible.  The solve walks :func:`~qmoments.model.plan_steps`, one
-interval from stop to stop (sample times and breakpoints).
-The generator is constant on a segment of the compiled plan
-(:func:`~qmoments.model.compile_segments`, read once per solve); each
-transition fills one rate vector over the whole lattice through the array
+interval from stop to stop (sample times and breakpoints), each with its
+segment's compiled terms.  The generator is constant on a segment and is
+built once per distinct list of terms, which segments with equal terms share:
+a schedule that alternates between two values costs two generators however
+many periods the horizon holds.  Each transition fills one rate vector over
+the whole lattice through the array
 kernel the simulator also runs (:func:`~qmoments.model.kernel_values`), so
 this module holds no kernel rule of its own.  An interval is advanced by
 uniformization: ``exp(dt Q') p = sum_k w_k P^k p`` with ``P = I + Q'/rate``,
@@ -27,7 +29,7 @@ import numpy as np
 from scipy.sparse import dia_matrix
 
 from .errors import NumericalError, UsageError
-from .model import NetworkModel, _whole, checked_grid, compile_segments, kernel_values, plan_steps
+from .model import NetworkModel, _whole, kernel_values, plan_steps
 from .model import validate_model  # noqa: F401  uncalled; perfbench/spans.py rebinds it
 from .results import MomentTrajectory
 
@@ -99,7 +101,7 @@ def state_distributions(model: NetworkModel, caps, grid):
         raise UsageError(
             f"truncated state space has {size} states, limit is {STATE_LIMIT}"
         )
-    times = checked_grid(model, grid)
+    times, steps = plan_steps(model, grid)
     x0 = np.asarray(model.initial_state)
     if np.any(x0 > caps):
         raise UsageError(f"initial state {tuple(x0)} outside caps {tuple(caps)}")
@@ -111,18 +113,18 @@ def state_distributions(model: NetworkModel, caps, grid):
     p = np.zeros(size)
     p[int(x0 @ strides)] = 1.0
 
-    segments = compile_segments(model)
     probs = np.empty((len(times), size))
-    si = -1
-    for t0, t1, seg, gi in plan_steps(model, times):
-        if seg != si:  # one generator per plan segment that a step enters
-            si, step = seg, _generator_transpose(segments[seg][2], coords, strides, caps)
-            rate = float(-step.diagonal().min())
-            if rate > 0.0:  # P = I + Q'/rate
-                step.data *= 1 / rate
-                step.data[list(step.offsets).index(0)] += 1.0
+    uniformized: dict = {}  # (P, rate) by the identity of a segment's terms
+    for t0, t1, terms, gi in steps:
         if t1 > t0:
-            p = expm_multiply(step, rate, t1 - t0, p)
+            if id(terms) not in uniformized:
+                step = _generator_transpose(terms, coords, strides, caps)
+                rate = float(-step.diagonal().min())
+                if rate > 0.0:  # P = I + Q'/rate
+                    step.data *= 1 / rate
+                    step.data[list(step.offsets).index(0)] += 1.0
+                uniformized[id(terms)] = step, rate
+            p = expm_multiply(*uniformized[id(terms)], t1 - t0, p)
         if gi >= 0:
             mass = p.sum()
             if abs(1.0 - mass) > _MASS_TOL:

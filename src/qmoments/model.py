@@ -133,6 +133,7 @@ class NetworkModel:
         object.__setattr__(self, "dimension", _as_int(self.dimension))
         object.__setattr__(self, "transitions", tuple(self.transitions))
         object.__setattr__(self, "initial_state", tuple(map(_as_int, self.initial_state)))
+        object.__setattr__(self, "horizon", _real(self.horizon, "invalid model: horizon"))
         validate_model(self)
 
     @property
@@ -217,35 +218,41 @@ def checked_grid(model: NetworkModel, grid=None) -> np.ndarray:
     return times
 
 
-def plan_steps(model: NetworkModel, grid: np.ndarray) -> list[tuple]:
-    """Every step of a deterministic method up to the last time of ``grid``
-    (from :func:`checked_grid`), as ``(t0, t1, segment, sample)``.
+def plan_steps(model: NetworkModel, grid) -> tuple[np.ndarray, list[tuple]]:
+    """The sample times (``grid`` through :func:`checked_grid`) and every step
+    of a deterministic method up to the last of them, as ``(t0, t1, terms,
+    sample)``.
 
     Sample times, schedule breakpoints and the horizon are hard stops; one
     within ``GRID_TOL`` of the stop before it is merged into it.  Each gap
-    between two stops is one step.  ``segment`` indexes :func:`compile_segments`
-    and ``sample`` is the grid index reported at ``t1``, or -1; a leading
-    ``(0, 0, 0, 0)`` step reports a sample at 0.
+    between two stops is one step.  ``terms`` is the step's segment of
+    :func:`compile_segments`; segments whose terms are equal hand out one
+    shared list, so an evaluator may cache its work by the list's identity.
+    ``sample`` is the grid index reported at ``t1``, or -1; a leading step
+    from 0 to 0 reports a sample at 0.
     """
-    starts = [0.0] + model_breakpoints(model)
+    grid = checked_grid(model, grid)
+    shared: dict = {}
+    segments = [(a, shared.setdefault(tuple(terms), terms))
+                for a, _, terms in compile_segments(model)]
     stops = [0.0]
-    for a in sorted([*starts, float(model.horizon), *grid.tolist()]):
+    for a in sorted([*(a for a, _ in segments), float(model.horizon), *grid.tolist()]):
         if a - stops[-1] > GRID_TOL:
             stops.append(a)
     steps, gi, seg = [], 0, 0
     if grid[0] <= GRID_TOL:
-        steps, gi = [(0.0, 0.0, 0, 0)], 1
+        steps, gi = [(0.0, 0.0, segments[0][1], 0)], 1
     for a, b in zip(stops, stops[1:]):
         if gi == len(grid):
-            return steps
-        while seg + 1 < len(starts) and starts[seg + 1] <= 0.5 * (a + b):
+            return grid, steps
+        while seg + 1 < len(segments) and segments[seg + 1][0] <= 0.5 * (a + b):
             seg += 1
         sample = gi if abs(b - grid[gi]) <= GRID_TOL else -1
-        steps.append((a, b, seg, sample))
+        steps.append((a, b, segments[seg][1], sample))
         gi += sample >= 0
     if gi < len(grid):
         raise UsageError("sample grid could not be aligned with the plan")
-    return steps
+    return grid, steps
 
 
 def model_breakpoints(model: NetworkModel) -> list[float]:
@@ -294,11 +301,16 @@ def validate_model(model: NetworkModel) -> None:
                    if type(j) is not int]
         if all(j == 0 for j in tr.jump):
             issues.append(f"{where}: jump vector is zero")
-        threshold = getattr(kernel, "threshold", None)
-        for name, s in (("coefficient", tr.rate.coefficient), ("threshold", threshold)):
-            if s is not None and s.min_value() < 0:
+        schedules = [("coefficient", tr.rate.coefficient)]
+        if hasattr(kernel, "threshold"):
+            schedules.append(("threshold", kernel.threshold))
+        for name, s in schedules:
+            if not isinstance(s, TimeSchedule):
+                issues.append(f"{where}: {name} {s!r} is not a TimeSchedule")
+                continue
+            if s.min_value() < 0:
                 issues.append(f"{where}: negative {name} value")
-            if s is not None and horizon_ok and not s.covers(model.horizon):
+            if horizon_ok and not s.covers(model.horizon):
                 issues.append(f"{where}: {name} schedule declared up to t={s.end}, "
                               f"model horizon is {model.horizon}")
         indices = [_as_int(getattr(kernel, n)) for n in _INDEX_FIELDS if hasattr(kernel, n)]
@@ -378,8 +390,9 @@ def _whole(value, where: str, low: float = -math.inf) -> int:
 
 
 def _real(value, where: str) -> float:
-    """A number as a float: ``2`` and ``2.5`` pass; ``true`` and ``"2"`` raise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A number as a float: ``2``, ``2.5`` and numpy numbers pass; ``true`` and
+    ``"2"`` raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
         raise UsageError(f"{where}: {value!r} is not a number")
     return float(value)
 
@@ -455,10 +468,14 @@ def read_json(path, what: str) -> dict:
 
 
 def write_json(data: dict, path) -> None:
-    """``data`` as indented JSON with sorted keys and a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """``data`` as indented JSON with sorted keys and a final newline.  A file
+    that cannot be written raises :class:`UsageError` naming ``path``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def save_model(model: NetworkModel, path) -> None:

@@ -67,11 +67,15 @@ def stat_values(result: MomentTrajectory, positions) -> list[list[float]]:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """``header``, then ``rows``, as CSV with LF line ends (deterministic bytes)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """``header``, then ``rows``, as CSV with LF line ends (deterministic bytes).
+    A file that cannot be written raises :class:`UsageError` naming ``path``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _long_rows(results: list[MomentTrajectory]):

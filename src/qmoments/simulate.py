@@ -20,11 +20,12 @@ that rounding of a sample time.
 
 Replications use counter-style splittable randomness: path ``r`` always runs
 on the Philox stream spawned for index ``r``.  An ensemble of ``count`` paths
-on ``workers`` workers runs in batches of ``min(512, ceil(count / workers))``
-consecutive paths.  Recorded states are integers, so each batch returns exact
-sums of ``x`` and ``x xᵀ``; they add up in Python ints and each moment is one
-correctly rounded division, so the result is bit-identical for any worker
-count and any batch layout.
+on ``workers`` workers runs in batches of
+``min(512, max(64, ceil(count / workers)))`` consecutive paths, so an ensemble
+of at most 64 paths is one batch and starts no process pool.  Recorded states
+are integers, so each batch returns exact sums of ``x`` and ``x xᵀ``; they add
+up in Python ints and each moment is one correctly rounded division, so the
+result is bit-identical for any worker count and any batch layout.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .model import compile_segments as _compile_segments, validate_model  # noqa
 from .results import MomentTrajectory
 
 _BATCH = 512  # most paths one engine call advances in lockstep
+_MIN_BATCH = 64  # fewest paths a batch gets, so a small ensemble never starts a pool
 _BUFFER = 256  # buffered uniforms per path, refilled from the path's own stream
 _EVENT_LIMIT = 1e8  # expected events left on one path; checked at each buffer refill
 
@@ -235,7 +237,7 @@ def simulate_ensemble(
     count, seed = _whole(count, "count", 1), _whole(seed, "seed", 0)
     workers = _whole(workers, "workers", 1)
     times = checked_grid(model, sample_times)
-    size = min(_BATCH, -(-count // workers))
+    size = min(_BATCH, max(_MIN_BATCH, -(-count // workers)))
     batches = [(model, seed, lo, min(lo + size, count), times) for lo in range(0, count, size)]
     procs = min(workers, len(batches), os.cpu_count() or 1)
     if procs > 1:

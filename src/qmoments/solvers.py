@@ -13,8 +13,10 @@
 
 The covariance methods solve ``dC/dt = A C + C A' + sum_i rate_i^+ J_i J_i'``
 (the diffusion term of Mandelbaum, Massey & Reiman 1998).  Every method
-compiles the model's plan once per solve (:func:`~qmoments.model.compile_segments`)
-and takes its steps from one walk, :func:`~qmoments.model.plan_steps`.
+takes its checked sample times and its steps from one walk,
+:func:`~qmoments.model.plan_steps`, each step with its segment's compiled
+terms; segments with equal terms share one list, whose identity keys the
+flow's regions.
 
 **Adjusted** integrates one flat state, the mean followed by the row-major
 covariance, by error-controlled DOP853 (scipy's ``solve_ivp``; Hairer, Norsett
@@ -49,8 +51,8 @@ priority 30, peer 22 and the tiny retrial model 36, where a probe every 0.01
 took about 1,500.  The mean is stepped by the ``(x, 1)`` block alone, so
 measure-zero's mean is bitwise the fluid's; the covariance rows of the full
 exponential are applied only where a covariance is read: at samples,
-crossings and breakpoints.  Measure-zero's Jacobian and diffusion are those
-of :func:`~qmoments.closure.closed_rate` at zero covariance (its tie
+crossings and where the terms change.  Measure-zero's Jacobian and diffusion
+are those of :func:`~qmoments.closure.closed_rate` at zero covariance (its tie
 conventions are stated in :mod:`qmoments.closure`); the flow takes the branch
 a kink leads into, so the convention only decides a path that starts on a
 kink and stays there.  A flow that overflows is halved until its last finite
@@ -77,8 +79,6 @@ from .model import (
     MIN_THRESHOLD,
     POSITIVE_PART,
     NetworkModel,
-    checked_grid,
-    compile_segments,
     compile_terms,
     plan_steps,
     validate_model,  # noqa: F401  uncalled; perfbench/spans.py rebinds it
@@ -127,8 +127,7 @@ def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
     """DOP853 on the mean and row-major covariance, one solve per gap of
     :func:`~qmoments.model.plan_steps`; ``rhs(terms, y)`` is the derivative of
     ``y`` under the gap's compiled ``terms``."""
-    grid = checked_grid(model, cfg.grid)
-    segments = compile_segments(model)
+    grid, steps = plan_steps(model, cfg.grid)
     d = model.dimension
     y = np.zeros(d + d * d)
     y[:d] = model.initial_state
@@ -138,9 +137,8 @@ def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
 
     # overflow is an anticipated, detected condition here, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for t0, t1, seg, gi in plan_steps(model, grid):
+        for t0, t1, terms, gi in steps:
             if t1 > t0:
-                terms = segments[seg][2]
                 f, atol = rhs(terms, y), np.empty_like(y)
                 for k in (slice(0, d), slice(d, None)):
                     scale = max(np.abs(y[k]).max(), (t1 - t0) * np.abs(f[k]).max())
@@ -325,12 +323,11 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
     where :func:`_certify` cannot vouch for a step.
 
     The mean is stepped by the cached ``(x, 1)`` exponentials.  The covariance
-    is formed only where it is read, at samples, crossings and breakpoints,
-    from ``(x, 1, vec C)`` at the last such time."""
-    grid = checked_grid(model, cfg.grid)
+    is formed only where it is read, at samples, crossings and where the
+    terms change, from ``(x, 1, vec C)`` at the last such time."""
+    grid, steps = plan_steps(model, cfg.grid)
     d, method = model.dimension, cfg.method
     with_cov = method == "measure-zero"
-    segments = compile_segments(model)
     jumps = np.array([tr.jump for tr in model.transitions], dtype=float)
     xa = np.array([*model.initial_state, 1.0])  # (x, 1)
     c = np.zeros(d * d)  # row-major covariance
@@ -339,21 +336,17 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
     covs = np.zeros((len(grid), d, d))
     warnings: list[str] = []
     crossings: list[list] = []
-    regions: dict = {}
+    regions: dict = {}  # segments with equal terms share one list, so they share regions
     zero_cov = [0.0] * (d * d)  # under which closed_rate is the pointwise rate
-    # segments with equal terms (a schedule that alternates) share their regions
-    firsts: dict = {}
-    same = [firsts.setdefault(tuple(terms), i) for i, (_, _, terms) in enumerate(segments)]
 
-    def region_at(si, xs: list):
-        """The region just past ``xs`` along the drift, and the sign of each
-        of its switching functions that is negative on the side there."""
-        terms = segments[si][2]
+    def region_at(terms, xs: list):
+        """The region of ``terms`` just past ``xs`` along the drift, and the sign
+        of each of its switching functions that is negative on the side there."""
         rates = [closed_rate(term, (xs, zero_cov)) for term in terms]
         drift_x = jumps.T @ np.array([r for r, _ in rates])
         ahead = (np.array(xs) + _PUSH * drift_x).tolist()
         rates = [closed_rate(term, (ahead, zero_cov)) for term in terms]
-        key = (same[si], *(g for _, g in rates), *(r >= 0.0 for r, _ in rates))
+        key = (id(terms), *(g for _, g in rates), *(r >= 0.0 for r, _ in rates))
         region = regions.get(key)
         if region is None:
             kinks = _kink_surfaces(terms, d)
@@ -373,15 +366,15 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
             c = (0.5 * (cov + cov.T)).ravel()
             t_cov, z_cov = t, np.concatenate((xa, c))
 
-    si = -1
+    current = None
     # overflow is an anticipated, detected condition here, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, t1, seg, gi in plan_steps(model, grid):
-            if seg != si:
-                if si >= 0:
+        for t, t1, terms, gi in steps:
+            if terms is not current:
+                if current is not None:
                     carry(region, t)
-                si, crossed = seg, 0
-                key, region, sign = region_at(si, xa[:d].tolist())
+                current, start, crossed = terms, t, 0
+                key, region, sign = region_at(terms, xa[:d].tolist())
             # a step is gap / 2**level long, or what is left of the gap
             gap, level = t1 - t, 0
             while t1 > t:
@@ -421,11 +414,11 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
                 if crossed > CROSSING_CAP:
                     raise NumericalError(
                         f"{method} solve crossed switching surfaces more than {CROSSING_CAP} "
-                        f"times in the plan segment from t={segments[si][0]:g} (the path stays "
+                        f"times in the plan segment from t={start:g} (the path stays "
                         f"on or circles a kink); last crossing at t={t:.12g}, x={xa[:d].tolist()}"
                     )
                 label, owners = region.labels[hit]
-                new_key, region, sign = region_at(si, xa[:d].tolist())
+                new_key, region, sign = region_at(terms, xa[:d].tolist())
                 if new_key != key:
                     crossings.extend([t, i, label] for i in owners)
                 key = new_key

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import qmoments as qm
+import qmoments.solvers as solvers
 from qmoments import MomentPoint, RateTerm, TimeSchedule
 from qmoments.cli import ExperimentConfig, run_experiment
 from qmoments.model import (
@@ -185,14 +186,14 @@ def test_03_jacobian_matches_finite_differences():
                 rng, d, sigma_lo=0.1, sigma_hi=50.0, mean_lo=-20.0, mean_hi=400.0
             )
             t = rng.uniform(0.0, model.horizon)
-            jac = qm.closed_drift_jacobian(model, t, p)
+            jac = solvers.closed_drift_jacobian(model, t, p)
             for b in range(d):
                 up, down = p.mean.copy(), p.mean.copy()
                 up[b] += step
                 down[b] -= step
                 fd = (
-                    qm.closed_drift(model, t, MomentPoint(up, p.cov))
-                    - qm.closed_drift(model, t, MomentPoint(down, p.cov))
+                    solvers.closed_drift(model, t, MomentPoint(up, p.cov))
+                    - solvers.closed_drift(model, t, MomentPoint(down, p.cov))
                 ) / (2.0 * step)
                 scale = np.maximum(1.0, np.maximum(np.abs(jac[:, b]), np.abs(fd)))
                 worst = max(worst, float(np.max(np.abs(jac[:, b] - fd) / scale)))

@@ -600,6 +600,7 @@ BAD_GRIDS = {
         (["--grid", "nan:10:1"], None),
         (["--grid", "0:inf:1"], None),
         (["--grid", "0:1e12:1"], None),
+        (["--grid", "6:15"], None),
         (["--dt", "nan"], None),
         (["--dt", "inf"], None),
         (["--methods", "exact", "--caps", "a,b"], None),
@@ -620,7 +621,7 @@ BAD_GRIDS = {
         ],
     ],
     ids=[
-        "grid-nan", "grid-inf", "grid-huge", "dt-nan", "dt-inf", "caps-text",
+        "grid-nan", "grid-inf", "grid-huge", "grid-two-fields", "dt-nan", "dt-inf", "caps-text",
         "caps-product-wraps", "caps-int64-max", "caps-one-for-two-dimensions",
         "seed-negative", "seed-2**64",
         "config-not-json", "config-reps-text", "config-dt-list", "config-not-object",
@@ -635,6 +636,21 @@ def test_bad_run_arguments_exit_2(tmp_path, argv, config):
         path.write_text(config)
         base += ["--config", str(path)]
     assert main([*base, *argv]) == 2
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"methods": 5}, "invalid configuration: "),
+        ({"methods": "fluid"}, "missing required field: out"),
+    ],
+    ids=["methods-number", "out-missing"],
+)
+def test_config_file_alone_is_checked(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": 1, **config}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
 
 
 def test_dt_is_accepted_but_changes_no_flow_csv(tmp_path):
@@ -736,6 +752,8 @@ UNREADABLE_INPUTS = {
     "combined-directory": ("combined.csv", None, "cannot read results CSV"),
     "combined-missing": ("combined.csv", MISSING, "cannot read results CSV"),
     "out-under-a-file": ("blocker", "", "out: cannot create"),
+    "method-csv-directory": ("fluid.csv", None, "cannot write"),
+    "diff-report-directory": ("diff_report.csv", None, "cannot write"),
 }
 
 
@@ -749,6 +767,8 @@ def _unreadable_argv(tmp_path, name):
         return [*run, "--preset", "1", "--config", path]
     if filename == "blocker":
         return ["run", "--methods", "fluid", "--preset", "1", "--out", os.path.join(path, "o")]
+    if filename == "fluid.csv":
+        return ["run", "--methods", "fluid", "--preset", "1", "--out", str(tmp_path)]
     return ["report", "--in", str(tmp_path)]
 
 

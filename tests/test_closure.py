@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qmoments as qm
+import qmoments.solvers as solvers
 from qmoments import (
     CappedResidual,
     Linear,
@@ -14,6 +15,7 @@ from qmoments import (
     PositivePart,
     RateTerm,
     TimeSchedule,
+    UsageError,
 )
 from qmoments.closure import _bvn_cdf, normal_cdf, normal_pdf
 
@@ -86,6 +88,15 @@ class TestExpectedKernel:
         assert value == pytest.approx(2.8424418565004752, abs=1e-12)
         oracle = nested_gauss_expect(lambda x, y: min(x, y), p.mean, p.cov, lambda y: y)
         assert value == pytest.approx(oracle, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [([1.0, 2.0], [[1.0]]), ([[1.0]], [[1.0]]), ([1.0], [[1.0, 0.0], [0.0, 1.0]])],
+        ids=["cov-too-small", "mean-not-a-vector", "cov-too-large"],
+    )
+    def test_moment_point_shapes_must_agree(self, mean, cov):
+        with pytest.raises(UsageError, match="moment point needs mean"):
+            MomentPoint(mean, cov)
 
     def test_degenerate_sigma_is_pointwise(self):
         p = MomentPoint(np.array([60.0]), np.array([[0.0]]))
@@ -334,8 +345,8 @@ class TestDriftAssembly:
         for _ in range(20):
             p = random_moment_point(rng, 2)
             np.testing.assert_allclose(
-                qm.closed_drift(model, 1.0, p),
-                qm.drift(model, 1.0, p.mean),
+                solvers.closed_drift(model, 1.0, p),
+                solvers.drift(model, 1.0, p.mean),
                 rtol=1e-12,
                 atol=1e-12,
             )
@@ -346,7 +357,7 @@ class TestDriftAssembly:
         mean = np.array([30.0, 5.0])  # smooth region, away from the kink
         p = MomentPoint(mean, np.zeros((2, 2)))
         np.testing.assert_allclose(
-            qm.closed_drift(model, 0.5, p), qm.drift(model, 0.5, mean), rtol=1e-12
+            solvers.closed_drift(model, 0.5, p), solvers.drift(model, 0.5, mean), rtol=1e-12
         )
 
     def test_closed_drift_matches_per_term_quadrature_sum(self):
@@ -357,7 +368,7 @@ class TestDriftAssembly:
         for tr in model.transitions:
             expected += np.asarray(tr.jump) * quad_expected_kernel(tr.rate, 0.0, p)
         np.testing.assert_allclose(
-            qm.closed_drift(model, 0.0, p), expected, atol=1e-8
+            solvers.closed_drift(model, 0.0, p), expected, atol=1e-8
         )
 
     def test_jacobian_all_linear_is_constant(self):
@@ -369,7 +380,7 @@ class TestDriftAssembly:
         )
         p = MomentPoint(np.array([4.0]), np.array([[2.0]]))
         np.testing.assert_allclose(
-            qm.closed_drift_jacobian(model, 0.0, p), [[-0.8]]
+            solvers.closed_drift_jacobian(model, 0.0, p), [[-0.8]]
         )
 
     def test_jacobian_smooth_across_threshold(self):
@@ -379,7 +390,7 @@ class TestDriftAssembly:
         entries = []
         for m1 in np.linspace(45.0, 55.0, 21):
             p = point2(m1, 10.0, 8.0, 3.0)
-            entries.append(qm.closed_drift_jacobian(model, 0.0, p)[0, 0])
+            entries.append(solvers.closed_drift_jacobian(model, 0.0, p)[0, 0])
         steps = np.abs(np.diff(entries))
         assert steps.max() < 0.05  # no jump between neighbouring means
 
@@ -396,7 +407,7 @@ class TestNoiseMatrix:
             2.0,
         )
         p = MomentPoint(np.zeros(1), np.zeros((1, 1)))
-        b = qm.noise_matrix(model, 0.0, p)
+        b = solvers.noise_matrix(model, 0.0, p)
         np.testing.assert_allclose(b[:, 0], [math.sqrt(2.0)])
         np.testing.assert_allclose(b[:, 1], [0.0])  # zero rate -> zero column
 
@@ -406,7 +417,7 @@ class TestNoiseMatrix:
         rng = np.random.default_rng(41)
         for _ in range(50):
             p = random_moment_point(rng, 2, sigma_lo=0.1, sigma_hi=30.0, mean_lo=0.0)
-            b = qm.noise_matrix(model, 1.0, p)
+            b = solvers.noise_matrix(model, 1.0, p)
             eigs = np.linalg.eigvalsh(b @ b.T)
             assert eigs.min() >= -1e-12
 

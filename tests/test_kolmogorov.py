@@ -14,7 +14,7 @@ from qmoments import (
     Transition,
     UsageError,
 )
-from qmoments.model import compile_terms, model_breakpoints
+from qmoments.model import compile_segments, compile_terms, model_breakpoints
 from helpers import results_equal, variant_models
 from oracles import eval_rate
 from qmoments.systems import RetrialParams
@@ -101,6 +101,25 @@ def test_tiny_retrial_segments_against_dense_expm():
     assert len(coords) == 169
     dense, _ = dense_reference(model, (12, 12), grid)
     assert np.abs(probs - dense).sum(axis=1).max() <= 1e-12
+
+
+def test_one_generator_per_distinct_segment(monkeypatch):
+    """Preset 7 has ten plan segments but two distinct lists of terms (its
+    arrival rate alternates): the lattice builds two generators."""
+    params, horizon, grid = qm.retrial_preset(7)
+    model = qm.build_retrial(params, horizon)
+    built = []
+
+    def counted(terms, *args):
+        built.append(terms)
+        return build(terms, *args)
+
+    build = kolmogorov._generator_transpose
+    monkeypatch.setattr(kolmogorov, "_generator_transpose", counted)
+    qm.state_distributions(model, (40, 20), grid)
+    segments = compile_segments(model)
+    assert len(segments) == 10
+    assert len(built) == len({tuple(terms) for _, _, terms in segments}) == 2
 
 
 def test_repeated_solves_are_bitwise_identical():

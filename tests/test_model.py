@@ -107,7 +107,7 @@ class TestEvalRate:
 
 class TestDrift:
     def test_empty_system(self):
-        assert qm.drift(mminf_model(), 0.0, (0.0,)) == pytest.approx([2.0])
+        assert solvers.drift(mminf_model(), 0.0, (0.0,)) == pytest.approx([2.0])
 
     def test_retrial_boundary_point(self):
         """At x = (servers, 0) the overflow terms vanish."""
@@ -116,13 +116,13 @@ class TestDrift:
         n = params.servers.value_at(0.0)
         lam = params.arrival.value_at(0.0)
         mu1 = params.service.value_at(0.0)
-        out = qm.drift(model, 0.0, (n, 0.0))
+        out = solvers.drift(model, 0.0, (n, 0.0))
         assert out[0] == pytest.approx(lam - mu1 * n)
 
     def test_preset_7_empty_start(self):
         params, horizon, _ = qm.retrial_preset(7)
         model = qm.build_retrial(params, horizon)
-        np.testing.assert_allclose(qm.drift(model, 0.0, (0.0, 0.0)), [45.0, 0.0])
+        np.testing.assert_allclose(solvers.drift(model, 0.0, (0.0, 0.0)), [45.0, 0.0])
 
     def test_matches_independent_recomputation(self):
         """Drift equals the jump-weighted rate sum recomputed by hand."""
@@ -135,7 +135,7 @@ class TestDrift:
             expected = np.zeros(2)
             for i, tr in enumerate(model.transitions):
                 expected += np.asarray(tr.jump) * eval_rate(model, i, t, x)
-            np.testing.assert_allclose(qm.drift(model, t, x), expected, rtol=1e-12)
+            np.testing.assert_allclose(solvers.drift(model, t, x), expected, rtol=1e-12)
 
 
 @st.composite
@@ -155,22 +155,24 @@ def plans(draw):
             grid.append(t)
     coefficient = TimeSchedule((0.0, *breakpoints), tuple(range(1, len(breakpoints) + 2)))
     model = NetworkModel(1, (Transition((1,), RateTerm(coefficient, Constant())),), (0,), horizon)
-    return model, breakpoints, checked_grid(model, grid)
+    return model, breakpoints, grid
 
 
 class TestCompiledPlan:
     @given(plans())
     def test_plan_steps_stop_at_every_breakpoint_and_sample(self, plan):
-        model, breakpoints, grid = plan
-        steps = plan_steps(model, grid)
+        model, breakpoints, raw = plan
+        grid, steps = plan_steps(model, raw)
+        np.testing.assert_array_equal(grid, checked_grid(model, raw))
         segments = compile_segments(model)
         assert steps[0][0] == 0.0
         for (_, t1, _, _), (t0, _, _, _) in zip(steps, steps[1:]):
             assert t1 == t0  # contiguous
-        for t0, t1, seg, _ in steps:
+        for t0, t1, terms, _ in steps:
             assert not any(t0 + GRID_TOL < b < t1 for b in breakpoints)
             mid = 0.5 * (t0 + t1)  # the last segment holds past the horizon
-            assert segments[seg][0] <= mid and (mid <= segments[seg][1] or seg == len(segments) - 1)
+            held = [a <= mid and (mid <= b or b == model.horizon) for a, b, _ in segments]
+            assert terms == segments[held.index(True)][2]
         samples = [(t1, gi) for _, t1, _, gi in steps if gi >= 0]
         assert [gi for _, gi in samples] == list(range(len(grid)))
         assert all(abs(t1 - grid[gi]) <= GRID_TOL for t1, gi in samples)
@@ -184,7 +186,23 @@ class TestCompiledPlan:
 
     def test_leading_step_reports_a_sample_at_zero(self):
         model = mminf_model(horizon=2.0)
-        assert plan_steps(model, np.array([0.0, 2.0])) == [(0.0, 0.0, 0, 0), (0.0, 2.0, 0, 1)]
+        grid, steps = plan_steps(model, [0.0, 2.0])
+        terms = compile_segments(model)[0][2]
+        assert grid.tolist() == [0.0, 2.0]
+        assert steps == [(0.0, 0.0, terms, 0), (0.0, 2.0, terms, 1)]
+        assert steps[0][2] is steps[1][2]
+
+    def test_equal_segments_share_one_list_of_terms(self):
+        """An alternating schedule compiles to two distinct lists of terms,
+        each handed to every step of its segments."""
+        horizon = 7.0
+        rate = TimeSchedule.alternating(45.0, 55.0, 2.0, horizon)
+        model = NetworkModel(1, (Transition((1,), RateTerm(rate, Constant())),), (0,), horizon)
+        grid, steps = plan_steps(model, np.arange(0.5, horizon, 0.5))
+        lists = {id(terms): terms for _, _, terms, _ in steps}
+        assert sorted(terms[0][1] for terms in lists.values()) == [45.0, 55.0]
+        for t0, t1, terms, _ in steps:
+            assert terms[0][1] == rate.value_at(0.5 * (t0 + t1))
 
     def test_segments_freeze_schedules_at_their_midpoints(self):
         horizon = 7.0
@@ -328,21 +346,37 @@ class TestValidation:
             ({"kernel": Linear((1.0,))}, "transition 0: linear kernel has 1 weights, expected 2"),
             ({"kernel": Linear((float("inf"), 0.0))},
              "transition 0: linear kernel weights must be finite"),
+            ({"initial": (0,)}, "initial state has length 1, expected 2"),
+            ({"horizon": "5"}, "horizon: '5' is not a number"),
+            ({"horizon": True}, "horizon: True is not a number"),
+            ({"coefficient": 2.0}, "transition 0: coefficient 2.0 is not a TimeSchedule"),
+            ({"kernel": MinThreshold(0, 50)}, "transition 0: threshold 50 is not a TimeSchedule"),
+            ({"kernel": PositivePart(0, None)},
+             "transition 0: threshold None is not a TimeSchedule"),
         ],
         ids=["jump-fraction", "jump-bool", "initial-fraction", "initial-bool",
              "dimension-fraction", "dimension-bool", "dimension-zero", "index-fraction",
-             "index-bool", "no-transition", "weights-length", "weights-infinite"],
+             "index-bool", "no-transition", "weights-length", "weights-infinite",
+             "initial-length", "horizon-text", "horizon-bool", "coefficient-number",
+             "threshold-number", "threshold-none"],
     )
     def test_construction_names_the_issue_and_truncates_nothing(self, fields, message):
-        args = {"dimension": 2, "jump": (1, 0), "kernel": Constant(), "initial": (0, 0), **fields}
-        rate = RateTerm(TimeSchedule.constant(1.0), args["kernel"])
+        args = {"dimension": 2, "jump": (1, 0), "kernel": Constant(), "initial": (0, 0),
+                "coefficient": TimeSchedule.constant(1.0), "horizon": 1.0, **fields}
+        rate = RateTerm(args["coefficient"], args["kernel"])
         transitions = args.get("transitions", (Transition(args["jump"], rate),))
         with pytest.raises(UsageError, match="^invalid model: .*" + message):
-            NetworkModel(args["dimension"], transitions, args["initial"], 1.0)
+            NetworkModel(args["dimension"], transitions, args["initial"], args["horizon"])
+
+    def test_builder_with_a_number_for_a_schedule_is_an_invalid_model(self):
+        params, horizon, _ = qm.retrial_preset(7)
+        with pytest.raises(UsageError, match="transition 2: threshold 50 is not a TimeSchedule"):
+            qm.build_retrial(dataclasses.replace(params, servers=50), horizon)
 
     def test_whole_numbers_of_any_type_are_read_as_ints(self):
         """``2.0`` and numpy integers are whole numbers: the model stores them
-        as ints, and a kernel index compiles to one."""
+        as ints, and a kernel index compiles to one.  A whole horizon is
+        stored as a float."""
         rate = TimeSchedule.constant(1.0)
         model = NetworkModel(
             2.0,
@@ -351,8 +385,9 @@ class TestValidation:
                 Transition((-1, 0), RateTerm(rate, MinThreshold(1.0, TimeSchedule.constant(3)))),
             ),
             (np.int64(2), 1.0),
-            2.0,
+            np.int64(2),
         )
+        assert type(model.horizon) is float and model.horizon == 2.0
         assert type(model.dimension) is int
         assert all(type(v) is int for v in (*model.initial_state, *model.transitions[0].jump))
         index = compile_segments(model)[0][2][1][2]

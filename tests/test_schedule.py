@@ -58,6 +58,15 @@ def test_alternating_builder_layout():
     assert s.covers(20.0) and not s.covers(20.5)
 
 
+@pytest.mark.parametrize(
+    "period, horizon, message",
+    [(0.0, 20.0, "period"), (-1.0, 20.0, "period"), (2.0, 0.0, "horizon"), (2.0, -5.0, "horizon")],
+)
+def test_alternating_needs_positive_period_and_horizon(period, horizon, message):
+    with pytest.raises(UsageError, match=f"alternation {message} must be positive"):
+        TimeSchedule.alternating(45, 55, period, horizon)
+
+
 @given(
     st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=8),
     st.lists(st.floats(min_value=-5, max_value=5), min_size=9, max_size=9),

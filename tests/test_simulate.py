@@ -281,7 +281,7 @@ def test_ensemble_is_bitwise_equal_across_worker_counts():
 
 
 def test_pool_is_sized_to_the_batches(monkeypatch):
-    """``workers`` far above the path count makes one batch per path and
+    """``workers`` far above the path count makes batches of 64 paths and
     opens a pool of one process per batch, and the batch layout alone fixes
     the result.  The stand-in pool maps in this process, so no process
     starts."""
@@ -303,11 +303,20 @@ def test_pool_is_sized_to_the_batches(monkeypatch):
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 1000)
     model, times = tiny_retrial_model(), grid(1.0, 10.0, 1.0)
-    wide = qm.simulate_ensemble(model, 130, 5, times, workers=10**6)  # 130 batches
-    assert sizes == [130]
+    wide = qm.simulate_ensemble(model, 130, 5, times, workers=10**6)  # 64, 64 and 2 paths
+    assert sizes == [3]
     serial = qm.simulate_ensemble(model, 130, 5, times, workers=1)
-    assert sizes == [130]
+    assert sizes == [3]
     assert results_equal(wide, serial)
+
+
+def test_small_ensemble_starts_no_pool(monkeypatch):
+    """64 paths are one batch at any worker count, run in this process."""
+    model, times = preset7(), grid(6.0, 15.0, 1.0)
+    serial = qm.simulate_ensemble(model, 64, 5, times, workers=1)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", None)  # a pool would raise TypeError
+    for workers in (4, 8):
+        assert results_equal(qm.simulate_ensemble(model, 64, 5, times, workers=workers), serial)
 
 
 def _bursting(value):

@@ -195,13 +195,13 @@ class TestMeasureZero:
         params, horizon, _ = qm.retrial_preset(7)
         model = qm.build_retrial(params, horizon)
         # below the kink: service tracks x1, overflow inactive
-        a_below = qm.pointwise_drift_jacobian(model, 0.0, (49.0, 0.0))
+        a_below = solvers.pointwise_drift_jacobian(model, 0.0, (49.0, 0.0))
         assert a_below[0, 0] == pytest.approx(-1.0)
         # exactly at the kink the min-active branch wins
-        a_at = qm.pointwise_drift_jacobian(model, 0.0, (50.0, 0.0))
+        a_at = solvers.pointwise_drift_jacobian(model, 0.0, (50.0, 0.0))
         assert a_at[0, 0] == pytest.approx(-1.0)
         # above the kink: service saturates, abandonment takes over
-        a_above = qm.pointwise_drift_jacobian(model, 0.0, (51.0, 0.0))
+        a_above = solvers.pointwise_drift_jacobian(model, 0.0, (51.0, 0.0))
         assert a_above[0, 0] == pytest.approx(-2.0)
 
 
@@ -254,10 +254,11 @@ def assert_matches_reference(model, t, x, var=0.0):
     for g, want in zip(got, expected):
         assert g.shape == want.shape
         assert np.array_equal(g, want, equal_nan=True), (t, x, g, want)
-    assert np.array_equal(qm.drift(model, t, x), expected[0], equal_nan=True)
-    assert np.array_equal(qm.pointwise_drift_jacobian(model, t, x), expected[1], equal_nan=True)
+    assert np.array_equal(solvers.drift(model, t, x), expected[0], equal_nan=True)
+    jac = solvers.pointwise_drift_jacobian(model, t, x)
+    assert np.array_equal(jac, expected[1], equal_nan=True)
     noise = reference_noise_matrix(model, rates)
-    assert np.array_equal(qm.pointwise_noise_matrix(model, t, x), noise, equal_nan=True)
+    assert np.array_equal(solvers.pointwise_noise_matrix(model, t, x), noise, equal_nan=True)
 
 
 class TestPointwisePass:
@@ -309,7 +310,7 @@ class TestPointwisePass:
         model = NetworkModel(
             2, (Transition((1, 0), RateTerm(TimeSchedule.constant(2.0), kernel)),), (0, 0), 1.0
         )
-        jac = qm.pointwise_drift_jacobian(model, 0.0, x)
+        jac = solvers.pointwise_drift_jacobian(model, 0.0, x)
         np.testing.assert_array_equal(jac, [[2.0 * g for g in grad], [0.0, 0.0]])
 
 
@@ -322,9 +323,9 @@ def assert_closed_matches_reference(model, t, p):
     for g, want in zip(got, (drift, jac, diffusion)):
         assert g.shape == want.shape
         assert np.array_equal(g, want, equal_nan=nan), (t, p.mean, p.cov, g, want)
-    assert np.array_equal(qm.closed_drift(model, t, p), drift, equal_nan=nan)
-    assert np.array_equal(qm.closed_drift_jacobian(model, t, p), jac, equal_nan=nan)
-    assert np.array_equal(qm.noise_matrix(model, t, p), noise, equal_nan=nan)
+    assert np.array_equal(solvers.closed_drift(model, t, p), drift, equal_nan=nan)
+    assert np.array_equal(solvers.closed_drift_jacobian(model, t, p), jac, equal_nan=nan)
+    assert np.array_equal(solvers.noise_matrix(model, t, p), noise, equal_nan=nan)
 
 
 class TestClosedPass:
@@ -367,8 +368,8 @@ class TestDiffusion:
             p = random_moment_point(rng, d)
             terms = compile_terms(model, t)
             for state, b in (
-                ((x.tolist(), [0.0] * (d * d)), qm.pointwise_noise_matrix(model, t, x)),
-                (p.flat(), qm.noise_matrix(model, t, p)),
+                ((x.tolist(), [0.0] * (d * d)), solvers.pointwise_noise_matrix(model, t, x)),
+                (p.flat(), solvers.noise_matrix(model, t, p)),
             ):
                 q = moment_terms(terms, state, d)[2]
                 assert np.array_equal(q, q.T)
@@ -416,9 +417,9 @@ class TestStepping:
         def chain_segment(model, nodes, m, c):
             def rhs(t, m, c):
                 p = MomentPoint(m, c)
-                a = qm.closed_drift_jacobian(model, t, p)
-                b = qm.noise_matrix(model, t, p)
-                return qm.closed_drift(model, t, p), a @ c + c @ a.T + b @ b.T
+                a = solvers.closed_drift_jacobian(model, t, p)
+                b = solvers.noise_matrix(model, t, p)
+                return solvers.closed_drift(model, t, p), a @ c + c @ a.T + b @ b.T
 
             for t0, t1 in zip(nodes[:-1], nodes[1:]):
                 h = t1 - t0
@@ -615,3 +616,17 @@ class TestStepping:
     def test_empty_or_2d_grid_rejected(self, grid):
         with pytest.raises(UsageError):
             qm.solve(mminf(horizon=10.0), SolverConfig(method="fluid", grid=grid))
+
+
+def test_evaluation_helpers_live_in_their_modules():
+    """The pointwise and closed drift helpers and ``merge_schedules`` are not
+    package exports; they stay in :mod:`qmoments.solvers` and
+    :mod:`qmoments.schedule`."""
+    import qmoments.schedule as schedule
+
+    helpers = ("closed_drift", "closed_drift_jacobian", "drift", "noise_matrix",
+               "pointwise_drift_jacobian", "pointwise_noise_matrix")
+    for name in helpers:
+        assert name not in qm.__all__ and callable(getattr(solvers, name))
+    assert "merge_schedules" not in qm.__all__ and callable(schedule.merge_schedules)
+    assert len(qm.__all__) == 38 and all(hasattr(qm, name) for name in qm.__all__)
