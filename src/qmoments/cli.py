@@ -210,6 +210,7 @@ def run_experiment(cfg: ExperimentConfig):
         "errors": errors,
         "warnings": {m: results[m].warnings for m in ordered if m in ODE_METHODS},
         "crossings": {m: results[m].crossings for m in ordered if m in FLOW_METHODS},
+        "work": {m: results[m].work for m in ordered if m in ODE_METHODS},
     }
     write_json(manifest, os.path.join(cfg.out_dir, MANIFEST))
     return results, errors

@@ -32,6 +32,7 @@ class MomentTrajectory:
     warnings: list[str] = field(default_factory=list)
     count: int | None = None  # replications, set only by ``simulate_ensemble``
     crossings: list[list] = field(default_factory=list)  # [t, transition, surface] of the flow
+    work: dict = field(default_factory=dict)  # an ODE method's step and RHS counts
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

@@ -16,47 +16,51 @@ The covariance methods solve ``dC/dt = A C + C A' + sum_i rate_i^+ J_i J_i'``
 takes its checked sample times and its steps from one walk,
 :func:`~qmoments.model.plan_steps`, each step with its segment's compiled
 terms; segments with equal terms share one list, whose identity keys the
-flow's regions.
+flow's regions and adjusted's moment tables.
 
 **Adjusted** integrates one flat state, the mean followed by the row-major
 covariance, by error-controlled DOP853 (scipy's ``solve_ivp``; Hairer, Norsett
 & Wanner, *Solving ODEs I*, II.10), one solve per gap of the walk from stop to
-stop, symmetrized and reported at the gap's end.  A step passes when the RMS
-of ``err / (atol + RTOL |y|)`` is at most 1, where per gap ``atol`` is
-``RTOL`` times each block's (mean, covariance) largest |value| or, if more,
-the gap length times its largest |derivative| at the gap's start, and at
-least 1e-300.  Drift, ``A`` and the diffusion are re-closed at every stage
-in one pass, :func:`moment_terms`, under :func:`~qmoments.closure.closed_rate`.
+stop, symmetrized and reported at the gap's end.  A step passes when the RMS of
+``err / (atol + RTOL |y|)`` is at most 1, where per gap ``atol`` is ``RTOL``
+times each block's (mean, covariance) largest |value| or, if more, the gap
+length times its largest |derivative| at the gap's start, and at least 1e-300.
+Drift, ``A`` and the diffusion are re-closed at every stage in one pass over
+plain lists under :func:`~qmoments.closure.closed_rate`, from index tables
+built once per list of terms (:func:`moment_terms` is its array form), and
+``A C + C A'`` is formed as ``M + M'`` with ``M = A C``: equal only to rounding,
+since a stage's covariance can be asymmetric in its last ulp.  ``work`` holds
+the accepted ``steps`` and the ``rhs_calls``.
 
 **Fluid and measure-zero** follow the exact switched-affine flow.  Each kernel
 is affine in the state between its kinks and each schedule is constant between
 breakpoints, so inside a region (one branch per term: the gradient that
 :func:`~qmoments.closure.closed_rate` gives at zero covariance) the stacked
-state ``z = (x, 1, vec C)`` obeys ``z' = M z``, solved by ``expm(M h) z``
-(Van Loan 1978, IEEE TAC 23).  A region ends where the path crosses one of
-its linear switching functions ``s = r . (x, 1)``: a kink surface of a term or
-the zero of an affine rate.  The walk goes from stop to stop and splits a
-step only where a certificate on the exact flow fails (:func:`_certify`).  The ends of a step give ``s``, ``s'`` and ``s''`` exactly,
-and ``|s'''| <= |w A^2| expm(P h) |x'(0)|`` entrywise, where ``A`` is the
-flow's state block, ``w`` the state part of ``r`` and ``P`` is ``|A|`` with its
-negative diagonal raised to 0, which keeps ``A``'s zero pattern.  A switching
-function that keeps its side at both ends is certified not to leave it in
-between; one that changes side must be certified to cross exactly once, and
-safeguarded Newton then finds that first crossing, listed in the result's
-``crossings``.  A failing step is retried at ``gap / 2**k``, with ``k`` from the
-bound, so its exponentials, cached per region and step length, are reused.
-Splits stop at ``gap / 2**30``, where the step ends' sides decide.  On
-presets 1-10 a solve takes 30-41 exponential steps (4-8 of them retries),
-priority 30, peer 22 and the tiny retrial model 36, where a probe every 0.01
-took about 1,500.  The mean is stepped by the ``(x, 1)`` block alone, so
-measure-zero's mean is bitwise the fluid's; the covariance rows of the full
-exponential are applied only where a covariance is read: at samples,
-crossings and where the terms change.  Measure-zero's Jacobian and diffusion
-are those of :func:`~qmoments.closure.closed_rate` at zero covariance (its tie
-conventions are stated in :mod:`qmoments.closure`); the flow takes the branch
-a kink leads into, so the convention only decides a path that starts on a
-kink and stays there.  A flow that overflows is halved until its last finite
-time is known to within 0.01.
+state ``z = (x, 1, vec C)`` obeys ``z' = M z``, solved by ``expm(M h) z`` (Van
+Loan 1978, IEEE TAC 23).  A region ends where the path crosses one of its linear
+switching functions ``s = r . (x, 1)``: a kink surface of a term or the zero of
+an affine rate.  The walk goes from stop to stop and splits a step only where a
+certificate on the exact flow fails (:func:`_certify`).  The ends of a step give
+``s``, ``s'`` and ``s''`` exactly, and ``|s'''| <= |w A^2| expm(P h) |x'(0)|``
+entrywise, where ``A`` is the flow's state block, ``w`` the state part of ``r``
+and ``P`` is ``|A|`` with its negative diagonal raised to 0, which keeps
+``A``'s zero pattern.  A switching function that keeps its side at both ends is
+certified not to leave it in between; one that changes side must be certified
+to cross exactly once, and safeguarded Newton, started at the root of the cubic
+Hermite through the step's ends, then finds that first crossing, listed in the
+result's ``crossings``.  A failing step is retried at ``gap / 2**k``, with ``k``
+from the bound, so its exponentials, cached per region and step length, are
+reused.  Splits stop at ``gap / 2**30``, where the step ends' sides decide.
+``work`` counts the exponential ``steps`` and, of them, the ``retries``.  The
+mean is stepped by the ``(x, 1)`` block alone, so measure-zero's mean is
+bitwise the fluid's; the covariance rows of the full exponential are applied
+only where a covariance is read: at samples, crossings and where the terms
+change.  Measure-zero's Jacobian and diffusion are those of
+:func:`~qmoments.closure.closed_rate` at zero covariance (its tie conventions
+are stated in :mod:`qmoments.closure`); the flow takes the branch a kink leads
+into, so the convention only decides a path that starts on a kink and stays
+there.  A flow that overflows is halved until its last finite time is known to
+within 0.01.
 
 The walk ends at the last sample time, so a divergence after it is never
 reached, and no step crosses a schedule breakpoint.
@@ -131,9 +135,9 @@ def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
     d = model.dimension
     y = np.zeros(d + d * d)
     y[:d] = model.initial_state
-    means = np.zeros((len(grid), d))
-    covs = np.zeros((len(grid), d, d))
+    means, covs = np.zeros((len(grid), d)), np.zeros((len(grid), d, d))
     warnings: list[str] = []
+    work = {"steps": 0, "rhs_calls": 0}
 
     # overflow is an anticipated, detected condition here, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -151,6 +155,8 @@ def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
                         f"{method} solve diverged between t={last:g} and t={t1:g}",
                         last_time=last,
                     )
+                work["steps"] += len(sol.t) - 1
+                work["rhs_calls"] += sol.nfev + 1  # and the call that set atol
                 cov = sol.y[d:, -1].reshape(d, d)
                 y = np.concatenate((sol.y[:d, -1], (0.5 * (cov + cov.T)).ravel()))
             if gi >= 0:
@@ -158,7 +164,7 @@ def _solve_moments(model: NetworkModel, cfg: SolverConfig, rhs, method: str):
                 covs[gi] = y[d:].reshape(d, d)
                 if _poorly_conditioned(covs[gi]):
                     warnings.append(f"covariance poorly conditioned at t={grid[gi]:g}")
-    return MomentTrajectory(method, grid.copy(), means, covs, warnings)
+    return MomentTrajectory(method, grid.copy(), means, covs, warnings, work=work)
 
 
 # --------------------------------------------------------------------------
@@ -290,24 +296,33 @@ def _certify(region, step, xa, xa1, h: float, sign):
     return kept, crossing, float(retry.min(initial=h))
 
 
-def _crossing_time(row, flow, xa, h: float, below: bool, f_end: float):
-    """First time in ``(0, h]`` at which ``row . (x, 1)`` leaves the side
-    ``below`` (value <= 0) it held at 0, by Newton on the flow from the
-    regula falsi guess, kept inside the bracket.  Returns the time and the
-    ``(x, 1)`` state there."""
+def _crossing_time(region, i: int, xa, xa1, h: float, below: bool):
+    """First time in ``(0, h]`` at which switching function ``i`` of ``region``
+    leaves the side ``below`` (value <= 0) it held at 0 on the step from ``xa``
+    to ``xa1``, by Newton on the flow kept inside the bracket, started at the
+    cubic Hermite's root (Newton from regula falsi) through the step's end
+    values and slopes.  Returns the time and the ``(x, 1)`` state there."""
+    row, n = region.surfaces[i], len(region.surfaces)
+    (s0, s1), (m0, m1) = (region.rows[[i, n + i]] @ np.column_stack((xa, xa1))).tolist()
+    m0, m1 = m0 * h, m1 * h  # the cubic is s0 + m0 u + c2 u^2 + c3 u^3 in u = tau / h
+    c2, c3 = 3.0 * (s1 - s0) - 2.0 * m0 - m1, 2.0 * (s0 - s1) + m0 + m1
+    guess = u = s0 / (s0 - s1) if s0 != s1 else 0.5
+    for _ in range(8):
+        slope = m0 + u * (2.0 * c2 + 3.0 * c3 * u)
+        step = (s0 + u * (m0 + u * (c2 + u * c3))) / slope if slope else math.nan
+        u -= step
+        if not 0.0 < u < 1.0 or abs(step) <= 1e-15:
+            break
+    tau = h * (u if 0.0 < u < 1.0 else guess if 0.0 < guess < 1.0 else 0.5)
     lo, hi = 0.0, h
-    f0 = float(row @ xa)
-    tau = h * f0 / (f0 - f_end) if f0 != f_end else 0.5 * h
-    if not 0.0 < tau < h:
-        tau = 0.5 * h
     for _ in range(100):
-        x = expm(flow * tau) @ xa
+        x = expm(region.flow * tau) @ xa
         f = float(row @ x)
         if (f <= 0.0) == below:
             lo = tau
         else:
             hi = tau
-        slope = float(row @ (flow @ x))
+        slope = float(row @ (region.flow @ x))
         nxt = tau - f / slope if slope else math.nan
         if not lo < nxt < hi:  # Newton left the bracket: halve it instead
             nxt = 0.5 * (lo + hi)
@@ -320,11 +335,8 @@ def _crossing_time(row, flow, xa, h: float, below: bool, f_end: float):
 def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
     """Fluid or measure-zero (``cfg.method``) by the switched-affine flow over
     :func:`~qmoments.model.plan_steps`, from stop to stop, each gap split only
-    where :func:`_certify` cannot vouch for a step.
-
-    The mean is stepped by the cached ``(x, 1)`` exponentials.  The covariance
-    is formed only where it is read, at samples, crossings and where the
-    terms change, from ``(x, 1, vec C)`` at the last such time."""
+    where :func:`_certify` cannot vouch for a step.  The covariance is formed
+    from ``(x, 1, vec C)`` at the last time it was read."""
     grid, steps = plan_steps(model, cfg.grid)
     d, method = model.dimension, cfg.method
     with_cov = method == "measure-zero"
@@ -332,8 +344,7 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
     xa = np.array([*model.initial_state, 1.0])  # (x, 1)
     c = np.zeros(d * d)  # row-major covariance
     t_cov, z_cov = 0.0, np.concatenate((xa, c))  # where the covariance was last formed
-    means = np.zeros((len(grid), d))
-    covs = np.zeros((len(grid), d, d))
+    means, covs = np.zeros((len(grid), d)), np.zeros((len(grid), d, d))
     warnings: list[str] = []
     crossings: list[list] = []
     regions: dict = {}  # segments with equal terms share one list, so they share regions
@@ -366,7 +377,7 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
             c = (0.5 * (cov + cov.T)).ravel()
             t_cov, z_cov = t, np.concatenate((xa, c))
 
-    current = None
+    current, work = None, {"steps": 0, "retries": 0}
     # overflow is an anticipated, detected condition here, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for t, t1, terms, gi in steps:
@@ -381,9 +392,11 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
                 h = min(t1 - t, gap * 0.5**level)
                 step = region.step(h)
                 xa1 = step[0] @ xa
+                work["steps"] += 1
                 if not np.isfinite(xa1).all():
                     if h > _DIVERGENCE_TOL:
                         level = _level(gap, 0.5 * h)
+                        work["retries"] += 1
                         continue
                     raise DivergenceError(
                         f"{method} solve diverged between t={t:g} and t={t + h:g}",
@@ -393,6 +406,7 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
                 if not (kept | crossing).all():
                     if h > gap * 0.5**_SPLITS:
                         level = max(level + 1, _level(gap, retry))
+                        work["retries"] += 1
                         continue
                     # too short to split further: the step ends' sides decide
                     crossing = ~kept & ((region.surfaces @ xa1 <= 0.0) != (sign > 0.0))
@@ -400,14 +414,8 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
                     t, xa, level = t + h, xa1, max(level - 1, 0)
                     continue
                 # the earliest switching function to change side sets the crossing
-                tau, xa, hit = min(
-                    (
-                        (*_crossing_time(region.surfaces[i], region.flow, xa, h, sign[i] > 0.0,
-                                         float(region.surfaces[i] @ xa1)), i)
-                        for i in np.flatnonzero(crossing)
-                    ),
-                    key=lambda found: found[0],
-                )
+                tau, xa, hit = min(((*_crossing_time(region, i, xa, xa1, h, sign[i] > 0.0), i)
+                                    for i in np.flatnonzero(crossing)), key=lambda found: found[0])
                 t += tau
                 carry(region, t)
                 crossed += 1
@@ -428,7 +436,8 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
                 covs[gi] = c.reshape(d, d)
                 if with_cov and _poorly_conditioned(covs[gi]):
                     warnings.append(f"covariance poorly conditioned at t={grid[gi]:g}")
-    return MomentTrajectory(method, grid.copy(), means, covs, warnings, crossings=crossings)
+    return MomentTrajectory(method, grid.copy(), means, covs, warnings, crossings=crossings,
+                            work=work)
 
 
 def _level(gap: float, length: float) -> int:
@@ -441,13 +450,45 @@ def solve(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
     if cfg.method != "adjusted":
         return _solve_flow(model, cfg)
     d = model.dimension
+    # (A C)_ab adds A_ac C_cb (y[d + c d + b]) in order of c; output ab adds (A C)_ba and Q_ab
+    product = [(a * d + b, a * d + c, d + c * d + b) for a, b, c in np.ndindex(d, d, d)]
+    swaps = [b * d + a for a, b in np.ndindex(d, d)]
+    tables: dict = {}  # id(terms) -> (terms, its moment table); held, so the id stays unique
 
     def rhs(terms, y):
-        c = y[d:].reshape(d, d)
-        drift_m, a, q = moment_terms(terms, (y[:d].tolist(), y[d:].tolist()), d)
-        return np.concatenate((drift_m, (a @ c + c @ a.T + q).ravel()))
+        # A C + C A' as M + M' with M = A C: equal only to rounding (a stage's C may be asymmetric)
+        if id(terms) not in tables:
+            tables[id(terms)] = (terms, _moment_table(terms, d))
+        z = y.tolist()
+        drift_x, jac, q = _moment_pass(tables[id(terms)][1], (z[:d], z[d:]), d)
+        m = [0.0] * (d * d)
+        for ab, i, j in product:
+            m[ab] += jac[i] * z[j]
+        return np.array(drift_x + [m[ab] + m[ba] + q[ab] for ab, ba in enumerate(swaps)])
 
     return _solve_moments(model, cfg, rhs, "adjusted")
+
+
+def _moment_table(terms, d: int) -> list[tuple]:
+    """Per term ``(term, coeff, [(a, jump_a, a * d)], [(a * d + b, jump_a * jump_b)])``."""
+    return [(term, term[1], [(a, jump_a, a * d) for a, jump_a in term[7]],
+             [(a * d + b, jump_a * jump_b) for a, jump_a in term[7] for b, jump_b in term[7]])
+            for term in terms]
+
+
+def _moment_pass(table, state, d: int) -> tuple[list, list, list]:
+    """:func:`moment_terms` as lists (the Jacobian and diffusion row-major)."""
+    drift_x, jac, diffusion = [0.0] * d, [0.0] * (d * d), [0.0] * (d * d)
+    for term, coeff, moves, outer in table:
+        r, grad = closed_rate(term, state)
+        for a, jump_a, row in moves:
+            drift_x[a] += jump_a * r
+            for b, g in grad:
+                jac[row + b] += coeff * (jump_a * g)
+        if r > 0.0:
+            for ab, jump_ab in outer:
+                diffusion[ab] += jump_ab * r
+    return drift_x, jac, diffusion
 
 
 def moment_terms(terms, state, d: int) -> tuple[np.ndarray, ...]:
@@ -459,20 +500,7 @@ def moment_terms(terms, state, d: int) -> tuple[np.ndarray, ...]:
     Jacobian entry ``(a, b)`` adds ``coeff * (jump_a * grad_b)`` and diffusion
     entry ``(a, b)`` adds ``(jump_a * jump_b) * rate`` where it is positive.
     """
-    drift_x = [0.0] * d
-    jac = [0.0] * (d * d)
-    diffusion = [0.0] * (d * d)
-    for term in terms:
-        r, grad = closed_rate(term, state)
-        coeff, moves = term[1], term[7]
-        for a, jump_a in moves:
-            drift_x[a] += jump_a * r
-            row = a * d
-            for b, g in grad:
-                jac[row + b] += coeff * (jump_a * g)
-            if r > 0.0:
-                for b, jump_b in moves:
-                    diffusion[row + b] += (jump_a * jump_b) * r
+    drift_x, jac, diffusion = _moment_pass(_moment_table(terms, d), state, d)
     return np.array(drift_x), np.array(jac).reshape(d, d), np.array(diffusion).reshape(d, d)
 
 

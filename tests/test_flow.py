@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qmoments as qm
+import qmoments.solvers as solvers
 from helpers import excursion_model, results_equal, tiny_retrial_model, variant_models
 from oracles import ivp_moments
 from qmoments import (
@@ -161,6 +162,38 @@ def test_crossings_lie_on_their_surfaces():
 
 
 @pytest.mark.parametrize(
+    "model, grid",
+    [case[1:] for case in ORACLE_CASES if case[0] in ("preset7", "priority", "peer", "tiny")],
+    ids=["preset7", "priority", "peer", "tiny"],
+)
+def test_each_crossing_takes_few_exponentials(model, grid, monkeypatch):
+    """Newton starts at the root of the cubic Hermite through the step's ends,
+    so each crossing takes at most 4 exponentials; from the regula falsi
+    guess one crossing on each of these models took 29-34."""
+    counts, inside = [], False
+    crossing_time, expm = solvers._crossing_time, solvers.expm
+
+    def counted_expm(a):
+        if inside:
+            counts[-1] += 1
+        return expm(a)
+
+    def counted(*args):
+        nonlocal inside
+        counts.append(0)
+        inside = True
+        try:
+            return crossing_time(*args)
+        finally:
+            inside = False
+
+    monkeypatch.setattr(solvers, "expm", counted_expm)
+    monkeypatch.setattr(solvers, "_crossing_time", counted)
+    qm.solve(model, SolverConfig(method="fluid", grid=grid))
+    assert counts and max(counts) <= 4, counts
+
+
+@pytest.mark.parametrize(
     "model, grid", [case[1:] for case in CROSSING_CASES], ids=[c[0] for c in CROSSING_CASES]
 )
 def test_crossing_list_does_not_depend_on_dt(model, grid):
@@ -264,8 +297,14 @@ def test_run_json_lists_crossings_and_cap_exits_3(tmp_path):
     out = tmp_path / "run"
     argv = ["run", "--preset", "7", "--methods", "fluid,adjusted,measure-zero", "--grid", "6:8:1"]
     assert main([*argv, "--out", str(out)]) == 0
-    crossings = json.loads((out / "run.json").read_text())["crossings"]
+    manifest = json.loads((out / "run.json").read_text())
+    crossings = manifest["crossings"]
     assert set(crossings) == {"fluid", "measure-zero"}
+    model = qm.build_retrial(*qm.retrial_preset(7)[:2])
+    assert manifest["work"] == {
+        method: qm.solve(model, SolverConfig(method=method, grid=np.arange(6.0, 9.0))).work
+        for method in ("fluid", "adjusted", "measure-zero")
+    }
     assert crossings["fluid"] == crossings["measure-zero"]
     assert crossings["fluid"] and all(
         isinstance(t, float) and i in (2, 3, 4) and surface == "x0 = 50"

@@ -377,6 +377,96 @@ class TestDiffusion:
                 assert np.all(np.abs(q - b @ b.T) <= bound), (t, q, b @ b.T)
 
 
+def adjusted_rhs(model, monkeypatch):
+    """The right-hand side that ``solve`` hands the adjusted engine."""
+    monkeypatch.setattr(solvers, "_solve_moments", lambda model, cfg, rhs, method: rhs)
+    return qm.solve(model, SolverConfig(method="adjusted"))
+
+
+def assert_rhs_matches_arrays(rhs, terms, mean, cov):
+    """``rhs`` equals ``moment_terms`` with numpy's ``A C + C A' + Q``: the drift
+    bit for bit, the covariance block within a few ulps of ``|A||C| + |C||A'| +
+    |Q|``, and NaN exactly where the array form has it."""
+    d = len(mean)
+    got = rhs(terms, np.concatenate((mean, cov.ravel())))
+    drift, a, q = moment_terms(terms, (list(mean), cov.ravel().tolist()), d)
+    want = (a @ cov + cov @ a.T + q).ravel()
+    assert got.shape == (d + d * d,)
+    assert np.array_equal(got[:d], drift, equal_nan=True)
+    assert np.array_equal(np.isnan(got[d:]), np.isnan(want))
+    scale = (np.abs(a) @ np.abs(cov) + np.abs(cov) @ np.abs(a.T) + np.abs(q)).ravel()
+    fine = ~np.isnan(want)
+    bound = 4 * (d + 2) * np.finfo(float).eps * scale[fine]
+    assert np.all(np.abs(got[d:][fine] - want[fine]) <= bound), (mean, cov, got, want)
+
+
+class TestAdjustedRhs:
+    @REFERENCE_MODELS
+    def test_matches_array_pass_at_random_points(self, model, monkeypatch):
+        """With a symmetric covariance, and with one entry a ulp off, as a
+        DOP853 stage can hand it over."""
+        rhs = adjusted_rhs(model, monkeypatch)
+        rng = np.random.default_rng(20261021)
+        d = model.dimension
+        for _ in range(200):
+            terms = compile_terms(model, rng.uniform(0.0, model.horizon))
+            p = random_moment_point(rng, d)
+            cov = np.array(p.cov, dtype=float)
+            cov = 0.5 * (cov + cov.T)
+            assert_rhs_matches_arrays(rhs, terms, np.array(p.mean, dtype=float), cov)
+            cov[0, -1] = np.nextafter(cov[0, -1], math.inf)
+            assert_rhs_matches_arrays(rhs, terms, np.array(p.mean, dtype=float), cov)
+
+    @REFERENCE_MODELS
+    def test_matches_array_pass_below_sigma_floor_and_at_nan(self, model, monkeypatch):
+        """Every spread below ``SIGMA_FLOOR`` (the pointwise branch), and a NaN
+        mean entry, which gives NaN where the array form gives it."""
+        rhs = adjusted_rhs(model, monkeypatch)
+        rng = np.random.default_rng(20261022)
+        d = model.dimension
+        for _ in range(50):
+            terms = compile_terms(model, rng.uniform(0.0, model.horizon))
+            mean = rng.uniform(-5.0, 120.0, d)
+            tiny = np.diag(rng.uniform(0.0, 1e-20, d))
+            assert_rhs_matches_arrays(rhs, terms, mean, tiny)
+            mean[rng.integers(d)] = math.nan
+            assert_rhs_matches_arrays(rhs, terms, mean, tiny)
+            assert_rhs_matches_arrays(rhs, terms, mean, np.eye(d))
+        got = rhs(terms, np.concatenate((mean, np.eye(d).ravel())))
+        assert np.isnan(got).any()
+
+    def test_each_list_of_terms_gets_its_own_table(self, monkeypatch):
+        """One right-hand side alternates between the two segments of an
+        alternating arrival rate and meets fresh lists, each dropped before the
+        next is built, so that the next may take its id; every call is
+        evaluated under the terms it was given."""
+        model = mminf(horizon=4.0, arrival=TimeSchedule.alternating(45, 55, 2.0, 4.0))
+        rhs = adjusted_rhs(model, monkeypatch)
+        segments = [compile_terms(model, 0.0), compile_terms(model, 2.0)]
+        others = [mminf(lam=float(k + 1)) for k in range(20)]
+        y = np.array([3.0, 2.0])
+        for k, other in enumerate(others):
+            fresh = None  # frees the last list before the next one is built
+            fresh = compile_terms(other, 0.0)
+            # at m = 3, C = 2: dm/dt = lam - m and dC/dt = -2 C + lam + m
+            lam = segments[k % 2][0][1]
+            np.testing.assert_array_equal(rhs(segments[k % 2], y), [lam - 3.0, lam - 1.0])
+            np.testing.assert_array_equal(rhs(fresh, y), [k - 2.0, k])
+
+    def test_a_second_solve_is_bitwise_the_first(self):
+        """Tables live with one solve: a solve of another model in between
+        changes nothing."""
+        preset = qm.build_retrial(*qm.retrial_preset(7)[:2])
+        cfg = SolverConfig(method="adjusted", grid=np.arange(6.0, 16.0))
+        first = qm.solve(preset, cfg)
+        qm.solve(qm.build_priority(*qm.reference_priority_params()),
+                 SolverConfig(method="adjusted", grid=np.arange(4.0, 8.0)))
+        again = qm.solve(preset, cfg)
+        assert np.array_equal(first.means, again.means)
+        assert np.array_equal(first.covs, again.covs)
+        assert first.work == again.work
+
+
 ADJUSTED_CASES = [
     *(
         (f"preset{i}", qm.build_retrial(*qm.retrial_preset(i)[:2]), np.arange(6.0, 16.0))
@@ -532,18 +622,64 @@ class TestStepping:
     def test_flow_work_does_not_depend_on_dt(self, method, model, grid, most, monkeypatch):
         """Fluid and measure-zero step from stop to stop: M/M/inf takes one
         exponential step per gap up to t = 2.5, the last sample, of horizon 10,
-        and preset 7 at most 40 (34 when measured)."""
-        count = 0
-        step = _Region.step
+        and preset 7 at most 40 (34 when measured).  ``work`` counts those
+        steps and, as retries, the ones the certificate failed."""
+        count, failed = 0, 0
+        step, certify = _Region.step, solvers._certify
 
         def counted(region, h):
             nonlocal count
             count += 1
             return step(region, h)
 
+        def checked(*args):
+            nonlocal failed
+            kept, crossing, retry = certify(*args)
+            failed += not (kept | crossing).all()
+            return kept, crossing, retry
+
         monkeypatch.setattr(_Region, "step", counted)
-        qm.solve(model, SolverConfig(method=method, grid=grid))
+        monkeypatch.setattr(solvers, "_certify", checked)
+        out = qm.solve(model, SolverConfig(method=method, grid=grid))
         assert 0 < count <= most
+        # no step overflows on these models, so every retry is a failed certificate
+        assert out.work == {"steps": count, "retries": failed}
+
+    @pytest.mark.parametrize(
+        "model, grid",
+        [
+            (qm.build_retrial(*qm.retrial_preset(7)[:2]), np.arange(6.0, 16.0)),
+            (mminf(horizon=4.0, arrival=TimeSchedule.alternating(45, 55, 2.0, 4.0)),
+             np.array([0.0, 1.0, 4.0])),
+        ],
+        ids=["preset7", "alternating"],
+    )
+    def test_adjusted_work_counts_every_rhs_call_and_accepted_step(self, model, grid,
+                                                                   monkeypatch):
+        """``work`` holds the right-hand sides the engine called, the one per
+        gap that sets ``atol`` included, and the steps DOP853 accepted."""
+        calls, steps = 0, 0
+        engine, solve_ivp = solvers._solve_moments, solvers.solve_ivp
+
+        def counted_engine(model, cfg, rhs, method):
+            def counted(terms, y):
+                nonlocal calls
+                calls += 1
+                return rhs(terms, y)
+
+            return engine(model, cfg, counted, method)
+
+        def spy(*args, **kwargs):
+            nonlocal steps
+            sol = solve_ivp(*args, **kwargs)
+            steps += len(sol.t) - 1  # t_eval is not set: one entry per accepted step
+            return sol
+
+        monkeypatch.setattr(solvers, "_solve_moments", counted_engine)
+        monkeypatch.setattr(solvers, "solve_ivp", spy)
+        out = qm.solve(model, SolverConfig(method="adjusted", grid=grid))
+        assert out.work == {"steps": steps, "rhs_calls": calls}
+        assert 0 < steps and 12 * steps < calls  # DOP853 makes 12 calls per accepted step
 
     @pytest.mark.parametrize(
         "short, full",
