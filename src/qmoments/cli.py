@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, NumericalError, UsageError
-from .kolmogorov import exact_transient_moments
+from .kolmogorov import checked_caps, exact_transient_moments
 from .model import GRID_TOL, NetworkModel, _real, _whole, checked_grid, load_model
 from .model import read_json, write_json
 from .results import (
@@ -60,14 +60,28 @@ class ExperimentConfig:
     workers: int = 1
 
 
+def _comma_list(text: str, field: str, read, kind: str) -> list:
+    """The parts of the comma list ``text`` read as JSON values, so ``12.7`` is
+    not truncated and ``NaN`` is a number, each through ``read``."""
+    try:
+        parts = json.loads(f"[{text}]")
+    except (ValueError, RecursionError) as exc:  # RecursionError: lists nested too deep
+        raise UsageError(f"{field}: {text!r} is not a comma list of {kind}") from exc
+    return [read(part, field) for part in parts]
+
+
 def _parse_grid(text: str) -> np.ndarray:
+    """``t0:t1:step``, or a comma list of sample times."""
+    if ":" not in text:
+        return np.array(_comma_list(text, "grid", _real, "numbers"))
     try:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise UsageError(f"--grid expects t0:t1:step, got {text!r}") from exc
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise UsageError(f"--grid range is empty, inverted or not finite: {text!r}")
-    count = math.floor((stop - start) / step + 1e-9) + 1
+    span = (stop - start) / step + 1e-9  # infinite once the quotient overflows
+    count = math.floor(span) + 1 if math.isfinite(span) else math.inf
     if count > GRID_LIMIT:
         raise UsageError(f"--grid {text!r} has {count} sample times, limit is {GRID_LIMIT}")
     return start + step * np.arange(count)
@@ -83,79 +97,41 @@ def _default_workers() -> int:
 
 
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Build a validated config; command-line flags override file values."""
-    try:
-        return _parse_config(args)
-    except UsageError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError included
-        raise UsageError(f"invalid configuration: {exc}") from exc
-
-
-def _parse_config(args: argparse.Namespace) -> ExperimentConfig:
-    file_values = read_json(args.config, "config file") if getattr(args, "config", None) else {}
-
-    def pick(flag, key, default=None):
-        if flag is not None:
-            return flag
-        return file_values.get(key, default)
-
-    methods_raw = pick(args.methods, "methods")
-    if not methods_raw:
+    """The validated experiment the ``run`` flags describe."""
+    if not args.methods:
         raise UsageError("missing required field: methods")
-    if isinstance(methods_raw, str):
-        methods_raw = [m for m in methods_raw.split(",") if m]
     methods = []
-    for m in methods_raw:
-        canon = m.strip().replace("_", "-") if isinstance(m, str) else m
+    for m in (m for m in args.methods.split(",") if m):
+        canon = m.strip().replace("_", "-")
         if canon not in METHOD_ORDER:
             raise UsageError(
                 f"methods: unknown method {m!r}; choose from {', '.join(METHOD_ORDER)}"
             )
         if canon not in methods:
             methods.append(canon)
-    out_dir = pick(args.out, "out")
-    if not out_dir:
+    if not args.out:
         raise UsageError("missing required field: out")
-    preset = pick(args.preset, "preset")
-    model_path = pick(args.model, "model")
-    for key, path in (("out", out_dir), ("model", model_path)):
-        if path is not None and not isinstance(path, str):  # open(5) would read fd 5
-            raise UsageError(f"{key} must be a path string, got {path!r}")
-    if (preset is None) == (model_path is None):
+    if (args.preset is None) == (args.model is None):
         raise UsageError("exactly one of preset / model must be given")
-    grid = pick(args.grid, "grid")
-    if isinstance(grid, str):
-        grid = _parse_grid(grid)
-    elif grid is not None:
-        grid = np.array([_real(t, "grid") for t in grid])
-    caps = pick(args.caps, "caps")
-    if isinstance(caps, str):  # read as a JSON list, so "12.7" is not truncated
-        try:
-            caps = json.loads(f"[{caps}]")
-        except ValueError as exc:
-            raise UsageError(f"caps: {caps!r} is not a comma list of integers") from exc
-    if caps is not None:
-        caps = tuple(_whole(c, "caps") for c in caps)
+    caps = (None if args.caps is None
+            else tuple(_comma_list(args.caps, "caps", _whole, "integers")))
     if "exact" in methods and caps is None:
         raise UsageError("missing required field: caps (needed by method 'exact')")
-    dt = _real(pick(args.dt, "dt", 0.01), "dt")  # checked, then dropped: see --dt
-    if not (math.isfinite(dt) and dt > 0):
-        raise UsageError(f"dt must be positive and finite, got {dt}")
-    cfg = ExperimentConfig(
+    if not (args.dt is None or (math.isfinite(args.dt) and args.dt > 0)):  # then dropped
+        raise UsageError(f"dt must be positive and finite, got {args.dt}")
+    if not 0 <= args.seed < 2**64:
+        raise UsageError(f"seed must be in 0 .. 2**64 - 1, got {args.seed}")
+    return ExperimentConfig(
         methods=methods,
-        out_dir=out_dir,
-        preset=_whole(preset, "preset") if preset is not None else None,
-        model_path=model_path,
-        reps=_whole(pick(args.reps, "reps", 1000), "reps", 1),
-        seed=_whole(pick(args.seed, "seed", 0), "seed"),
-        grid=grid,
+        out_dir=args.out,
+        preset=args.preset,
+        model_path=args.model,
+        reps=_whole(args.reps, "reps", 1),
+        seed=args.seed,
+        grid=None if args.grid is None else _parse_grid(args.grid),
         caps=caps,
         workers=_default_workers(),
     )
-    if not 0 <= cfg.seed < 2**64:
-        raise UsageError(f"seed must be in 0 .. 2**64 - 1, got {cfg.seed}")
-    return cfg
 
 
 def _resolve_model(cfg: ExperimentConfig) -> tuple[NetworkModel, np.ndarray]:
@@ -176,6 +152,8 @@ def run_experiment(cfg: ExperimentConfig):
     name to the error message for methods that failed numerically.
     """
     model, grid = _resolve_model(cfg)
+    if "exact" in cfg.methods:
+        checked_caps(model, cfg.caps)
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
     except OSError as exc:
@@ -281,16 +259,15 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run methods on a preset or model file")
     run.add_argument("--preset", type=int, help="numbered retrial experiment (1..10)")
     run.add_argument("--model", help="path to a model JSON file")
-    run.add_argument("--config", help="JSON file with config fields (flags override)")
     run.add_argument(
         "--methods", help="comma list from: " + ", ".join(METHOD_ORDER)
     )
-    run.add_argument("--reps", type=int, help="simulation replications")
-    run.add_argument("--seed", type=int, help="master seed")
+    run.add_argument("--reps", type=int, default=1000, help="simulation replications")
+    run.add_argument("--seed", type=int, default=0, help="master seed")
     run.add_argument(  # kept so that older command lines still run; read by nothing
         "--dt", type=float, help="ignored once checked: every method steps from stop to stop"
     )
-    run.add_argument("--grid", help="sample times t0:t1:step")
+    run.add_argument("--grid", help="sample times t0:t1:step or a comma list of times")
     run.add_argument("--out", help="output directory")
     run.add_argument("--caps", help="per-dimension state caps for method 'exact'")
     run.set_defaults(handler=_cmd_run)

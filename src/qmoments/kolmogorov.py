@@ -86,32 +86,40 @@ def expm_multiply(step, rate: float, dt: float, p: np.ndarray) -> np.ndarray:
     return out
 
 
+def checked_caps(model: NetworkModel, caps) -> np.ndarray:
+    """``caps`` as an integer array: one whole cap per state dimension, for a
+    box of at most :data:`STATE_LIMIT` states that holds the initial state."""
+    caps = np.asarray([_whole(c, "caps", 0) for c in caps])
+    if caps.shape != (model.dimension,):
+        raise UsageError(f"caps: need one per state dimension, got {len(caps)}")
+    size = int(np.prod(caps.astype(object) + 1))  # in Python ints, which cannot wrap
+    if size > STATE_LIMIT:
+        raise UsageError(
+            f"truncated state space has {size} states, limit is {STATE_LIMIT}"
+        )
+    if np.any(caps < model.initial_state):
+        box = tuple(caps.tolist())
+        raise UsageError(f"initial state {model.initial_state} outside caps {box}")
+    return caps
+
+
 def state_distributions(model: NetworkModel, caps, grid):
     """State-probability vectors at the grid times.
 
     Returns ``(times, coords, probs)`` where ``coords`` is the (S, d) integer
     lattice and ``probs`` is (len(grid), S).
     """
-    caps = np.asarray([_whole(c, "caps", 0) for c in caps])
-    if caps.shape != (model.dimension,):
-        raise UsageError(f"caps: need one per state dimension, got {len(caps)}")
+    caps = checked_caps(model, caps)
     shape = caps + 1
-    size = int(np.prod(caps.astype(object) + 1))  # in Python ints, which cannot wrap
-    if size > STATE_LIMIT:
-        raise UsageError(
-            f"truncated state space has {size} states, limit is {STATE_LIMIT}"
-        )
+    size = int(np.prod(shape))
     times, steps = plan_steps(model, grid)
-    x0 = np.asarray(model.initial_state)
-    if np.any(x0 > caps):
-        raise UsageError(f"initial state {tuple(x0)} outside caps {tuple(caps)}")
 
     coords = np.indices(shape).reshape(model.dimension, size).T
     strides = np.array(
         [int(np.prod(shape[i + 1 :])) for i in range(model.dimension)]
     )
     p = np.zeros(size)
-    p[int(x0 @ strides)] = 1.0
+    p[int(strides @ model.initial_state)] = 1.0
 
     probs = np.empty((len(times), size))
     uniformized: dict = {}  # (P, rate) by the identity of a segment's terms

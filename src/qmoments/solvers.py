@@ -347,7 +347,7 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
     means, covs = np.zeros((len(grid), d)), np.zeros((len(grid), d, d))
     warnings: list[str] = []
     crossings: list[list] = []
-    regions: dict = {}  # segments with equal terms share one list, so they share regions
+    regions: dict = {}  # never evicted, so one key is one region: crossings compare identity
     zero_cov = [0.0] * (d * d)  # under which closed_rate is the pointwise rate
 
     def region_at(terms, xs: list):
@@ -362,7 +362,7 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
         if region is None:
             kinks = _kink_surfaces(terms, d)
             region = regions[key] = _Region(terms, kinks, jumps, rates, ahead, with_cov)
-        return key, region, np.where(region.surfaces @ np.array([*ahead, 1.0]) <= 0.0, 1.0, -1.0)
+        return region, np.where(region.surfaces @ np.array([*ahead, 1.0]) <= 0.0, 1.0, -1.0)
 
     def carry(region, t: float):
         """Form the covariance at ``t`` (where the mean is ``xa``) through ``region``."""
@@ -385,7 +385,7 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
                 if current is not None:
                     carry(region, t)
                 current, start, crossed = terms, t, 0
-                key, region, sign = region_at(terms, xa[:d].tolist())
+                region, sign = region_at(terms, xa[:d].tolist())
             # a step is gap / 2**level long, or what is left of the gap
             gap, level = t1 - t, 0
             while t1 > t:
@@ -426,10 +426,10 @@ def _solve_flow(model: NetworkModel, cfg: SolverConfig) -> MomentTrajectory:
                         f"on or circles a kink); last crossing at t={t:.12g}, x={xa[:d].tolist()}"
                     )
                 label, owners = region.labels[hit]
-                new_key, region, sign = region_at(terms, xa[:d].tolist())
-                if new_key != key:
+                previous = region
+                region, sign = region_at(terms, xa[:d].tolist())
+                if region is not previous:
                     crossings.extend([t, i, label] for i in owners)
-                key = new_key
             if gi >= 0:
                 carry(region, t1)
                 means[gi] = xa[:d]

@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,20 +88,23 @@ class TestParsing:
         )
         np.testing.assert_allclose(cfg.grid, np.arange(6.0, 16.0))
 
-    def test_config_file_with_flag_override(self, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(
-            json.dumps({"preset": 2, "methods": "fluid,adjusted", "out": "fromfile", "reps": 10})
-        )
-        parser = build_parser()
-        args = parser.parse_args(
-            ["run", "--config", str(config), "--reps", "25"]
-        )
-        cfg = parse_config(args)
-        assert cfg.preset == 2
-        assert cfg.methods == ["fluid", "adjusted"]
-        assert cfg.out_dir == "fromfile"
-        assert cfg.reps == 25  # flag wins over file
+    def test_missing_out_is_usage_error(self):
+        with pytest.raises(UsageError, match="missing required field: out"):
+            parse_run(["--preset", "1", "--methods", "fluid"])
+
+    def test_irregular_grid_is_a_comma_list(self, tmp_path):
+        """``--grid 6,7.5,15`` samples at those times, as ``solve`` does when
+        handed the same grid."""
+        assert parse_run(["--preset", "7", "--methods", "fluid", "--out", "o",
+                          "--grid", "6,7.5,15"]).grid.tolist() == [6.0, 7.5, 15.0]
+        out = tmp_path / "o"
+        argv = ["run", "--preset", "7", "--methods", "fluid,adjusted", "--grid", "6,7.5,15"]
+        assert main([*argv, "--out", str(out)]) == 0
+        params, horizon, _ = qm.retrial_preset(7)
+        model = qm.build_retrial(params, horizon)
+        for written in read_long_csv(out / "combined.csv"):
+            direct = qm.solve(model, qm.SolverConfig(written.method, np.array([6.0, 7.5, 15.0])))
+            assert results_equal(written, direct), written.method
 
     def test_missing_model_file_is_usage_error(self, tmp_path):
         code = main(
@@ -488,44 +492,17 @@ def test_non_numeric_document_fields_exit_2(tmp_path, capsys, path, value, named
 
 
 @pytest.mark.parametrize(
-    "key, bad",
-    [("dt", True), ("dt", "0.1"), ("grid", [True, 7]), ("grid", [6, "7"])],
-    ids=["dt-bool", "dt-text", "grid-bool", "grid-text"],
+    "grid, named",
+    [("true,7", "grid: True is not a number"), ('6,"7"', "grid: '7' is not a number")],
+    ids=["grid-bool", "grid-text"],
 )
-def test_non_numeric_config_fields_exit_2(tmp_path, capsys, key, bad):
-    """A config file's ``dt`` and list ``grid`` are read as numbers or rejected."""
+def test_non_numeric_config_fields_exit_2(tmp_path, capsys, grid, named):
+    """A comma-list ``--grid`` is read as numbers or rejected: ``true`` and
+    ``"7"`` do not read as 1.0 and 7.0."""
     out = tmp_path / "o"
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"preset": 1, "methods": ["fluid"], "out": str(out), key: bad}))
-    assert main(["run", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert f"{key}: " in err and "is not a number" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "key, bad, whole",
-    [
-        ("preset", 7.9, 7.0),
-        ("reps", 2.5, 2.0),
-        ("seed", 1.5, 1.0),
-        ("caps", [30.7, 20], [30.0, 20]),
-    ],
-    ids=["preset", "reps", "seed", "caps"],
-)
-def test_non_integral_config_fields_exit_2(tmp_path, capsys, key, bad, whole):
-    """Config-file integers are not truncated: 7.9 is an error, 7.0 loads as 7."""
-    out = tmp_path / "o"
-    base = {"preset": 1, "methods": ["fluid"], "out": str(out), "caps": [30, 20]}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**base, key: whole}))
-    cfg = parse_config(build_parser().parse_args(["run", "--config", str(path)]))
-    expected = tuple(map(int, whole)) if key == "caps" else int(whole)
-    assert repr(getattr(cfg, key)) == repr(expected)
-    path.write_text(json.dumps({**base, key: bad}))
-    assert main(["run", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert f"{key}: " in err and "is not an integer" in err
+    argv = ["run", "--preset", "1", "--methods", "fluid", "--grid", grid, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named}")
     assert not out.exists()
 
 
@@ -536,27 +513,13 @@ def test_non_integral_config_fields_exit_2(tmp_path, capsys, key, bad, whole):
     ids=["fraction", "boolean", "text"],
 )
 def test_non_integral_caps_flag_exits_2_naming_caps(tmp_path, capsys, caps, named):
-    """The --caps string reads each part as the config list does: 12.7 is an
-    error, never truncated, and 12.0 reads as 12."""
+    """The --caps string reads each part as a JSON number: 12.7 is an error,
+    never truncated, and 12.0 reads as 12."""
     out = tmp_path / "o"
     argv = ["run", "--preset", "1", "--methods", "exact", "--out", str(out), "--caps"]
     assert parse_config(build_parser().parse_args([*argv, "12.0,12"])).caps == (12, 12)
     assert main([*argv, caps]) == 2
     assert named in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "methods", [[1], ["fluid", None], [["fluid"]]], ids=["int", "null", "list"]
-)
-def test_non_string_methods_exit_2(tmp_path, capsys, methods):
-    """A config file's ``methods`` holds method names; anything else is named."""
-    out = tmp_path / "o"
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"methods": methods, "preset": 7, "out": str(out)}))
-    assert main(["run", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "methods: unknown method" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -585,90 +548,95 @@ def test_bad_dt_exits_2_before_any_method_runs(tmp_path, capsys, monkeypatch, me
     assert not out.exists()
 
 
-# sample grids that every method must reject with exit 2
+@pytest.mark.parametrize(
+    "model, caps, message",
+    [
+        ("preset7", "5", "caps: need one per state dimension, got 1"),
+        ("preset7", "3000,3000", "truncated state space has 9006001 states"),
+        ("peer", "5,5,5", "initial state (0, 10, 0) outside caps (5, 5, 5)"),
+    ],
+    ids=["one-for-two-dimensions", "too-many-states", "start-outside"],
+)
+def test_bad_caps_exit_2_before_any_method_runs(tmp_path, capsys, monkeypatch, model, caps,
+                                               message):
+    """``exact``'s caps are checked with the model, before ``--out`` is made
+    and before the methods listed ahead of ``exact`` run."""
+    monkeypatch.setattr("qmoments.cli.simulate_ensemble", None)  # a method run would raise
+    monkeypatch.setattr("qmoments.cli.solve", None)
+    if model == "peer":
+        source = ["--model", str(tmp_path / "peer.json")]
+        qm.save_model(qm.build_peer(*qm.reference_peer_params()), source[1])
+    else:
+        source = ["--preset", "7"]
+    out = tmp_path / "o"
+    argv = ["run", *source, "--methods", "fluid,simulate,exact", "--reps", "4000",
+            "--caps", caps, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+# sample grids, as --grid comma lists, that every method must reject with exit 2
 BAD_GRIDS = {
-    "nan": [6, float("nan")],
-    "repeat": [6, 6, 7],
-    "negative": [-1e-10, 1],
-    "near-repeat": [1, 1 + 1e-12],
+    "nan": "6,NaN",
+    "repeat": "6,6,7",
+    "negative": "-1e-10,1",
+    "near-repeat": "1,1.000000000001",
 }
+GRID_RULE = "sample grid must be finite and increase by more than 1e-09"
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, message",
     [
-        (["--grid", "nan:10:1"], None),
-        (["--grid", "0:inf:1"], None),
-        (["--grid", "0:1e12:1"], None),
-        (["--grid", "6:15"], None),
-        (["--dt", "nan"], None),
-        (["--dt", "inf"], None),
-        (["--methods", "exact", "--caps", "a,b"], None),
-        (["--methods", "exact", "--caps", "4294967295,4294967295"], None),
-        (["--methods", "exact", "--caps", "9223372036854775807,1"], None),
-        (["--methods", "exact", "--caps", "5"], None),
-        (["--seed", "-1"], None),
-        (["--seed", str(2**64)], None),
-        ([], "{not json"),
-        ([], json.dumps({"reps": "abc"})),
-        ([], json.dumps({"dt": [0.1]})),
-        ([], json.dumps(["fluid"])),
-        ([], json.dumps({"grid": []})),
+        (["--grid", "nan:10:1"], "--grid range is empty, inverted or not finite"),
+        (["--grid", "0:inf:1"], "--grid range is empty, inverted or not finite"),
+        (["--grid", "0:1e12:1"], "sample times, limit is 1000000"),
+        (["--grid", "0:1e308:1e-308"], "has inf sample times, limit is 1000000"),
+        (["--grid", "6:15"], "--grid expects t0:t1:step"),
+        (["--grid", "[" * 100_000], "is not a comma list of numbers"),
+        (["--dt", "nan"], "dt must be positive and finite"),
+        (["--dt", "inf"], "dt must be positive and finite"),
+        (["--methods", "exact", "--caps", "a,b"], "caps: 'a,b' is not a comma list of integers"),
+        (["--methods", "exact", "--caps", "4294967295,4294967295"], "truncated state space"),
+        (["--methods", "exact", "--caps", "9223372036854775807,1"], "truncated state space"),
+        (["--methods", "exact", "--caps", "5"], "caps: need one per state dimension"),
+        (["--seed", "-1"], "seed must be in 0 .. 2**64 - 1"),
+        (["--seed", str(2**64)], "seed must be in 0 .. 2**64 - 1"),
+        (["--grid", ""], "sample grid must be a non-empty 1-D sequence"),
         *[
-            (["--methods", m, "--reps", "2", "--caps", "130,60"], json.dumps({"grid": g}))
-            for g in BAD_GRIDS.values()
+            (["--methods", m, "--reps", "2", "--caps", "130,60", f"--grid={g}"],
+             "sample grid [-1e-10, 1.0] outside model horizon" if name == "negative"
+             else GRID_RULE)
+            for name, g in BAD_GRIDS.items()
             for m in METHOD_ORDER
         ],
     ],
     ids=[
-        "grid-nan", "grid-inf", "grid-huge", "grid-two-fields", "dt-nan", "dt-inf", "caps-text",
-        "caps-product-wraps", "caps-int64-max", "caps-one-for-two-dimensions",
-        "seed-negative", "seed-2**64",
-        "config-not-json", "config-reps-text", "config-dt-list", "config-not-object",
+        "grid-nan", "grid-inf", "grid-huge", "grid-count-overflows", "grid-two-fields",
+        "grid-nested-too-deep",
+        "dt-nan", "dt-inf", "caps-text", "caps-product-wraps", "caps-int64-max",
+        "caps-one-for-two-dimensions", "seed-negative", "seed-2**64",
+        # "config" names the grid field of the run's ExperimentConfig
         "config-grid-empty",
         *[f"config-grid-{name}-{m}" for name in BAD_GRIDS for m in METHOD_ORDER],
     ],
 )
-def test_bad_run_arguments_exit_2(tmp_path, argv, config):
-    base = ["run", "--preset", "1", "--methods", "fluid", "--out", str(tmp_path / "o")]
-    if config is not None:
-        path = tmp_path / "cfg.json"
-        path.write_text(config)
-        base += ["--config", str(path)]
-    assert main([*base, *argv]) == 2
-
-
-@pytest.mark.parametrize(
-    "config, message",
-    [
-        ({"methods": 5}, "invalid configuration: "),
-        ({"methods": "fluid"}, "missing required field: out"),
-    ],
-    ids=["methods-number", "out-missing"],
-)
-def test_config_file_alone_is_checked(tmp_path, capsys, config, message):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"preset": 1, **config}))
-    assert main(["run", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: " + message)
+def test_bad_run_arguments_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main(["run", "--preset", "1", "--methods", "fluid", "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def test_dt_is_accepted_but_changes_no_flow_csv(tmp_path):
-    """Every method steps from stop to stop, so a ``dt`` from the command line
-    or a config file is checked and then dropped: ``--dt 1e-300`` (once too
-    many steps to allocate), ``--dt 1`` and a config file's ``"dt": 0.5`` write
-    the bytes of a run without one, ``run.json`` included."""
-    config = {"preset": 7, "methods": "fluid,adjusted,measure-zero,exact", "grid": "6:15:1",
-              "caps": "130,60"}
-    plain, with_dt = tmp_path / "plain.json", tmp_path / "with_dt.json"
-    plain.write_text(json.dumps(config))
-    with_dt.write_text(json.dumps({**config, "dt": 0.5}))
-    runs = {
-        "none": ["--config", str(plain)],
-        "tiny": ["--config", str(plain), "--dt", "1e-300"],
-        "one": ["--config", str(plain), "--dt", "1"],
-        "config": ["--config", str(with_dt)],
-    }
+    """Every method steps from stop to stop, so ``--dt`` is checked and then
+    dropped: ``--dt 1e-300`` (once too many steps to allocate) and ``--dt 1``
+    write the bytes of a run without it, ``run.json`` included."""
+    plain = ["--preset", "7", "--methods", "fluid,adjusted,measure-zero,exact",
+             "--grid", "6:15:1", "--caps", "130,60"]
+    runs = {"none": plain, "tiny": [*plain, "--dt", "1e-300"], "one": [*plain, "--dt", "1"]}
     written = {}
     for name, argv in runs.items():
         out = tmp_path / name
@@ -745,8 +713,6 @@ UNREADABLE_INPUTS = {
     "model-not-utf8": ("model.json", b'{"dimension": "\xff"}', "malformed model document"),
     "model-directory": ("model.json", None, "cannot read model document"),
     "model-list": ("model.json", "[]", "malformed model document"),
-    "config-directory": ("cfg.json", None, "cannot read config file"),
-    "config-not-json": ("cfg.json", "{not json", "malformed config file"),
     "manifest-directory": ("run.json", None, "cannot read run manifest"),
     "manifest-list": ("run.json", "[1]", "malformed run manifest"),
     "combined-directory": ("combined.csv", None, "cannot read results CSV"),
@@ -763,8 +729,6 @@ def _unreadable_argv(tmp_path, name):
     run = ["run", "--methods", "fluid", "--out", str(tmp_path / "o")]
     if filename == "model.json":
         return [*run, "--model", path]
-    if filename == "cfg.json":
-        return [*run, "--preset", "1", "--config", path]
     if filename == "blocker":
         return ["run", "--methods", "fluid", "--preset", "1", "--out", os.path.join(path, "o")]
     if filename == "fluid.csv":
@@ -772,20 +736,42 @@ def _unreadable_argv(tmp_path, name):
     return ["report", "--in", str(tmp_path)]
 
 
-@pytest.mark.parametrize("name", UNREADABLE_INPUTS)
-def test_unreadable_inputs_exit_2_from_the_entry_point(tmp_path, name):
-    """``python -m qmoments.cli`` on a file it cannot read or write: exit 2
-    with one ``error:`` line naming the file, and no traceback."""
+def _entry_point_exits_2(argv) -> str:
+    """``python -m qmoments.cli`` on ``argv``: exit 2 with one ``error:`` line
+    and no traceback; returns that line."""
     path = [str(Path(qm.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
-        [sys.executable, "-m", "qmoments.cli", *_unreadable_argv(tmp_path, name)],
+        [sys.executable, "-m", "qmoments.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-    assert UNREADABLE_INPUTS[name][2] in proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    return proc.stderr
+
+
+@pytest.mark.parametrize("name", UNREADABLE_INPUTS)
+def test_unreadable_inputs_exit_2_from_the_entry_point(tmp_path, name):
+    """A file it cannot read or write: one ``error:`` line naming the file."""
+    assert UNREADABLE_INPUTS[name][2] in _entry_point_exits_2(_unreadable_argv(tmp_path, name))
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--grid", "0:1e308:1e-308"], "has inf sample times, limit is 1000000"),
+        (["--methods", "simulate,exact", "--caps", "5"], "caps: need one per state dimension"),
+        (["--methods", "simulate,exact", "--caps", "3000,3000"], "truncated state space"),
+    ],
+    ids=["grid-count-overflows", "caps-one-for-two-dimensions", "caps-too-many-states"],
+)
+def test_bad_run_arguments_exit_2_from_the_entry_point(tmp_path, argv, message):
+    out = tmp_path / "o"
+    run = ["run", "--preset", "7", "--methods", "fluid", "--reps", "4000", "--out", str(out)]
+    assert message in _entry_point_exits_2([*run, *argv])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
@@ -809,17 +795,18 @@ def test_report_on_mismatched_dimensions_exits_2(tmp_path, capsys):
     assert "dimension" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "config",
-    [{"model": 5}, {"preset": 1, "out": 5}],
-    ids=["model-number", "out-number"],
-)
-def test_config_paths_must_be_strings(tmp_path, monkeypatch, config):
-    """Rejected before any method runs: ``open(5)`` would read file descriptor 5."""
-    monkeypatch.setattr("qmoments.cli.solve", None)  # a method run would raise TypeError
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"methods": "fluid", "out": str(tmp_path / "o"), **config}))
-    assert main(["run", "--config", str(path)]) == 2
+def test_readme_lists_every_run_option():
+    """README's ``run`` options name exactly the flags the parser takes."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    listed = readme.split("`run` options:", 1)[1].split("`report --in", 1)[0]
+    documented = {
+        flag
+        for line in listed.splitlines() if line.startswith("- `--")
+        for flag in re.findall(r"--[a-z-]+", line.split("`:", 1)[0])
+    }
+    run = next(a for a in build_parser()._actions if a.dest == "command").choices["run"]
+    parsed = {flag for a in run._actions for flag in a.option_strings}
+    assert documented == parsed - {"-h", "--help"}
 
 
 def test_solver_warnings_reach_the_manifest(tmp_path, monkeypatch):
